@@ -46,8 +46,7 @@ def load_instance(path):
         d = json.load(fh)
     if "parts" in d:
         return hypergraph.PartiteHypergraph.from_dict(d)
-    return hypergraph.Hypergraph(tuple(d["vertices"]),
-                                 tuple(tuple(e) for e in d["edges"]))
+    return hypergraph.Hypergraph.from_dict(d)
 
 
 def load_certificate(spec):
@@ -75,10 +74,6 @@ def emit(args, obj, text=None):
         print(json.dumps(obj, sort_keys=True))
     else:
         print(text if text is not None else json.dumps(obj, sort_keys=True))
-
-
-def _pred_dict(p):
-    return p.to_dict()
 
 
 # --- subcommand handlers ---------------------------------------------
@@ -174,10 +169,7 @@ def cmd_nrd_exact(args):
     parts = parse_coords(args.parts) if args.parts else None
     value, inst = hypergraph.nrd_exact(pq, args.n, part_sizes=parts,
                                        max_checks=args.search_budget)
-    emit(args, {"n": args.n, "nrd": value,
-                "instance": inst.to_dict() if hasattr(inst, "to_dict")
-                else {"vertices": list(inst.vertex_set),
-                      "edges": [list(e) for e in inst.edges]}},
+    emit(args, {"n": args.n, "nrd": value, "instance": inst.to_dict()},
          f"NRD = {value}")
     return 0
 
@@ -274,7 +266,11 @@ def cmd_reduce(args):
         with open(args.witnesses) as fh:
             ncert = hypergraph.NrdCertificate.from_dict(h, json.load(fh))
         witness_fn = lambda e: ncert.witnesses[e]
-    res = pipeline.apply_reduction(h, cert, witness_fn)
+    try:
+        res = pipeline.apply_reduction(h, cert, witness_fn)
+    except pipeline.PipelineError as exc:
+        print(f"nrd: {exc}", file=sys.stderr)
+        return 1
     out = res.to_dict()
     out["instance"] = res.instance.to_dict()
     emit(args, out, f"{res.n_edges} edges over {res.n_vertices} vertices"

@@ -99,6 +99,14 @@ class Hypergraph:
     def vertices(self):
         return list(self.vertex_set)
 
+    def to_dict(self):
+        return {"vertices": list(self.vertex_set),
+                "edges": [list(e) for e in self.edges]}
+
+    @classmethod
+    def from_dict(cls, d):
+        return cls(tuple(d["vertices"]), tuple(tuple(e) for e in d["edges"]))
+
 
 @dataclass
 class NrdCertificate:
@@ -112,8 +120,20 @@ class NrdCertificate:
 
     @classmethod
     def from_dict(cls, h, d):
-        return cls({e: {v: int(x) for v, x in d[str(i)].items()}
-                    for i, e in enumerate(h.edges)})
+        """Witnesses keyed by edge index; every value must be a JSON integer
+        (the domain range is the checker's business, not the parser's)."""
+        if set(d) != {str(i) for i in range(len(h.edges))}:
+            raise InstanceError("certificate keys must be the edge indices "
+                                f"0..{len(h.edges) - 1}")
+        witnesses = {}
+        for i, e in enumerate(h.edges):
+            psi = d[str(i)]
+            for v, x in psi.items():
+                if type(x) is not int:
+                    raise InstanceError(f"witness {i}: value {x!r} for vertex "
+                                        f"{v!r} is not an integer")
+            witnesses[e] = dict(psi)
+        return cls(witnesses)
 
 
 @dataclass
@@ -299,53 +319,136 @@ def verify_nrd(h, pq, mode="find-witnesses", certificate=None,
 
 
 def _check_certificate(h, pq: ConditionalPredicate, certificate):
-    edges = list(h.edges)
+    edges = h.edges
     if set(certificate.witnesses) != set(edges):
         raise InstanceError("certificate must cover exactly the instance edges")
-    if len(edges) >= 200:
-        return _check_certificate_np(h, pq, certificate)
-    base = set(pq.base.tuples)
-    outside = set(pq.outside())
-    for e in edges:
-        psi = certificate.witnesses[e]
-        for e2 in edges:
-            t = tuple(psi[v] for v in e2)
-            if e2 == e:
-                if t not in outside:
-                    return NrdFailure(e, "witness does not (Q\\P)-satisfy its edge")
-            elif t not in base:
-                return NrdFailure(e, f"witness fails to P-satisfy {e2}")
-    return NrdCertificate(dict(certificate.witnesses), verified=True)
-
-
-def _check_certificate_np(h, pq, certificate):
-    edges = list(h.edges)
-    vidx = {v: i for i, v in enumerate(h.vertices())}
-    em = np.array([[vidx[v] for v in e] for e in edges], dtype=np.int64)
-    d = pq.domain_size
-    weights = d ** np.arange(pq.arity, dtype=np.int64)
-
-    def codes(tuples):
-        if not tuples:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(np.array(tuples, dtype=np.int64) @ weights)
-
-    base_codes = codes(list(pq.base.tuples))
-    out_codes = codes(list(pq.outside()))
+    kernel = WitnessKernel.of(h, pq)
     for i, e in enumerate(edges):
-        psi = certificate.witnesses[e]
-        vals = np.zeros(len(vidx), dtype=np.int64)
-        for v, x in psi.items():
-            vals[vidx[v]] = x
-        edge_codes = vals[em] @ weights
-        in_base = np.isin(edge_codes, base_codes)
-        if not (in_base[:i].all() and in_base[i + 1:].all()):
-            bad = int(np.flatnonzero(~in_base)[0])
-            if bad != i:
-                return NrdFailure(e, f"witness fails to P-satisfy {edges[bad]}")
-        if not np.isin(edge_codes[i:i + 1], out_codes)[0]:
-            return NrdFailure(e, "witness does not (Q\\P)-satisfy its edge")
+        try:
+            reason = kernel.check(certificate.witnesses[e], i)
+        except MalformedWitness as exc:
+            return NrdFailure(e, str(exc))
+        if reason is not None:
+            return NrdFailure(e, reason)
     return NrdCertificate(dict(certificate.witnesses), verified=True)
+
+
+# --- the witness kernel ----------------------------------------------
+
+class MalformedWitness(InstanceError):
+    """A witness that does not assign exactly the instance's vertices
+    integer values in [0, d)."""
+
+
+class CodeTable:
+    """Integer labels of tuple codes; a code not given reads `missing`.
+
+    A lookup is one binary search over the sorted codes, so the table is
+    as small as the tuples given, whatever d**r is.
+    """
+
+    def __init__(self, codes, labels, size, missing=-1):
+        codes = np.asarray(codes, dtype=np.int64)
+        labels = np.asarray(labels, dtype=np.int64)
+        self.missing = missing
+        order = np.argsort(codes)
+        # the sentinel `size` is above every code, so a search never runs
+        # off the end
+        self.keys = np.append(codes[order], size)
+        self.labels = np.append(labels[order], missing)
+
+    def __getitem__(self, codes):
+        pos = np.searchsorted(self.keys, codes)
+        return np.where(self.keys[pos] == codes, self.labels[pos], self.missing)
+
+
+_IN_BASE, _OUTSIDE = 1, 2
+
+
+class WitnessKernel:
+    """Encoded witness checks on one instance for one predicate pair.
+
+    Set up once: a vertex-index map, the m x r edge-index matrix, the
+    weights d**i of the tuple code sum(x_i * d**i), and a table over the
+    d**r codes marking P and Q \\ P.  Per witness: validate it, gather the
+    codes of all edges, and report the first failing edge in edge order.
+    Without base/outside tuples the kernel only validates and encodes.
+    """
+
+    def __init__(self, vertices, edges, domain_size, arity, base=(), outside=()):
+        self.vertices = list(dict.fromkeys(vertices))
+        self.vidx = {v: i for i, v in enumerate(self.vertices)}
+        self.edges = tuple(edges)
+        self.d, self.r = domain_size, arity
+        self.size = domain_size ** arity
+        if self.size >= 1 << 62:
+            raise InstanceError(f"tuple codes over {domain_size}^{arity} "
+                                "do not fit in 64 bits")
+        self.weights = domain_size ** np.arange(arity, dtype=np.int64)
+        for e in self.edges:
+            if len(e) != arity:
+                raise InstanceError(f"edge {e} does not match arity {arity}")
+        self.em = np.array([[self.vidx[v] for v in e] for e in self.edges],
+                           dtype=np.intp).reshape(len(self.edges), arity)
+        self.table = CodeTable(
+            self.encode(list(base) + list(outside)),
+            [_IN_BASE] * len(base) + [_OUTSIDE] * len(outside), self.size, 0)
+
+    @classmethod
+    def of(cls, h, pq):
+        pq = as_conditional(pq)
+        return cls(h.vertices(), h.edges, pq.domain_size, pq.arity,
+                   pq.base.tuples, pq.outside())
+
+    def encode(self, tuples):
+        """Codes of domain tuples given as a list."""
+        return (np.array(tuples, dtype=np.int64).reshape(len(tuples), self.r)
+                @ self.weights)
+
+    def values(self, psi):
+        """The witness as an array in vertex order, after checking that it
+        assigns exactly the instance's vertices, each an integer in [0, d)."""
+        try:
+            vals = [psi[v] for v in self.vertices]
+        except KeyError:
+            missing = next(v for v in self.vertices if v not in psi)
+            raise MalformedWitness(
+                f"witness has no value for vertex {missing!r}") from None
+        if len(psi) != len(vals):
+            extra = next(v for v in psi if v not in self.vidx)
+            raise MalformedWitness(
+                f"witness assigns {extra!r}, which is not a vertex of the instance")
+        d = self.d
+        if not all(type(x) is int and 0 <= x < d for x in vals):
+            for v, x in zip(self.vertices, vals):
+                if not (isinstance(x, (int, np.integer))
+                        and not isinstance(x, (bool, np.bool_)) and 0 <= x < d):
+                    raise MalformedWitness(f"witness value {x!r} for vertex {v!r} "
+                                           f"is not an integer in [0, {d})")
+        return np.array(vals, dtype=np.int64)
+
+    def codes(self, vals):
+        """Tuple code of every edge under validated values."""
+        return vals[self.em] @ self.weights
+
+    def first_failure(self, codes, excluded_idx):
+        """Index of the first edge whose code is not where it must be (Q \\ P
+        for the excluded edge, P for every other), or None."""
+        labels = self.table[codes]
+        ok = labels == _IN_BASE
+        ok[excluded_idx] = labels[excluded_idx] == _OUTSIDE
+        j = int(ok.argmin())
+        return None if ok[j] else j
+
+    def check(self, psi, excluded_idx):
+        """None if psi is a witness for the excluded edge, else the reason;
+        raises MalformedWitness before any edge is looked at."""
+        j = self.first_failure(self.codes(self.values(psi)), excluded_idx)
+        if j is None:
+            return None
+        if j == excluded_idx:
+            return "witness does not (Q\\P)-satisfy its edge"
+        return f"witness fails to P-satisfy {self.edges[j]}"
 
 
 # --- exact NRD at toy scale ------------------------------------------

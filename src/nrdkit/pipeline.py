@@ -10,7 +10,6 @@ instance pipelines in one run.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
@@ -21,8 +20,9 @@ from .balance import is_balanced_bounded, is_balanced_lattice
 from .cancellation import cancel, catalan_matrix_check, catalan_search
 from .generators import (build_R1S1_instance, build_R2S2_instance,
                          gen_girth6, girth)
-from .hypergraph import (Hypergraph, InstanceError, NrdCertificate,
-                         PartiteHypergraph, nrd_exact, projection_map,
+from .hypergraph import (CodeTable, Hypergraph, InstanceError,
+                         MalformedWitness, NrdCertificate, PartiteHypergraph,
+                         WitnessKernel, nrd_exact, projection_map,
                          shrinking_report, verify_nrd)
 from .predicates import ConditionalPredicate, Predicate, box_product
 from .substructure import SubstructureCertificate, dependency_analysis, \
@@ -82,31 +82,6 @@ def fit_shrinkage(points) -> float:
 # --- reduction application -------------------------------------------
 
 
-class _RowChecker:
-    """Vectorized single-witness verification against a fixed instance."""
-
-    def __init__(self, h, pq: ConditionalPredicate):
-        self.vidx = {v: i for i, v in enumerate(h.vertices())}
-        self.em = np.array([[self.vidx[v] for v in e] for e in h.edges],
-                           dtype=np.int64)
-        self.weights = pq.domain_size ** np.arange(pq.arity, dtype=np.int64)
-        self.base = np.sort(np.array(list(pq.base.tuples),
-                                     dtype=np.int64) @ self.weights)
-        self.out = np.sort(np.array(list(pq.outside()),
-                                    dtype=np.int64) @ self.weights)
-        self.vals = np.zeros(len(self.vidx), dtype=np.int64)
-
-    def check(self, witness, excluded_idx):
-        for v, x in witness.items():
-            self.vals[self.vidx[v]] = x
-        codes = self.vals[self.em] @ self.weights
-        in_base = np.isin(codes, self.base)
-        in_base[excluded_idx] = True
-        if not in_base.all():
-            return False
-        return bool(np.isin(codes[excluded_idx:excluded_idx + 1], self.out)[0])
-
-
 @dataclass
 class ReductionResult:
     instance: PartiteHypergraph
@@ -120,21 +95,68 @@ class ReductionResult:
                 "verified": self.verified}
 
 
-def transfer_witness(source_edges, projected_edges, sigma, psi):
-    """Target-instance assignment induced by one source witness psi."""
-    phi = {}
-    for e_src, e_tgt in zip(source_edges, projected_edges):
-        x = tuple(psi[v] for v in e_src)
+class TransferPlan:
+    """Witness transfer through one certificate map on one instance.
+
+    The source kernel validates a witness and gives the code of every
+    source edge; sigma is a table from source code to a row of target
+    values.  A transfer scatters those rows onto the target vertices
+    (the target kernel's edge-index matrix) and gathers them back, so two
+    edges that disagree on a shared target vertex show as a mismatch.
+    """
+
+    def __init__(self, source: WitnessKernel, target: WitnessKernel, sigma):
+        if len(source.edges) != len(target.edges):
+            raise PipelineError("every source edge needs one projected edge")
+        keys = list(sigma)
+        bad = [x for x in keys if len(x) != source.r
+               or not all(0 <= v < source.d for v in x)]
+        if bad:
+            raise PipelineError(f"sigma is defined on {bad[0]}, "
+                                f"outside [0, {source.d})^{source.r}")
+        self.source, self.target = source, target
+        self.rows = CodeTable(source.encode(keys), range(len(keys)), source.size)
+        self.image = np.array([sigma[x] for x in keys],
+                              dtype=np.int64).reshape(len(keys), target.r)
+
+    def transfer(self, psi):
+        """(rows, phi): the sigma row used by every source edge, and the
+        induced target values in target-vertex order."""
+        src = self.source
         try:
-            y = sigma[x]
-        except KeyError:
-            raise PipelineError(f"witness value {x} outside the certificate domain")
-        for u, yj in zip(e_tgt, y):
-            prev = phi.setdefault(u, yj)
-            if prev != yj:
+            vals = src.values(psi)
+        except MalformedWitness as exc:
+            raise PipelineError(f"source witness rejected: {exc}") from None
+        rows = self.rows[src.codes(vals)]
+        if rows.size:
+            j = int(rows.argmin())
+            if rows[j] < 0:
+                x = tuple(vals[src.em[j]].tolist())
                 raise PipelineError(
-                    "inconsistent transfer: certificate violates coordinate locality")
-    return phi
+                    f"witness value {x} outside the certificate domain")
+        y = self.image[rows]
+        phi = np.zeros(len(self.target.vertices), dtype=np.int64)
+        phi[self.target.em] = y
+        if not (phi[self.target.em] == y).all():
+            raise PipelineError(
+                "inconsistent transfer: certificate violates coordinate locality")
+        return rows, phi
+
+
+def transfer_witness(source_edges, projected_edges, sigma, psi):
+    """Target-instance assignment induced by one source witness psi, which
+    must assign exactly the vertices of source_edges.  The domains are
+    those that sigma's tuples span."""
+    def kernel(edges, tuples):
+        tuples = list(tuples)
+        d = 1 + max((v for t in tuples for v in t), default=0)
+        return WitnessKernel([v for e in edges for v in e], edges, d,
+                             len(tuples[0]) if tuples else 0)
+
+    plan = TransferPlan(kernel(source_edges, sigma),
+                        kernel(projected_edges, sigma.values()), sigma)
+    _, phi = plan.transfer(psi)
+    return dict(zip(plan.target.vertices, phi.tolist()))
 
 
 def apply_reduction(h: PartiteHypergraph, cert: SubstructureCertificate,
@@ -149,7 +171,7 @@ def apply_reduction(h: PartiteHypergraph, cert: SubstructureCertificate,
     ok, problems = verify_certificate(cert)
     if not ok:
         raise PipelineError(f"invalid certificate: {problems}")
-    proj, per_source, mult = projection_map(h, cert.family, warn=False)
+    proj, _, _ = projection_map(h, cert.family, warn=False)
     if len(proj.edges) != len(h.edges):
         raise PipelineError(
             "joint projection merges source edges; witnesses cannot transfer")
@@ -157,11 +179,13 @@ def apply_reduction(h: PartiteHypergraph, cert: SubstructureCertificate,
                              sum(len(p) for p in proj.parts), len(proj.edges))
     if witness_fn is None:
         return result
-    checker = _RowChecker(proj, cert.target)
-    src_edges = list(h.edges)
-    for i, e in enumerate(src_edges):
-        phi = transfer_witness(src_edges, per_source, cert.sigma, witness_fn(e))
-        if not checker.check(phi, i):
+    # no edge merges, so the target edges are the projections in source order
+    target = WitnessKernel.of(proj, cert.target)
+    plan = TransferPlan(WitnessKernel.of(h, cert.source), target, cert.sigma)
+    target_codes = target.encode(plan.image)
+    for i, e in enumerate(h.edges):
+        rows, _ = plan.transfer(witness_fn(e))
+        if target.first_failure(target_codes[rows], i) is not None:
             raise PipelineError(f"transferred witness failed for edge {e}")
     result.verified = True
     return result

@@ -244,7 +244,9 @@ class _Solver:
                 if total >= restart_limit:
                     total = 0
                     restart_limit = int(restart_limit * 1.3)
-                    self._backjump(0)
+                    # a unit learnt clause may already have jumped to level 0
+                    if self.trail_lim:
+                        self._backjump(0)
             else:
                 lit = self._decide()
                 if lit == 0:

@@ -73,6 +73,39 @@ def test_verify_nrd_roundtrip(tmp_path, capsys):
     assert code == 0 and d["non_redundant"]
 
 
+def _check_given(tmp_path, capsys, edit):
+    inst = build_R1S1_instance(2).truncated(10)
+    f = tmp_path / "inst.json"
+    f.write_text(json.dumps(inst.hypergraph.to_dict()))
+    witnesses = inst.certificate().to_dict(inst.hypergraph)
+    edit(witnesses["3"])
+    wf = tmp_path / "wit.json"
+    wf.write_text(json.dumps(witnesses))
+    return run(capsys, "--json", "verify-nrd", "--instance", str(f),
+               "--predicate", "R1S1", "--mode", "check-given",
+               "--certificate", str(wf))
+
+
+@pytest.mark.parametrize("value", [2.7, 1.0, True, "1"])
+def test_check_given_rejects_non_integer_json_values(tmp_path, capsys, value):
+    code, out = _check_given(tmp_path, capsys,
+                             lambda w: w.__setitem__("p010", value))
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("edit", [
+    lambda w: w.__setitem__("p010", 7),
+    lambda w: w.__setitem__("p010", -1),
+    lambda w: w.pop("p010"),
+    lambda w: w.__setitem__("stray", 0),
+])
+def test_check_given_malformed_witness_exits_1(tmp_path, capsys, edit):
+    code, out = _check_given(tmp_path, capsys, edit)
+    d = json.loads(out)
+    assert code == 1 and not d["non_redundant"]
+    assert d["failed_edge"] == list(build_R1S1_instance(2).hypergraph.edges[3])
+
+
 def test_verify_nrd_redundant_exits_1(tmp_path, capsys):
     # EQ triangle is redundant
     inst = {"vertices": ["a", "b", "c"],
@@ -87,6 +120,18 @@ def test_verify_nrd_redundant_exits_1(tmp_path, capsys):
 def test_nrd_exact(capsys):
     code, d = run_json(capsys, "nrd-exact", "EQ", "-n", "4")
     assert code == 0 and d["nrd"] == 3
+
+
+def test_nrd_exact_json_is_stable(capsys):
+    code, out = run(capsys, "--json", "nrd-exact", "EQ", "-n", "3")
+    assert code == 0 and out == (
+        '{"instance": {"edges": [["v1", "v2"], ["v1", "v3"]], '
+        '"vertices": ["v1", "v2", "v3"]}, "n": 3, "nrd": 2}\n')
+    code, out = run(capsys, "--json", "nrd-exact", "EQ", "-n", "3",
+                    "--parts", "1,2")
+    assert code == 0 and out == (
+        '{"instance": {"edges": [["v1", "v2"], ["v1", "v3"]], '
+        '"parts": [["v1"], ["v2", "v3"]]}, "n": 3, "nrd": 2}\n')
 
 
 def test_find_substructure_rejects_plain_predicate(capsys):
@@ -150,6 +195,12 @@ def test_reduce(tmp_path, capsys):
     code, d = run_json(capsys, "reduce", "--instance", str(f),
                        "--certificate", "P1Q1", "--witnesses", str(wf))
     assert code == 0 and d["verified"] and d["n_edges"] == 12
+    witnesses = inst.certificate().to_dict(inst.hypergraph)
+    witnesses["4"]["p010"] = 3
+    wf.write_text(json.dumps(witnesses))
+    code, out = run(capsys, "--json", "reduce", "--instance", str(f),
+                    "--certificate", "P1Q1", "--witnesses", str(wf))
+    assert code == 1 and out == ""
 
 
 def test_fit(capsys):

@@ -1,12 +1,16 @@
+import functools
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nrdkit.catalog import C6_COND, EQ, ONE_IN_THREE, or_k
-from nrdkit.hypergraph import (BudgetExceeded, Hypergraph, InstanceError,
-                               NrdCertificate, NrdFailure, PartiteHypergraph,
+from nrdkit.generators import build_R1S1_instance
+from nrdkit.hypergraph import (BudgetExceeded, CodeTable, Hypergraph,
+                               InstanceError, NrdCertificate, NrdFailure,
+                               PartiteHypergraph,
                                as_conditional, nrd_exact, nrd_exact_exhaustive,
                                project_instance, projection_hypergraph,
                                projection_map, shrinking_report, to_r_partite,
@@ -218,3 +222,160 @@ def test_shrinking_report():
     assert rep.shrink_factor == 2.0
     d = rep.to_dict()
     assert d["shrink_factor"] == 2.0
+
+
+# --- the witness kernel on adversarial certificates -------------------
+
+
+@functools.lru_cache(maxsize=None)
+def r1s1(q):
+    return build_R1S1_instance(q)
+
+
+def corrupted(inst, edge, change):
+    """The instance's constructed certificate with edge's witness changed."""
+    cert = inst.certificate()
+    psi = dict(cert.witnesses[edge])
+    change(psi)
+    cert.witnesses[edge] = psi
+    return cert
+
+
+def reference_check(h, pq, cert):
+    """Edge-by-edge set lookups, as (failed edge, first failing edge) or None."""
+    base, outside = set(pq.base.tuples), set(pq.outside())
+    for e in h.edges:
+        psi = cert.witnesses[e]
+        for e2 in h.edges:
+            t = tuple(psi[v] for v in e2)
+            if t not in (outside if e2 == e else base):
+                return e, e2
+    return None
+
+
+# The three certificates the earlier numpy checker accepted on R1S1 q=3:
+# an out-of-domain value that aliases a valid tuple code, a vertex left out
+# (read as 0), and an in-domain change that breaks only edges after the
+# excluded one.
+UNSOUND_CASES = {
+    "alias": (-1, lambda e: lambda psi: psi.__setitem__("l001", 5), "'l001'"),
+    "missing": (-1, lambda e: lambda psi: psi.pop(e[0]), None),
+    "later-edge": (0, lambda e: lambda psi: psi.__setitem__("p010", 1), None),
+}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("case", sorted(UNSOUND_CASES))
+def test_check_given_rejects_once_unsound_cases(q, case):
+    inst = r1s1(q)
+    h = inst.hypergraph
+    assert len(h.edges) == {2: 147, 3: 676}[q]
+    k, make_change, vertex = UNSOUND_CASES[case]
+    edge = h.edges[k]
+    if case == "missing":
+        vertex = repr(edge[0])
+        if q == 3:
+            assert edge[0] == "p122"
+    res = verify_nrd(h, inst.predicate, mode="check-given",
+                     certificate=corrupted(inst, edge, make_change(edge)))
+    assert isinstance(res, NrdFailure)
+    assert res.failed_edge == edge
+    if vertex is not None:
+        assert vertex in res.reason
+    else:
+        cert = corrupted(inst, edge, make_change(edge))
+        failed, first = reference_check(h, inst.predicate, cert)
+        assert failed == edge
+        assert res.reason == f"witness fails to P-satisfy {first}"
+
+
+@pytest.mark.parametrize("value", [-3, 3, 2.7, 2.0, True, "1", None])
+def test_check_given_rejects_values_outside_the_domain(value):
+    inst = r1s1(3)
+    edge = inst.hypergraph.edges[0]
+    cert = corrupted(inst, edge, lambda psi: psi.__setitem__("p010", value))
+    res = verify_nrd(inst.hypergraph, inst.predicate, mode="check-given",
+                     certificate=cert)
+    assert isinstance(res, NrdFailure) and res.failed_edge == edge
+    assert "'p010'" in res.reason and "[0, 3)" in res.reason
+
+
+def test_check_given_rejects_extra_vertex():
+    inst = r1s1(3)
+    edge = inst.hypergraph.edges[5]
+    cert = corrupted(inst, edge, lambda psi: psi.__setitem__("stray", 0))
+    res = verify_nrd(inst.hypergraph, inst.predicate, mode="check-given",
+                     certificate=cert)
+    assert isinstance(res, NrdFailure) and res.failed_edge == edge
+    assert "'stray'" in res.reason
+
+
+def test_check_given_accepts_numpy_integers():
+    inst = r1s1(2)
+    cert = inst.certificate()
+    as_np = NrdCertificate({e: {v: np.int64(x) for v, x in w.items()}
+                            for e, w in cert.witnesses.items()})
+    res = verify_nrd(inst.hypergraph, inst.predicate, mode="check-given",
+                     certificate=as_np)
+    assert isinstance(res, NrdCertificate)
+
+
+def test_check_given_matches_reference_on_random_corruptions():
+    # any vertex, any in-domain value: the kernel must name the same edges
+    # and the same reason as edge-by-edge set lookups
+    rng = random.Random(17)
+    inst = r1s1(2)
+    h, pq = inst.hypergraph, inst.predicate
+    rejected = 0
+    for _ in range(40):
+        edge = rng.choice(h.edges)
+        v = rng.choice(h.vertices())
+        cert = corrupted(inst, edge, lambda psi: psi.__setitem__(
+            v, rng.choice([x for x in range(3) if x != psi[v]])))
+        res = verify_nrd(h, pq, mode="check-given", certificate=cert)
+        ref = reference_check(h, pq, cert)
+        if ref is None:
+            assert isinstance(res, NrdCertificate)
+            continue
+        rejected += 1
+        failed, first = ref
+        assert isinstance(res, NrdFailure) and res.failed_edge == failed
+        assert res.reason == ("witness does not (Q\\P)-satisfy its edge"
+                              if first == failed
+                              else f"witness fails to P-satisfy {first}")
+    assert rejected >= 10
+
+
+def test_check_given_arity_mismatch():
+    h = Hypergraph(("a", "b"), (("a", "b"),))
+    cert = NrdCertificate({("a", "b"): {"a": 0, "b": 0}})
+    with pytest.raises(InstanceError):
+        verify_nrd(h, or_k(3), mode="check-given", certificate=cert)
+
+
+def test_code_table_lookup():
+    codes, labels = [5, 0, 77], [1, 2, 3]
+    table = CodeTable(codes, labels, 100)
+    query = np.array([0, 1, 5, 76, 77, 78, 99])
+    assert table[query].tolist() == [2, -1, 1, -1, 3, -1, -1]
+    assert table[np.int64(77)] == 3
+    assert CodeTable([], [], 100)[np.array([0, 99])].tolist() == [-1, -1]
+
+
+def test_hypergraph_dict_round_trip():
+    h = Hypergraph(("a", "b", "c"), (("a", "b"), ("b", "c")))
+    assert h.to_dict() == {"vertices": ["a", "b", "c"],
+                           "edges": [["a", "b"], ["b", "c"]]}
+    assert Hypergraph.from_dict(h.to_dict()) == h
+
+
+def test_certificate_from_dict_rejects_non_integers():
+    h = Hypergraph(("a", "b"), (("a", "b"),))
+    assert NrdCertificate.from_dict(h, {"0": {"a": 0, "b": 1}}).witnesses == \
+        {("a", "b"): {"a": 0, "b": 1}}
+    for bad in (2.7, 1.0, True, "1", None):
+        with pytest.raises(InstanceError):
+            NrdCertificate.from_dict(h, {"0": {"a": 0, "b": bad}})
+    for keys in ((), ("0", "1"), ("1",)):
+        with pytest.raises(InstanceError):
+            NrdCertificate.from_dict(h, {k: {"a": 0, "b": 1} for k in keys})

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -51,6 +50,21 @@ def test_transfer_witness_consistency_check():
     assert ok == {"x": 1}
 
 
+def test_transfer_witness_rejects_malformed_witness():
+    src_edges, proj_edges = [("a", "b"), ("a", "c")], [("x", "y"), ("x", "z")]
+    sigma = {(0, 0): (0, 1), (0, 1): (0, 0), (1, 1): (1, 1)}
+    psi = {"a": 0, "b": 0, "c": 1}
+    assert transfer_witness(src_edges, proj_edges, sigma, psi) == \
+        {"x": 0, "y": 1, "z": 0}
+    for bad in ({"a": 0, "b": 0},                     # missing vertex
+                {"a": 0, "b": 0, "c": 1, "d": 0},     # extra vertex
+                {"a": 0, "b": 0, "c": 2},             # outside the domain
+                {"a": 0, "b": 0, "c": -1},
+                {"a": 1, "b": 0, "c": 1}):            # (1, 0) not in sigma
+        with pytest.raises(PipelineError):
+            transfer_witness(src_edges, proj_edges, sigma, bad)
+
+
 def test_apply_reduction_rejects_merging_certificate():
     # valid certificate whose family ignores coordinate 3; an instance with
     # two edges differing only there merges under the joint projection
@@ -80,6 +94,38 @@ def test_apply_reduction_p1q1_counts_and_verification():
     sub = PartiteHypergraph(res.instance.parts, res.instance.edges[:25])
     out = verify_nrd(sub, cert.target)
     assert isinstance(out, NrdCertificate)
+
+
+@pytest.mark.parametrize("change", [
+    lambda psi: psi.__setitem__("p010", 5),    # out of domain
+    lambda psi: psi.__setitem__("p010", -1),
+    lambda psi: psi.pop("l001"),               # missing vertex
+    lambda psi: psi.__setitem__("z999", 0),    # extra vertex
+])
+def test_apply_reduction_rejects_malformed_source_witness(change):
+    inst = build_R1S1_instance(3)
+    cert = tables.certificate("P1Q1")
+    bad_edge = inst.hypergraph.edges[-1]
+
+    def witness_fn(e):
+        psi = inst.witness(e)
+        if e == bad_edge:
+            change(psi)
+        return psi
+
+    with pytest.raises(PipelineError, match="source witness rejected"):
+        apply_reduction(inst.hypergraph, cert, witness_fn=witness_fn)
+
+
+def test_apply_reduction_rejects_wrong_transferred_witness():
+    # a valid assignment for another edge transfers cleanly but violates
+    # the wrong target edge
+    inst = build_R1S1_instance(2)
+    cert = tables.certificate("P1Q1")
+    edges = inst.hypergraph.edges
+    swapped = lambda e: inst.witness(edges[1] if e == edges[0] else e)
+    with pytest.raises(PipelineError, match="transferred witness failed"):
+        apply_reduction(inst.hypergraph, cert, witness_fn=swapped)
 
 
 def test_reduction_family_fit():

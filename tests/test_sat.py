@@ -81,6 +81,41 @@ def test_500_random_instances_vs_truth_table():
     assert disagreements == 0
 
 
+def test_random_3sat_near_threshold():
+    # 50-100 variables at clause ratio 4.26, past the first restart.  Seed
+    # 53 (69 variables) once crashed: a unit learnt clause jumped back to
+    # level 0 and the restart that followed found no decision level.
+    seeds = [53] + list(range(1000, 1012))
+    solved = 0
+    for seed in seeds:
+        rng = random.Random(seed)
+        n = rng.randint(30, 80) if seed == 53 else rng.randint(50, 100)
+        f = random_3cnf(rng, n, int(4.26 * n))
+        model = solve(f)
+        if model is not None:
+            solved += 1
+            assert check_model(f, model)
+    assert solved >= 3
+
+
+def test_planted_3sat_is_solved():
+    rng = random.Random(4260)
+    for _ in range(6):
+        n = rng.randint(50, 100)
+        hidden = {v: rng.random() < 0.5 for v in range(1, n + 1)}
+        f = CnfFormula()
+        for _ in range(n):
+            f.new_var()
+        for _ in range(int(4.26 * n)):
+            lits = [v if rng.random() < 0.5 else -v
+                    for v in rng.sample(range(1, n + 1), 3)]
+            if not any(hidden[abs(l)] == (l > 0) for l in lits):
+                lits[0] = -lits[0]
+            f.add_clause(lits)
+        model = solve(f)
+        assert model is not None and check_model(f, model)
+
+
 def test_brute_force_agrees():
     rng = random.Random(3)
     for _ in range(60):
