@@ -2,9 +2,10 @@
 
 Conventions: results go to stdout (text, or JSON with --json); logging goes
 to stderr.  Predicates are read from the catalog by name or from JSON files.
-Exit codes: 0 success, 1 failed check, 2 usage error.  Environment variables
-NRD_SEED, NRD_WORKERS, NRD_CONFLICT_BUDGET, NRD_SEARCH_BUDGET mirror the
-corresponding flags; explicit flags win.
+Exit codes: 0 success, 1 failed check or exhausted budget (one line on
+stderr names the budget and the progress made), 2 usage error.  Environment
+variables NRD_CONFLICT_BUDGET and NRD_SEARCH_BUDGET mirror the corresponding
+flags; explicit flags win.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 import sys
 
 from . import balance, cancellation, catalog, generators, hypergraph, \
-    pipeline, predicates, substructure, tables
+    pipeline, predicates, sat, substructure, tables
 
 log = logging.getLogger("nrd")
 
@@ -181,8 +182,8 @@ def cmd_find_substructure(args):
             raise SystemExit("nrd find-substructure: inputs must be conditional pairs")
     if args.family:
         fam = parse_family(src.arity, args.family)
-        cert = substructure.find_substructure(src, tgt, fam,
-                                              conflict_budget=args.conflict_budget)
+        cert = substructure.find_substructure(
+            src, tgt, fam, conflict_budget=args.conflict_budget or None)
         if cert is None:
             emit(args, {"found": False}, "no substructure map for this family")
             return 1
@@ -337,8 +338,6 @@ def build_parser():
                     "generation with full re-verification of the bundled "
                     "reference tables.")
     ap.add_argument("--json", action="store_true", help="machine-readable output")
-    ap.add_argument("--seed", type=int, default=_env_int("NRD_SEED", 0))
-    ap.add_argument("--workers", type=int, default=_env_int("NRD_WORKERS", 1))
     ap.add_argument("--conflict-budget", type=int,
                     default=_env_int("NRD_CONFLICT_BUDGET", 0) or None,
                     help="SAT conflict budget (0 = unlimited)")
@@ -384,7 +383,8 @@ def build_parser():
     p.add_argument("--mode", choices=("find-witnesses", "check-given"),
                    default="find-witnesses")
     p.add_argument("--certificate", help="witness JSON for check-given mode")
-    p.add_argument("--max-assignments", type=int)
+    p.add_argument("--max-assignments", type=int,
+                   help="budget of value trials for find-witnesses")
     p.add_argument("--emit-witnesses", action="store_true")
 
     p = add("nrd-exact", cmd_nrd_exact, "exact maximum non-redundant size")
@@ -459,6 +459,9 @@ def main(argv=None):
             ValueError, KeyError, FileNotFoundError) as exc:
         print(f"nrd: {exc}", file=sys.stderr)
         return 2
+    except (hypergraph.BudgetExceeded, sat.ConflictBudgetExceeded) as exc:
+        print(f"nrd: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

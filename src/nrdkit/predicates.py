@@ -42,12 +42,13 @@ class Predicate:
         object.__setattr__(
             self, "tuples", _canonical_tuples(self.tuples, self.arity, self.domain_size)
         )
+        object.__setattr__(self, "_members", frozenset(self.tuples))
 
     def __len__(self):
         return len(self.tuples)
 
     def __contains__(self, t):
-        return tuple(t) in set(self.tuples)
+        return tuple(t) in self._members
 
     def is_nontrivial(self):
         return 0 < len(self.tuples) < self.domain_size ** self.arity

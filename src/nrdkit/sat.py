@@ -220,7 +220,9 @@ class _Solver:
                 self.conflicts += 1
                 total += 1
                 if self.budget is not None and self.conflicts > self.budget:
-                    raise ConflictBudgetExceeded(f"exceeded {self.budget} conflicts")
+                    raise ConflictBudgetExceeded(
+                        f"SAT conflict budget of {self.budget} exceeded with "
+                        f"{len(self.trail)} of {self.n} variables assigned")
                 if not self.trail_lim:
                     return None
                 learnt, back = self._analyze(conflict)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -71,6 +72,73 @@ def test_verify_nrd_roundtrip(tmp_path, capsys):
                        "--predicate", "R1S1", "--mode", "check-given",
                        "--certificate", str(wf))
     assert code == 0 and d["non_redundant"]
+
+
+def _r1s1_file(tmp_path):
+    f = tmp_path / "r1s1.json"
+    f.write_text(json.dumps(build_R1S1_instance(2).hypergraph.to_dict()))
+    return str(f)
+
+
+def test_find_witnesses_output_is_pinned(tmp_path, capsys):
+    # each witness is the first solution in search order, so the output
+    # must not change with how the search propagates
+    code, out = run(capsys, "--json", "verify-nrd", "--instance",
+                    _r1s1_file(tmp_path), "--predicate", "R1|S1",
+                    "--emit-witnesses")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "10f107e84e1e1eaf08657a2520f5dead8fd5d151b9aa1e0525afd53f29b07d77")
+
+
+@pytest.mark.parametrize("budget", ["10", "0"])
+def test_verify_nrd_budget_exhausted_exits_1(tmp_path, capsys, budget):
+    code = main(["--json", "verify-nrd", "--instance", _r1s1_file(tmp_path),
+                 "--predicate", "R1|S1", "--max-assignments", budget])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == (f"nrd: assignment budget of {budget} exceeded with "
+                   "0 of 147 edges witnessed\n")
+
+
+def test_verify_nrd_negative_budget_exits_2(tmp_path, capsys):
+    code = main(["verify-nrd", "--instance", _r1s1_file(tmp_path),
+                 "--predicate", "R1|S1", "--max-assignments", "-1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "budget" in err
+
+
+def test_nrd_exact_budget_exhausted_exits_1(capsys):
+    code = main(["--search-budget", "5", "nrd-exact", "EQ", "-n", "4"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == ("nrd: search budget of 5 feasibility checks exceeded; "
+                   "best size so far 3\n")
+
+
+def test_find_substructure_conflict_budget_exits_1(tmp_path, capsys):
+    # this family takes the solver 4 conflicts
+    from nrdkit.tables import certificate
+    cert = certificate("CAT5-BOOLBCK")
+    files = []
+    for pq in (cert.source, cert.target):
+        files.append(tmp_path / f"{len(files)}.json")
+        files[-1].write_text(json.dumps(pq.to_dict()))
+    code = main(["--conflict-budget", "1", "find-substructure", str(files[0]),
+                 str(files[1]), "--family",
+                 "2,3,5;5;1,2,4;2,4;5;1,3;2,3,4,5;1,2;4,5"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("nrd: SAT conflict budget of 1 exceeded with ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--workers"])
+def test_removed_global_flags_are_rejected(capsys, flag):
+    with pytest.raises(SystemExit) as info:
+        main([flag, "1", "balance", "OR2"])
+    assert info.value.code == 2
+    capsys.readouterr()
 
 
 def _check_given(tmp_path, capsys, edit):

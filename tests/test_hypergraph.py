@@ -10,7 +10,7 @@ from nrdkit.catalog import C6_COND, EQ, ONE_IN_THREE, or_k
 from nrdkit.generators import build_R1S1_instance
 from nrdkit.hypergraph import (BudgetExceeded, CodeTable, Hypergraph,
                                InstanceError, NrdCertificate, NrdFailure,
-                               PartiteHypergraph,
+                               PartiteHypergraph, WitnessSearch,
                                as_conditional, nrd_exact, nrd_exact_exhaustive,
                                project_instance, projection_hypergraph,
                                projection_map, shrinking_report, to_r_partite,
@@ -99,6 +99,136 @@ def test_budget_trips():
         verify_nrd(Hypergraph(vs, edges), pq, max_assignments=1)
 
 
+def test_empty_base_admits_one_edge_only():
+    # with P empty no edge can be satisfied, so a second edge is redundant
+    pq = ConditionalPredicate(Predicate(2, 2, []), Predicate(2, 2, [(0, 1)]))
+    one = Hypergraph(("a", "b"), (("a", "b"),))
+    assert verify_nrd(one, pq).witnesses[("a", "b")] == {"a": 0, "b": 1}
+    two = Hypergraph(("a", "b", "c"), (("a", "b"), ("b", "c")))
+    assert verify_nrd(two, pq).failed_edge == ("a", "b")
+
+
+def test_budget_of_zero_is_a_budget():
+    h = path_instance(4)
+    with pytest.raises(BudgetExceeded) as info:
+        verify_nrd(h, EQ, max_assignments=0)
+    assert info.value.partial == 0
+    assert isinstance(verify_nrd(h, EQ, max_assignments=None), NrdCertificate)
+
+
+def test_negative_budget_rejected():
+    with pytest.raises(InstanceError):
+        verify_nrd(path_instance(3), EQ, max_assignments=-1)
+
+
+def test_budget_partial_counts_witnessed_edges():
+    inst = build_R1S1_instance(2)
+    h, pq = inst.hypergraph, inst.predicate
+    search = WitnessSearch(h.vertices(), h.edges, pq)
+    spent = []  # value trials after each edge
+    for i in range(len(h.edges)):
+        search.values(i)
+        spent.append(search.trials)
+    budget = spent[9] + (spent[10] - spent[9]) // 2
+    with pytest.raises(BudgetExceeded) as info:
+        verify_nrd(h, pq, max_assignments=budget)
+    assert info.value.partial == 10
+    assert isinstance(verify_nrd(h, pq, max_assignments=spent[-1]),
+                      NrdCertificate)
+
+
+def _search_order(vertices, edges, excluded, pq):
+    """Vertex and value order of the witness search, from its definition."""
+    degree = {v: sum(e.count(v) for e in edges) for v in vertices}
+    first = list(dict.fromkeys(edges[excluded]))
+    rest = sorted((v for v in vertices if degree[v] and v not in first),
+                  key=lambda v: (-degree[v], v))
+    values = list(dict.fromkeys(x for t in pq.base.tuples for x in t))
+    values += [x for x in range(pq.domain_size) if x not in values]
+    isolated = [v for v in vertices if not degree[v]]
+    return first + rest, values, isolated
+
+
+def _first_witness(vertices, edges, excluded, pq):
+    """Brute force: the first witness in lexicographic order, or None."""
+    order, values, isolated = _search_order(vertices, edges, excluded, pq)
+    base, outside = set(pq.base.tuples), set(pq.outside())
+    default = pq.base.tuples[0][0] if pq.base.tuples else 0
+    for vals in product(values, repeat=len(order)):
+        a = dict(zip(order, vals))
+        if all(tuple(a[v] for v in e) in (outside if k == excluded else base)
+               for k, e in enumerate(edges)):
+            a.update((v, default) for v in isolated)
+            return a
+    return None
+
+
+@st.composite
+def small_searches(draw):
+    d = draw(st.integers(2, 3))
+    r = draw(st.integers(1, 3 if d == 2 else 2))
+    cube = list(product(range(d), repeat=r))
+    if draw(st.booleans()):
+        ambient = draw(st.lists(st.sampled_from(cube), min_size=1, unique=True))
+    else:
+        ambient = cube
+    base = draw(st.lists(st.sampled_from(ambient), unique=True,
+                         max_size=len(ambient) - 1))
+    pq = ConditionalPredicate(Predicate(d, r, base), Predicate(d, r, ambient))
+    if draw(st.booleans()):
+        sizes = [draw(st.integers(1, 3)) for _ in range(r)]
+        parts = [tuple(f"p{i}_{j}" for j in range(k)) for i, k in enumerate(sizes)]
+        cands = list(product(*parts))
+        h_of = lambda es: PartiteHypergraph(tuple(parts), es)
+    else:
+        # plain instances, with edges that repeat a vertex
+        vs = tuple(f"v{i}" for i in range(draw(st.integers(1, 6 if r < 3 else 4))))
+        cands = list(product(vs, repeat=r))
+        h_of = lambda es: Hypergraph(vs, es)
+    edges = tuple(draw(st.lists(st.sampled_from(cands), min_size=1,
+                                max_size=min(8, len(cands)), unique=True)))
+    return h_of(edges), pq
+
+
+def test_find_witnesses_decides_high_degree_vertices_first():
+    # v1 (degree 2) is decided before v4 (degree 1); the other order would
+    # give v1 = 1, v4 = 0
+    vs = ("v0", "v1", "v2", "v3", "v4")
+    edges = (("v0", "v2"), ("v3", "v0"), ("v4", "v1"), ("v3", "v1"))
+    witness = WitnessSearch(vs, edges, or_k(2)).witness(0)
+    assert witness == {"v0": 0, "v1": 0, "v2": 0, "v3": 1, "v4": 1}
+    assert witness == _first_witness(vs, edges, 0, as_conditional(or_k(2)))
+
+
+def test_trial_count_is_pinned():
+    # value trials at decision points over every edge of R1S1 q=2; a change
+    # in propagation strength moves this count even when witnesses stay
+    inst = build_R1S1_instance(2)
+    h = inst.hypergraph
+    search = WitnessSearch(h.vertices(), h.edges, inst.predicate)
+    for i in range(len(h.edges)):
+        search.values(i)
+    assert search.trials == 5292
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_searches())
+def test_find_witnesses_returns_first_solution_in_order(case):
+    h, pq = case
+    vertices, edges = h.vertices(), h.edges
+    search = WitnessSearch(vertices, edges, pq)
+    expected = [_first_witness(vertices, edges, i, pq) for i in range(len(edges))]
+    assert [search.witness(i) for i in range(len(edges))] == expected
+    res = verify_nrd(h, pq)
+    if all(w is not None for w in expected):
+        assert isinstance(res, NrdCertificate)
+        assert [res.witnesses[e] for e in edges] == expected
+        assert isinstance(verify_nrd(h, pq, mode="check-given", certificate=res),
+                          NrdCertificate)
+    else:
+        assert res.failed_edge == edges[expected.index(None)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 5), st.data())
 def test_find_agrees_with_exhaustive_check(n, data):
@@ -148,9 +278,23 @@ def test_nrd_exact_partite():
     assert isinstance(verify_nrd(inst, EQ), NrdCertificate)
 
 
+@pytest.mark.parametrize("pq, n", [
+    (C6_COND, 3), (ONE_IN_THREE, 2), (or_k(3), 2),
+    (ConditionalPredicate(Predicate(2, 2, [(0, 0), (1, 1)]),
+                          Predicate(2, 2, [(0, 0), (0, 1), (1, 1)])), 3),
+])
+def test_nrd_exact_with_reused_witnesses_matches_oracle(pq, n):
+    size, inst = nrd_exact(pq, n)
+    assert size == nrd_exact_exhaustive(pq, n)
+    assert len(inst.edges) == size
+    if size:
+        assert isinstance(verify_nrd(inst, pq), NrdCertificate)
+
+
 def test_nrd_exact_budget():
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as info:
         nrd_exact(or_k(2), 4, max_checks=3)
+    assert info.value.partial == 1  # only {(v1, v1)} was feasible
 
 
 def test_to_r_partite_retention():
