@@ -22,6 +22,10 @@ from . import balance, cancellation, catalog, generators, hypergraph, \
 log = logging.getLogger("nrd")
 
 
+class UsageError(Exception):
+    """Bad command-line input; main prints its message and exits 2."""
+
+
 def _env_int(name, default):
     val = os.environ.get(name)
     return int(val) if val else default
@@ -39,7 +43,7 @@ def load_predicate(spec):
         if "base" in d:
             return predicates.ConditionalPredicate.from_dict(d)
         return predicates.Predicate.from_dict(d)
-    raise SystemExit(f"nrd: unknown predicate {spec!r} (not a catalog name or file)")
+    raise UsageError(f"nrd: unknown predicate {spec!r} (not a catalog name or file)")
 
 
 def load_instance(path):
@@ -106,7 +110,7 @@ def cmd_boxprod(args):
     a, b = load_predicate(args.left), load_predicate(args.right)
     for x in (a, b):
         if not isinstance(x, predicates.ConditionalPredicate):
-            raise SystemExit("nrd boxprod: both operands must be conditional pairs")
+            raise UsageError("nrd boxprod: both operands must be conditional pairs")
     emit(args, predicates.box_product(a, b).to_dict())
     return 0
 
@@ -179,7 +183,7 @@ def cmd_find_substructure(args):
     src, tgt = load_predicate(args.source), load_predicate(args.target)
     for x in (src, tgt):
         if not isinstance(x, predicates.ConditionalPredicate):
-            raise SystemExit("nrd find-substructure: inputs must be conditional pairs")
+            raise UsageError("nrd find-substructure: inputs must be conditional pairs")
     if args.family:
         fam = parse_family(src.arity, args.family)
         cert = substructure.find_substructure(
@@ -239,7 +243,7 @@ def cmd_build_instance(args):
     elif key == "R2S2":
         inst = generators.build_R2S2_instance(args.q)
     else:
-        raise SystemExit(f"nrd build-instance: unknown family {args.name!r}")
+        raise UsageError(f"nrd build-instance: unknown family {args.name!r}")
     if args.m:
         inst = inst.truncated(args.m)
     out = {"name": inst.name, "q": inst.q, "n_vertices": inst.n_vertices,
@@ -305,7 +309,7 @@ def cmd_fit(args):
 def cmd_cond2plain(args):
     pq = load_predicate(args.predicate)
     if not isinstance(pq, predicates.ConditionalPredicate):
-        raise SystemExit("nrd cond2plain: input must be a conditional pair")
+        raise UsageError("nrd cond2plain: input must be a conditional pair")
     out = pipeline.conditional_to_plain(pq)
     emit(args, out.to_dict(), f"|R| = {len(out)} over domain "
          f"{out.domain_size}, arity {out.arity}")
@@ -454,6 +458,9 @@ def main(argv=None):
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.fn(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except (predicates.PredicateError, hypergraph.InstanceError,
             substructure.SubstructureError, generators.GeneratorError,
             ValueError, KeyError, FileNotFoundError) as exc:

@@ -10,7 +10,10 @@ P1 | Q1 into the ambient tuples of a target pair P2 | Q2 such that
 Existence for a fixed family is decided two independent ways: a direct
 backtracking search over per-class coordinate values, and a CNF encoding
 handed to the bundled SAT solver.  search_families runs the direct search
-as a fast prefilter and confirms every hit through the SAT route.
+as a fast prefilter and confirms every hit through the SAT route.  The
+direct search's family-independent tables (DirectSearchTables) are built
+once per (source, target) pair; encode and verify_certificate keep their
+own class computation, so the two routes share no search code.
 """
 
 from __future__ import annotations
@@ -65,6 +68,8 @@ def verify_certificate(cert: SubstructureCertificate):
         problems.append("index family arity does not match source")
     if len(fam.sets) != tgt.arity:
         problems.append("index family length does not match target arity")
+    if problems:
+        return False, problems
     q1 = list(src.ambient.tuples)
     if set(cert.sigma) != set(q1):
         problems.append("sigma must be defined on exactly the source ambient tuples")
@@ -216,41 +221,75 @@ def find_substructure(source: ConditionalPredicate, target: ConditionalPredicate
 # --- direct search ----------------------------------------------------
 
 
-def direct_search(source: ConditionalPredicate, target: ConditionalPredicate,
-                  family: IndexFamily):
-    """Backtracking over images sigma(q), propagating per-class coordinate
-    values through tuple bitmasks.  Complete for the given family."""
-    q1 = list(source.ambient.tuples)
-    t2 = list(target.ambient.tuples)
-    p1 = set(source.base.tuples)
-    p2 = set(target.base.tuples)
-    r2 = target.arity
-    full = (1 << len(t2)) - 1
-    # mask of target tuples with coordinate j equal to d
-    coord_mask = [{} for _ in range(r2)]
-    for ti, t in enumerate(t2):
-        for j in range(r2):
-            coord_mask[j][t[j]] = coord_mask[j].get(t[j], 0) | (1 << ti)
-    member_mask = {True: 0, False: 0}
-    for ti, t in enumerate(t2):
-        member_mask[t in p2] |= 1 << ti
-    cls = []  # per q: tuple of class ids, one per output coordinate
-    class_ids = [{} for _ in range(r2)]
-    for q in q1:
-        row = []
-        for j, I in enumerate(family.sets):
-            key = tuple(q[i - 1] for i in I)
-            row.append(class_ids[j].setdefault(key, len(class_ids[j])))
-        cls.append(tuple(row))
-    peers = [[[] for _ in range(len(class_ids[j]))] for j in range(r2)]
-    for qi, row in enumerate(cls):
-        for j, c in enumerate(row):
-            peers[j][c].append(qi)
+class DirectSearchTables:
+    """The family-independent part of direct_search, for one (source, target).
 
-    masks = [member_mask[q in p1] for q in q1]
-    if any(m == 0 for m in masks):
+    Built once per pair: the ambient tuple lists q1 and t2, the target masks
+    per (output coordinate, value) and per membership, and each q's initial
+    mask of membership-preserving images.  The partition of q1 by its
+    projection to a subset I of source coordinates (class id of each q,
+    numbered in order of first appearance, and the members of each class)
+    is built on first use and kept for the lifetime of the tables.
+    """
+
+    def __init__(self, source: ConditionalPredicate, target: ConditionalPredicate):
+        self.source, self.target = source, target
+        self.q1 = list(source.ambient.tuples)
+        self.t2 = list(target.ambient.tuples)
+        p1 = set(source.base.tuples)
+        p2 = set(target.base.tuples)
+        r2 = target.arity
+        # mask of target tuples with coordinate j equal to d
+        self.coord_mask = [{} for _ in range(r2)]
+        for ti, t in enumerate(self.t2):
+            for j in range(r2):
+                self.coord_mask[j][t[j]] = self.coord_mask[j].get(t[j], 0) | (1 << ti)
+        member_mask = {True: 0, False: 0}
+        for ti, t in enumerate(self.t2):
+            member_mask[t in p2] |= 1 << ti
+        self.masks = [member_mask[q in p1] for q in self.q1]
+        self.feasible = all(self.masks)
+        self._partitions = {}
+
+    def partition(self, I):
+        """(class id per q, members per class) for the projection to I."""
+        part = self._partitions.get(I)
+        if part is None:
+            ids, cls, peers = {}, [], []
+            for qi, q in enumerate(self.q1):
+                key = tuple(q[i - 1] for i in I)
+                c = ids.setdefault(key, len(peers))
+                if c == len(peers):
+                    peers.append([])
+                cls.append(c)
+                peers[c].append(qi)
+            part = self._partitions[I] = (cls, peers)
+        return part
+
+
+def direct_search(source: ConditionalPredicate, target: ConditionalPredicate,
+                  family: IndexFamily, *, tables: DirectSearchTables | None = None):
+    """Backtracking over images sigma(q), propagating per-class coordinate
+    values through tuple bitmasks.  Complete for the given family.
+
+    `tables` are the pair's DirectSearchTables; they are built for this call
+    when not given.  search_families passes one set for all its families.
+    """
+    if family.source_arity != source.arity or len(family.sets) != target.arity:
+        raise SubstructureError("family shape does not fit source/target")
+    if tables is None:
+        tables = DirectSearchTables(source, target)
+    elif tables.source is not source or tables.target is not target:
+        raise SubstructureError("direct search tables belong to another pair")
+    if not tables.feasible:
         return None
-    values = [[None] * len(class_ids[j]) for j in range(r2)]
+    q1, t2, coord_mask = tables.q1, tables.t2, tables.coord_mask
+    r2 = target.arity
+    parts = [tables.partition(I) for I in family.sets]
+    cls = [cj for cj, _ in parts]
+    peers = [pj for _, pj in parts]
+    masks = list(tables.masks)
+    values = [[None] * len(pj) for pj in peers]
     assigned = [None] * len(q1)
 
     def pick():
@@ -276,7 +315,7 @@ def direct_search(source: ConditionalPredicate, target: ConditionalPredicate,
             ok = True
             assigned[qi] = t
             for j in range(r2):
-                c = cls[qi][j]
+                c = cls[j][qi]
                 if values[j][c] is None:
                     values[j][c] = t[j]
                     undo.append((j, c))
@@ -324,8 +363,11 @@ def search_families(source: ConditionalPredicate, target: ConditionalPredicate,
     exact sizes are tried; by default, uniform-size strata are scanned from
     largest proper size downwards, then all mixed-size families.  The direct
     backtracking search filters each family; positives are re-derived through
-    the SAT encoding before being reported.
+    the SAT encoding before being reported.  The direct search's tables are
+    built once for the pair and shared by every family.
     """
+    if max_results < 1:
+        raise SubstructureError("max_results must be at least 1")
     r1, r2 = source.arity, target.arity
     subsets = [()] + [s for k in range(1, r1 + 1)
                       for s in combinations(range(1, r1 + 1), k)]
@@ -345,6 +387,7 @@ def search_families(source: ConditionalPredicate, target: ConditionalPredicate,
             if len(set(len(I) for I in fam)) > 1:
                 yield fam
 
+    tables = DirectSearchTables(source, target)
     start = time.monotonic()
     found = []
     tried = 0
@@ -358,7 +401,7 @@ def search_families(source: ConditionalPredicate, target: ConditionalPredicate,
             break
         tried += 1
         fam = IndexFamily(r1, sets)
-        cert = direct_search(source, target, fam)
+        cert = direct_search(source, target, fam, tables=tables)
         if cert is None:
             continue
         if confirm_with_sat:

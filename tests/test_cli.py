@@ -18,6 +18,16 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def usage_error(capsys, *argv):
+    """Run argv, expect exit 2 with nothing on stdout; return the stderr line."""
+    code = main(list(argv))
+    cap = capsys.readouterr()
+    assert code == 2 and cap.out == ""
+    lines = cap.err.splitlines()
+    assert len(lines) == 1
+    return lines[0]
+
+
 def test_project(capsys):
     code, d = run_json(capsys, "project", "C6", "--coords", "1")
     assert code == 0
@@ -34,10 +44,9 @@ def test_boxprod(capsys):
     code, d = run_json(capsys, "boxprod", "C6*|C6", "C6*|C6")
     assert code == 0
     assert len(d["base"]["tuples"]) == 35
-    code, _ = run(capsys, "balance", "OR2")  # reset capsys buffer
-
-    with pytest.raises(SystemExit):
-        main(["boxprod", "EQ", "EQ"])  # plain predicates rejected
+    # plain predicates rejected
+    assert usage_error(capsys, "boxprod", "EQ", "EQ") == (
+        "nrd boxprod: both operands must be conditional pairs")
 
 
 def test_balance(capsys):
@@ -203,9 +212,24 @@ def test_nrd_exact_json_is_stable(capsys):
 
 
 def test_find_substructure_rejects_plain_predicate(capsys):
-    with pytest.raises(SystemExit):
-        main(["find-substructure", "OR3", "3LIN*", "--family", "1,2;1,3;2,3"])
-    capsys.readouterr()
+    assert usage_error(capsys, "find-substructure", "OR3", "3LIN*", "--family",
+                       "1,2;1,3;2,3") == (
+        "nrd find-substructure: inputs must be conditional pairs")
+
+
+@pytest.mark.parametrize("family", ["1;2", "1;2;3;1"])
+def test_find_substructure_family_shape_exits_2(capsys, family):
+    # 3LIN* has arity 3: two or four index sets do not fit
+    assert usage_error(capsys, "find-substructure", "3LIN*", "3LIN*",
+                       "--family", family) == (
+        "nrd: family shape does not fit source/target")
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_find_substructure_max_results_below_one_exits_2(capsys, n):
+    assert usage_error(capsys, "find-substructure", "C6*|C6", "3LIN*",
+                       "--max-results", n) == (
+        "nrd: max_results must be at least 1")
 
 
 def test_find_substructure_via_files(tmp_path, capsys):
@@ -291,5 +315,15 @@ def test_paper_verify_shallow(capsys):
 
 
 def test_unknown_predicate_exits(capsys):
-    with pytest.raises(SystemExit):
-        main(["balance", "DOES-NOT-EXIST"])
+    assert usage_error(capsys, "balance", "DOES-NOT-EXIST") == (
+        "nrd: unknown predicate 'DOES-NOT-EXIST' (not a catalog name or file)")
+
+
+def test_build_instance_unknown_family_exits_2(capsys):
+    assert usage_error(capsys, "build-instance", "R3S3", "-q", "2") == (
+        "nrd build-instance: unknown family 'R3S3'")
+
+
+def test_cond2plain_rejects_plain_predicate(capsys):
+    assert usage_error(capsys, "cond2plain", "EQ") == (
+        "nrd cond2plain: input must be a conditional pair")

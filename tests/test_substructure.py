@@ -1,11 +1,17 @@
+import hashlib
+import json
+from itertools import combinations, product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nrdkit.catalog import catalog, or_k
 from nrdkit.predicates import ConditionalPredicate, IndexFamily, Predicate
-from nrdkit.substructure import (SubstructureCertificate, SubstructureError,
-                                 dependency_analysis, direct_search, encode,
-                                 family_supports, find_substructure,
-                                 search_families, verify_certificate)
+from nrdkit.substructure import (DirectSearchTables, SubstructureCertificate,
+                                 SubstructureError, dependency_analysis,
+                                 direct_search, encode, family_supports,
+                                 find_substructure, search_families,
+                                 verify_certificate)
 from nrdkit.sat import solve
 from nrdkit import tables
 
@@ -148,8 +154,128 @@ def test_search_families_budgets():
 
 
 def test_shape_mismatch_rejected():
-    with pytest.raises(SubstructureError):
-        encode(OR3_COND, THREELIN, IndexFamily(3, ((1,), (2,))))
+    sigma = {q: (0, 1, 2) for q in OR3_COND.ambient.tuples}
+    # too few sets, too many sets, and families over four source coordinates
+    for fam in [IndexFamily(3, ((1,), (2,))),
+                IndexFamily(3, ((1,), (2,), (3,), (1, 2))),
+                IndexFamily(4, ((1,), (2,), (3,))),
+                IndexFamily(4, ((1,), (2,), (4,)))]:
+        with pytest.raises(SubstructureError, match="family shape does not fit"):
+            encode(OR3_COND, THREELIN, fam)
+        with pytest.raises(SubstructureError, match="family shape does not fit"):
+            direct_search(OR3_COND, THREELIN, fam)
+        # a certificate with a misfit family is reported, not raised on
+        ok, problems = verify_certificate(
+            SubstructureCertificate(OR3_COND, THREELIN, fam, sigma))
+        assert not ok
+        assert problems and all("index family" in p for p in problems), fam
+
+
+def test_direct_search_tables_belong_to_their_pair():
+    tables_ = DirectSearchTables(OR3_COND, OR3_COND)
+    fam = IndexFamily(3, ((1, 2), (1, 3), (2, 3)))
+    with pytest.raises(SubstructureError, match="another pair"):
+        direct_search(OR3_COND, THREELIN, fam, tables=tables_)
+
+
+def test_partition_numbers_classes_in_order_of_first_appearance():
+    t = DirectSearchTables(OR3_COND, THREELIN)
+    # q1 runs 000, 001, 010, ... ; projection to coordinate 3 then to (2, 3)
+    cls, peers = t.partition((3,))
+    assert cls == [q[2] for q in t.q1]
+    assert peers == [[0, 2, 4, 6], [1, 3, 5, 7]]
+    assert t.partition((2, 3)) == ([0, 1, 2, 3] * 2, [[0, 4], [1, 5], [2, 6], [3, 7]])
+    assert t.partition((3,)) is t.partition((3,))
+    assert t.partition(()) == ([0] * len(t.q1), [list(range(len(t.q1)))])
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_search_families_rejects_max_results_below_one(n):
+    with pytest.raises(SubstructureError, match="max_results"):
+        search_families(OR3_COND, THREELIN, max_results=n)
+
+
+def _routes_agree(src, tgt, fam):
+    d = direct_search(src, tgt, fam)
+    s = find_substructure(src, tgt, fam)
+    assert (d is None) == (s is None), fam.sets
+    for cert in (d, s):
+        if cert is not None:
+            assert verify_certificate(cert) == (True, []), fam.sets
+    return d is not None
+
+
+def test_direct_search_agrees_with_sat_on_every_or3_family():
+    subsets = [I for k in range(4) for I in combinations((1, 2, 3), k)]
+    families = [IndexFamily(3, sets) for sets in product(subsets, repeat=3)]
+    assert len(families) == 512
+    hits = sum(_routes_agree(OR3_COND, THREELIN, fam) for fam in families)
+    # as counted by the direct search before its tables were shared
+    assert hits == 64
+
+
+@st.composite
+def small_pairs(draw):
+    def pair(d, r):
+        cube = list(product(range(d), repeat=r))
+        ambient = draw(st.lists(st.sampled_from(cube), min_size=1,
+                                max_size=8, unique=True))
+        base = draw(st.lists(st.sampled_from(ambient), unique=True,
+                             max_size=len(ambient) - 1))
+        return ConditionalPredicate(Predicate(d, r, base), Predicate(d, r, ambient))
+
+    src = pair(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    tgt = pair(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    subsets = [I for k in range(src.arity + 1)
+               for I in combinations(range(1, src.arity + 1), k)]
+    sets = draw(st.lists(st.sampled_from(subsets), min_size=tgt.arity,
+                         max_size=tgt.arity))
+    return src, tgt, IndexFamily(src.arity, tuple(sets))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_pairs())
+def test_direct_search_agrees_with_sat_on_random_pairs(case):
+    src, tgt, fam = case
+    _routes_agree(src, tgt, fam)
+
+
+def _sigma_digest(certs):
+    sigmas = sorted(json.dumps(sorted([list(k), list(v)] for k, v in c.sigma.items()))
+                    for c in certs)
+    return hashlib.sha256("\n".join(sigmas).encode()).hexdigest()
+
+
+# direct-search results without SAT confirmation, recorded before the
+# direct search's tables were shared across families
+PINNED_SEARCHES = [
+    ("J1", (3,) * 8, 1, 6258, False,
+     [[[1, 2, 3], [1, 2, 4], [1, 3, 4], [1, 2, 3], [1, 2, 4], [2, 3, 4],
+       [1, 2, 3], [1, 2, 4]]],
+     "e7488fd79121caedc0f417a0658a7a4f6ca3beeb52c574c71a7cbbf5e5a5773c"),
+    ("J2", (3,) * 8, 1, 4686, False,
+     [[[1, 2, 3], [1, 2, 4], [1, 2, 3], [1, 3, 4], [1, 2, 4], [1, 2, 3],
+       [2, 3, 4], [1, 2, 4]]],
+     "3c654f249fddac999fa1924fa18189db46f323ba25346505a049bfae74c9cf3f"),
+    ("3LIN*", (2, 2, 2), 10, 27, True,
+     [[[1, 2], [1, 3], [2, 3]], [[1, 2], [2, 3], [1, 3]],
+      [[1, 3], [1, 2], [2, 3]], [[1, 3], [2, 3], [1, 2]],
+      [[2, 3], [1, 2], [1, 3]], [[2, 3], [1, 3], [1, 2]]],
+     "09534cb53159fd8f7c79bfdd9647823b2726e342e559c9183e793fdd2e612116"),
+]
+
+
+@pytest.mark.parametrize("name, sizes, max_results, tried, exhausted, families, "
+                         "digest", PINNED_SEARCHES)
+def test_direct_search_results_are_pinned(name, sizes, max_results, tried,
+                                          exhausted, families, digest):
+    cert = tables.certificate(name)
+    res = search_families(cert.source, cert.target, sizes=sizes,
+                          max_results=max_results, confirm_with_sat=False)
+    assert res.families_tried == tried
+    assert res.exhausted == exhausted
+    assert [c.family.to_list() for c in res.certificates] == families
+    assert _sigma_digest(res.certificates) == digest
 
 
 # --- bundled construction tables --------------------------------------
