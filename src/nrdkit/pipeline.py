@@ -20,8 +20,8 @@ from .balance import is_balanced_bounded, is_balanced_lattice
 from .cancellation import cancel, catalan_matrix_check, catalan_search
 from .generators import (build_R1S1_instance, build_R2S2_instance,
                          gen_girth6, girth)
-from .hypergraph import (CodeTable, Hypergraph, InstanceError,
-                         MalformedWitness, NrdCertificate, PartiteHypergraph,
+from .hypergraph import (Hypergraph, InstanceError, MalformedWitness,
+                         NrdCertificate, PartiteHypergraph, RadixTable,
                          WitnessKernel, nrd_exact, projection_map,
                          shrinking_report, verify_nrd)
 from .predicates import ConditionalPredicate, Predicate, box_product
@@ -96,13 +96,17 @@ class ReductionResult:
 
 
 class TransferPlan:
-    """Witness transfer through one certificate map on one instance.
+    """Witness transfer through one certificate map on one instance, a
+    block of source witnesses at a time.
 
-    The source kernel validates a witness and gives the code of every
-    source edge; sigma is a table from source code to a row of target
-    values.  A transfer scatters those rows onto the target vertices
-    (the target kernel's edge-index matrix) and gathers them back, so two
-    edges that disagree on a shared target vertex show as a mismatch.
+    The source kernel validates the witnesses; sigma is a RadixTable from
+    source tuple to a row of target values, so one lookup gives the sigma
+    row of every source edge under every witness.  A transfer gathers each
+    row's images, position by position, and sets each target vertex in
+    one phi row per witness from the first edge that has it (in
+    position-major order), then gathers phi back at every edge, so two
+    edges that disagree on a shared target vertex show as a mismatch.  The
+    target label of each sigma row is looked up once, here.
     """
 
     def __init__(self, source: WitnessKernel, target: WitnessKernel, sigma):
@@ -114,33 +118,60 @@ class TransferPlan:
         if bad:
             raise PipelineError(f"sigma is defined on {bad[0]}, "
                                 f"outside [0, {source.d})^{source.r}")
+        images = [sigma[x] for x in keys]
+        bad = [x for x, y in zip(keys, images) if len(y) != target.r
+               or not all(0 <= v < target.d for v in y)]
+        if bad:
+            raise PipelineError(f"sigma maps {bad[0]} to {sigma[bad[0]]}, "
+                                f"outside [0, {target.d})^{target.r}")
         self.source, self.target = source, target
-        self.rows = CodeTable(source.encode(keys), range(len(keys)), source.size)
-        self.image = np.array([sigma[x] for x in keys],
-                              dtype=np.int64).reshape(len(keys), target.r)
+        self.rows = RadixTable(keys, range(len(keys)), source.d, source.r)
+        self.image = np.array(images, dtype=np.int64).reshape(len(keys), target.r)
+        self.labels = target.table[self.image]
+        self.block = min(source.block, target.block)
+        # each target vertex's first occurrence in position-major order: at
+        # position i, (the vertices first seen there, the edges they are
+        # first seen on)
+        m = len(target.edges)
+        verts, first = np.unique(target.cols.ravel(), return_index=True)
+        self.first = [(verts[first // m == i], first[first // m == i] % m)
+                      for i in range(target.r)]
 
-    def transfer(self, psi):
-        """(rows, phi): the sigma row used by every source edge, and the
-        induced target values in target-vertex order."""
-        src = self.source
+    def transfer(self, psis):
+        """(rows, phi) for a block of source witnesses: the sigma row of
+        every source edge under each witness, indexed [witness, edge], and
+        the induced target values in target-vertex order, one row per
+        witness.  Raises PipelineError on the first malformed witness, then
+        on the first tuple outside sigma's domain, then on any mismatch."""
+        src, tgt = self.source, self.target
         try:
-            vals = src.values(psi)
+            vals = src.values(psis)
         except MalformedWitness as exc:
             raise PipelineError(f"source witness rejected: {exc}") from None
-        rows = self.rows[src.codes(vals)]
-        if rows.size:
-            j = int(rows.argmin())
-            if rows[j] < 0:
-                x = tuple(vals[src.em[j]].tolist())
-                raise PipelineError(
-                    f"witness value {x} outside the certificate domain")
-        y = self.image[rows]
-        phi = np.zeros(len(self.target.vertices), dtype=np.int64)
-        phi[self.target.em] = y
-        if not (phi[self.target.em] == y).all():
-            raise PipelineError(
-                "inconsistent transfer: certificate violates coordinate locality")
+        rows = self.rows.lookup(vals, src.cols)
+        if rows.size and rows.min() < 0:
+            k, j = np.argwhere(rows < 0)[0]
+            x = tuple(vals[k, src.cols[:, j]].tolist())
+            raise PipelineError(f"witness value {x} outside the certificate domain")
+        phi = np.zeros((len(psis), len(tgt.vertices)), dtype=np.int64)
+        for col, image, (verts, first) in zip(tgt.cols, self.image.T, self.first):
+            y = np.take(image, rows)
+            phi[:, verts] = np.take(y, first, axis=1)
+            if not (np.take(phi, col, axis=1) == y).all():
+                raise PipelineError("inconsistent transfer: certificate "
+                                    "violates coordinate locality")
         return rows, phi
+
+    def check(self, psis, start):
+        """Transfer psis[k], the witness of source edge start + k, and check
+        that it is a witness for target edge start + k, for every k.  Raises
+        PipelineError if one fails; only for a block of one is the error
+        sure to be that of the first failing witness."""
+        rows, _ = self.transfer(psis)
+        bad = self.target.first_failure(np.take(self.labels, rows), start)
+        if bad is not None:
+            e = self.source.edges[start + bad[0]]
+            raise PipelineError(f"transferred witness failed for edge {e}")
 
 
 def transfer_witness(source_edges, projected_edges, sigma, psi):
@@ -155,8 +186,8 @@ def transfer_witness(source_edges, projected_edges, sigma, psi):
 
     plan = TransferPlan(kernel(source_edges, sigma),
                         kernel(projected_edges, sigma.values()), sigma)
-    _, phi = plan.transfer(psi)
-    return dict(zip(plan.target.vertices, phi.tolist()))
+    _, phi = plan.transfer([psi])
+    return dict(zip(plan.target.vertices, phi[0].tolist()))
 
 
 def apply_reduction(h: PartiteHypergraph, cert: SubstructureCertificate,
@@ -166,7 +197,9 @@ def apply_reduction(h: PartiteHypergraph, cert: SubstructureCertificate,
     With witness_fn (edge -> violating assignment of the source instance),
     every transferred witness is verified against the target pair; failures
     raise since they would contradict reduction soundness.  Without it only
-    the projected instance and its counts are produced.
+    the projected instance and its counts are produced.  Witnesses are
+    transferred in blocks; a failing block is rerun one witness at a time,
+    so the error raised is that of the first failing witness.
     """
     ok, problems = verify_certificate(cert)
     if not ok:
@@ -180,13 +213,17 @@ def apply_reduction(h: PartiteHypergraph, cert: SubstructureCertificate,
     if witness_fn is None:
         return result
     # no edge merges, so the target edges are the projections in source order
-    target = WitnessKernel.of(proj, cert.target)
-    plan = TransferPlan(WitnessKernel.of(h, cert.source), target, cert.sigma)
-    target_codes = target.encode(plan.image)
-    for i, e in enumerate(h.edges):
-        rows, _ = plan.transfer(witness_fn(e))
-        if target.first_failure(target_codes[rows], i) is not None:
-            raise PipelineError(f"transferred witness failed for edge {e}")
+    plan = TransferPlan(WitnessKernel.of(h, cert.source),
+                        WitnessKernel.of(proj, cert.target), cert.sigma)
+    edges, size = h.edges, plan.block
+    for lo in range(0, len(edges), size):
+        psis = [witness_fn(e) for e in edges[lo:lo + size]]
+        try:
+            plan.check(psis, lo)
+        except PipelineError:
+            for k, psi in enumerate(psis):
+                plan.check([psi], lo + k)
+            raise
     result.verified = True
     return result
 

@@ -83,6 +83,8 @@ def verify_certificate(cert: SubstructureCertificate):
             problems.append(f"sigma({q}) = {t} outside the target ambient")
         elif (q in p1) != (t in p2):
             problems.append(f"sigma({q}) = {t} breaks membership preservation")
+    if any(len(cert.sigma[q]) != tgt.arity for q in q1):
+        return False, problems  # no coordinate j to compare on a short image
     for j, I in enumerate(fam.sets):
         idx = [i - 1 for i in I]
         by_class = {}

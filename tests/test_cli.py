@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from nrdkit import tables
 from nrdkit.cli import main
 from nrdkit.generators import build_R1S1_instance
 
@@ -251,6 +252,21 @@ def test_verify_substructure_bundled(capsys):
     for name in ("J1", "P1Q1", "3LIN*"):
         code, d = run_json(capsys, "verify-substructure", name)
         assert code == 0 and d["valid"]
+
+
+@pytest.mark.parametrize("resize", [lambda t: t[:2], lambda t: t + [0]])
+def test_verify_substructure_image_of_wrong_length(capsys, tmp_path, resize):
+    # an image cut to two coordinates used to raise IndexError
+    cert = tables.certificate("3LIN*").to_dict()
+    cert["sigma"][1][1] = resize(cert["sigma"][1][1])
+    f = tmp_path / "cert.json"
+    f.write_text(json.dumps(cert))
+    code = main(["verify-substructure", str(f)])
+    cap = capsys.readouterr()
+    assert code == 1 and cap.err == ""
+    q, t = (tuple(x) for x in cert["sigma"][1])
+    assert cap.out.splitlines() == [
+        "invalid:", f"  sigma({q}) = {t} outside the target ambient"]
 
 
 def test_deps(capsys):

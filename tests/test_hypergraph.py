@@ -1,6 +1,7 @@
 import functools
 import random
-from itertools import product
+import warnings
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -8,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from nrdkit.catalog import C6_COND, EQ, ONE_IN_THREE, or_k
 from nrdkit.generators import build_R1S1_instance
-from nrdkit.hypergraph import (BudgetExceeded, CodeTable, Hypergraph,
-                               InstanceError, NrdCertificate, NrdFailure,
-                               PartiteHypergraph, WitnessSearch,
+from nrdkit.hypergraph import (BudgetExceeded, Hypergraph, InstanceError,
+                               NrdCertificate, NrdFailure, PartiteHypergraph,
+                               RadixTable, WitnessKernel, WitnessSearch,
                                as_conditional, nrd_exact, nrd_exact_exhaustive,
                                project_instance, projection_hypergraph,
-                               projection_map, shrinking_report, to_r_partite,
-                               verify_nrd)
+                               projection_label, projection_map,
+                               shrinking_report, to_r_partite, verify_nrd)
 from nrdkit.predicates import ConditionalPredicate, IndexFamily, Predicate
 
 
@@ -368,6 +369,123 @@ def test_shrinking_report():
     assert d["shrink_factor"] == 2.0
 
 
+# --- projection and shrink against the per-edge loops they replaced ---
+
+
+def reference_projection_map(h, fam):
+    """The per-edge loop projection_map used to run, with its warning as
+    a count: (parts, edges, per_source, mult, merged)."""
+    ell = len(fam.sets)
+    part_vertices = [dict() for _ in range(ell)]
+    out_edges, per_source, mult = [], [], {}
+    for e in h.edges:
+        coords = []
+        for j, I in enumerate(fam.sets):
+            key = tuple(e[i - 1] for i in I)
+            lab = part_vertices[j].get(key)
+            if lab is None:
+                lab = projection_label(j + 1, key)
+                part_vertices[j][key] = lab
+            coords.append(lab)
+        pe = tuple(coords)
+        per_source.append(pe)
+        mult[pe] = mult.get(pe, 0) + 1
+        if mult[pe] == 1:
+            out_edges.append(pe)
+    collisions = {e: c for e, c in mult.items() if c > 1}
+    parts = tuple(tuple(part_vertices[j].values()) for j in range(ell))
+    return (parts, tuple(out_edges), per_source, mult,
+            sum(collisions.values()) - len(collisions))
+
+
+def reference_shrink_counts(h, families):
+    return {tuple(sorted(set(I))): len(set(
+        tuple(e[i - 1] for i in sorted(set(I))) for e in h.edges))
+        for I in families}
+
+
+def reference_partite_error(parts, edges):
+    """The message of the per-edge validation loop, or None."""
+    seen = set()
+    for p in parts:
+        for v in p:
+            if v in seen:
+                return f"vertex {v!r} appears in two parts"
+            seen.add(v)
+    part_sets = [set(p) for p in parts]
+    if len(set(edges)) != len(edges):
+        return "duplicate edges are not allowed"
+    for e in edges:
+        if len(e) != len(parts):
+            return f"edge {e} does not match arity {len(parts)}"
+        for i, v in enumerate(e):
+            if v not in part_sets[i]:
+                return f"edge {e}: vertex {v!r} not in part {i + 1}"
+    return None
+
+
+def random_partite(rng):
+    r = rng.randint(1, 4)
+    parts = [[f"x{i}_{k}" for k in range(rng.randint(1, 4))] for i in range(r)]
+    edges = list(dict.fromkeys(tuple(rng.choice(p) for p in parts)
+                               for _ in range(rng.randint(0, 40))))
+    return parts, edges
+
+
+def test_projection_map_matches_reference_loop():
+    rng = random.Random(5)
+    for _ in range(300):
+        parts, edges = random_partite(rng)
+        h = PartiteHypergraph(parts, edges)
+        r = len(parts)
+        sets = [tuple(rng.sample(range(1, r + 1), rng.randint(0, r)))
+                for _ in range(rng.randint(0, 5))]
+        if sets and rng.random() < 0.3:
+            sets.append(sets[0])  # a repeated index set
+        fam = IndexFamily(r, tuple(sets))
+        parts_, edges_, per_source_, mult_, merged = reference_projection_map(h, fam)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            proj, per_source, mult = projection_map(h, fam)
+        assert proj.parts == parts_ and proj.edges == edges_
+        assert per_source == per_source_
+        assert type(mult) is dict and list(mult.items()) == list(mult_.items())
+        assert [str(w.message) for w in caught] == (
+            [f"projection merged {merged} colliding edges"] if merged else [])
+        default = [I for k in range(1, r) for I in combinations(range(1, r + 1), k)]
+        for families, given in ((sets + [()], sets + [()]), (default, None)):
+            assert shrinking_report(h, given).factors == {
+                I: (c, len(edges) / c if c else float("inf"))
+                for I, c in reference_shrink_counts(h, families).items()}
+
+
+def test_partite_validation_matches_reference_loop():
+    rng = random.Random(6)
+    errors = set()
+    for _ in range(400):
+        parts, edges = random_partite(rng)
+        change = rng.randrange(5)
+        if change == 0 and len(parts) > 1:    # a vertex in two parts
+            parts[-1].append(rng.choice(parts[0]))
+        elif change == 1 and edges:           # a duplicate edge
+            edges.append(rng.choice(edges))
+        elif change == 2 and edges:           # a short or long edge
+            k = rng.randrange(len(edges))
+            edges[k] = edges[k][:-1] if rng.random() < 0.5 else edges[k] + ("y",)
+        elif change == 3 and edges:           # a vertex outside its part
+            k = rng.randrange(len(edges))
+            edges[k] = edges[k][:-1] + (rng.choice(["y", parts[0][0]]),)
+        want = reference_partite_error(parts, edges)
+        if want is None:
+            assert PartiteHypergraph(parts, edges).edges == tuple(edges)
+        else:
+            with pytest.raises(InstanceError) as exc:
+                PartiteHypergraph(parts, edges)
+            assert str(exc.value) == want
+            errors.add(change)
+    assert errors == {0, 1, 2, 3}
+
+
 # --- the witness kernel on adversarial certificates -------------------
 
 
@@ -497,13 +615,124 @@ def test_check_given_arity_mismatch():
         verify_nrd(h, or_k(3), mode="check-given", certificate=cert)
 
 
-def test_code_table_lookup():
-    codes, labels = [5, 0, 77], [1, 2, 3]
-    table = CodeTable(codes, labels, 100)
-    query = np.array([0, 1, 5, 76, 77, 78, 99])
+def test_radix_table_lookup():
+    # the tuples over [0, 10)^2 whose codes x0 + 10 x1 are 5, 0 and 77
+    table = RadixTable([(5, 0), (0, 0), (7, 7)], [1, 2, 3], 10, 2)
+    assert len(table.strides) == 1
+    query = [(0, 0), (1, 0), (5, 0), (6, 7), (7, 7), (8, 7), (9, 9)]
     assert table[query].tolist() == [2, -1, 1, -1, 3, -1, -1]
-    assert table[np.int64(77)] == 3
-    assert CodeTable([], [], 100)[np.array([0, 99])].tolist() == [-1, -1]
+    assert table[[(7, 7)]].tolist() == [3]
+    assert RadixTable([], [], 10, 2)[[(0, 0), (9, 9)]].tolist() == [-1, -1]
+    assert RadixTable([], [], 3, 12, missing=7)[[(0,) * 12, (2,) * 12]].tolist() \
+        == [7, 7]
+
+
+@pytest.mark.parametrize("d, r, n", [(3, 12, 6), (3, 12, 400), (2, 40, 30),
+                                     (5, 7, 50), (300, 3, 20)])
+def test_radix_table_multi_stride_matches_dict(d, r, n):
+    rng = random.Random(d * 1000 + r * 10 + n)
+    given = {tuple(rng.randrange(d) for _ in range(r)): rng.randrange(1, 99)
+             for _ in range(n)}
+    table = RadixTable(list(given), list(given.values()), d, r)
+    assert len(table.strides) > 1
+    assert sum(k for _, k in table.strides) == r
+    assert all(t.size <= max(1 << 16, (len(given) + 1) * d) for t in table.tables)
+    query = list(given)
+    for t in list(given):   # share a prefix with a given tuple, then differ
+        for p in (0, r // 2, r - 1):
+            u = list(t)
+            u[p] = (u[p] + 1) % d
+            query.append(tuple(u))
+    query += [tuple(rng.randrange(d) for _ in range(r)) for _ in range(200)]
+    assert table[query].tolist() == [given.get(t, -1) for t in query]
+
+
+def test_kernel_checks_tuples_beyond_64_bit_codes():
+    # 3**40 > 2**62: the tuple codes of the old table did not fit
+    d, r = 3, 40
+    rng = random.Random(40)
+    vs = [f"v{i}" for i in range(r + 3)]
+    edges = [tuple(vs[i:i + r]) for i in range(4)]
+    psis = [{v: rng.randrange(d) for v in vs} for _ in edges]
+    base = {tuple(psi[v] for v in e2) for e, psi in zip(edges, psis)
+            for e2 in edges if e2 != e}
+    outside = {tuple(psi[v] for v in e) for e, psi in zip(edges, psis)}
+    assert not base & outside and d ** r >= 1 << 62
+    pq = ConditionalPredicate(Predicate(d, r, base), Predicate(d, r, base | outside))
+    h = Hypergraph(tuple(vs), tuple(edges))
+    cert = NrdCertificate(dict(zip(edges, psis)))
+    assert isinstance(verify_nrd(h, pq, mode="check-given", certificate=cert),
+                      NrdCertificate)
+    for k, v in ((1, "v1"), (2, "v42"), (3, "v20")):
+        bad = NrdCertificate(dict(cert.witnesses))
+        bad.witnesses[edges[k]] = dict(psis[k])
+        bad.witnesses[edges[k]][v] = (psis[k][v] + 1) % d
+        res = verify_nrd(h, pq, mode="check-given", certificate=bad)
+        failed, first = reference_check(h, pq, bad)
+        assert isinstance(res, NrdFailure) and res.failed_edge == failed
+        assert res.reason == ("witness does not (Q\\P)-satisfy its edge"
+                              if first == failed
+                              else f"witness fails to P-satisfy {first}")
+
+
+def block_case(changes):
+    """Check-given on R1S1 q=3 with the witnesses of some edge indices
+    replaced; (result, reference), the reference being the first edge whose
+    witness is malformed (a missing or extra vertex) or fails, checked edge
+    by edge with set lookups."""
+    inst = r1s1(3)
+    h, pq = inst.hypergraph, inst.predicate
+    cert = inst.certificate()
+    for i, psi in changes.items():
+        cert.witnesses[h.edges[i]] = psi
+    res = verify_nrd(h, pq, mode="check-given", certificate=cert)
+    base, outside = set(pq.base.tuples), set(pq.outside())
+    for e in h.edges:
+        psi = cert.witnesses[e]
+        if set(psi) != set(h.vertices()) or any(
+                tuple(psi[v] for v in e2) not in (outside if e2 == e else base)
+                for e2 in h.edges):
+            return res, e
+    return res, None
+
+
+def r1s1_block():
+    """The check-given block size on R1S1 q=3, and its witnesses."""
+    inst = r1s1(3)
+    block = WitnessKernel.of(inst.hypergraph, inst.predicate).block
+    assert 4 <= block and 3 * block < len(inst.hypergraph.edges)
+    return block, inst.witness, inst.hypergraph.edges
+
+
+@pytest.mark.parametrize("where", ["first", "last", "final"])
+def test_check_given_blocks_report_corruption_at_block_edges(where):
+    # the witness of a neighbouring edge fails on its own edge or that one
+    block, witness, edges = r1s1_block()
+    i = {"first": block, "last": 2 * block - 1, "final": len(edges) - 1}[where]
+    res, ref = block_case({i: witness(edges[i - 1])})
+    assert ref == edges[i]
+    assert isinstance(res, NrdFailure) and res.failed_edge == edges[i]
+
+
+def test_check_given_blocks_report_failure_before_malformed():
+    block, witness, edges = r1s1_block()
+    i = block + 1
+    malformed = witness(edges[i + 2])
+    del malformed[edges[i + 2][0]]
+    res, ref = block_case({i: witness(edges[i + 1]), i + 2: malformed})
+    assert ref == edges[i]
+    assert isinstance(res, NrdFailure) and res.failed_edge == edges[i]
+    assert "witness" in res.reason and "vertex" not in res.reason
+
+
+def test_check_given_blocks_report_malformed_before_failure():
+    block, witness, edges = r1s1_block()
+    i = block + 1
+    res, ref = block_case({i: dict(witness(edges[i]), stray=0),
+                           i + 2: witness(edges[i + 1])})
+    assert ref == edges[i]
+    assert res == NrdFailure(edges[i], "witness assigns 'stray', which is not "
+                                       "a vertex of the instance")
 
 
 def test_hypergraph_dict_round_trip():

@@ -6,8 +6,8 @@ from nrdkit import tables
 from nrdkit.catalog import C6_COND, catalog
 from nrdkit.generators import build_R1S1_instance, build_R2S2_instance
 from nrdkit.hypergraph import (Hypergraph, NrdCertificate, PartiteHypergraph,
-                               verify_nrd)
-from nrdkit.pipeline import (PipelineError, apply_reduction,
+                               WitnessKernel, projection_map, verify_nrd)
+from nrdkit.pipeline import (PipelineError, TransferPlan, apply_reduction,
                              build_plain_lb_instance, conditional_to_plain,
                              conditional_to_plain_pair, fit_exponent,
                              fit_shrinkage, paper_verify, reduction_family,
@@ -126,6 +126,51 @@ def test_apply_reduction_rejects_wrong_transferred_witness():
     swapped = lambda e: inst.witness(edges[1] if e == edges[0] else e)
     with pytest.raises(PipelineError, match="transferred witness failed"):
         apply_reduction(inst.hypergraph, cert, witness_fn=swapped)
+
+
+def p1q1_block():
+    """P1Q1 on R1S1 q=3: the instance, certificate and transfer block size."""
+    inst = build_R1S1_instance(3)
+    cert = tables.certificate("P1Q1")
+    proj, _, _ = projection_map(inst.hypergraph, cert.family, warn=False)
+    block = TransferPlan(WitnessKernel.of(inst.hypergraph, cert.source),
+                         WitnessKernel.of(proj, cert.target), cert.sigma).block
+    assert 4 <= block and 3 * block < len(inst.hypergraph.edges)
+    return inst, cert, block
+
+
+def test_apply_reduction_failure_inside_a_block():
+    # witnesses swapped in the middle of the second block: the error names
+    # the first failing edge; a malformed witness later in the same block
+    # does not mask it, and reported on its own it keeps its message
+    inst, cert, block = p1q1_block()
+    edges = inst.hypergraph.edges
+    i = block + block // 2
+
+    def run(changes):
+        calls = []
+
+        def witness_fn(e):
+            calls.append(e)
+            k = edges.index(e)
+            return changes[k]() if k in changes else inst.witness(e)
+        try:
+            apply_reduction(inst.hypergraph, cert, witness_fn=witness_fn)
+        finally:
+            assert len(calls) == len(set(calls))   # one call per edge
+
+    swapped = lambda: inst.witness(edges[i + 1])
+    malformed = lambda: dict(inst.witness(edges[i + 2]), z999=0)
+    with pytest.raises(PipelineError) as exc:
+        run({i: swapped})
+    assert str(exc.value) == f"transferred witness failed for edge {edges[i]}"
+    with pytest.raises(PipelineError) as exc:
+        run({i: swapped, i + 2: malformed})
+    assert str(exc.value) == f"transferred witness failed for edge {edges[i]}"
+    with pytest.raises(PipelineError) as exc:
+        run({i + 2: malformed, i + 3: swapped})
+    assert str(exc.value) == ("source witness rejected: witness assigns "
+                              "'z999', which is not a vertex of the instance")
 
 
 def test_reduction_family_fit():

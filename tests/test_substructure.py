@@ -171,6 +171,18 @@ def test_shape_mismatch_rejected():
         assert problems and all("index family" in p for p in problems), fam
 
 
+@pytest.mark.parametrize("resize", [lambda t: t[:2], lambda t: t + (0,)])
+def test_verify_certificate_reports_images_of_the_wrong_length(resize):
+    cert = tables.certificate("3LIN*")
+    q = sorted(cert.sigma)[1]
+    sigma = dict(cert.sigma)
+    sigma[q] = resize(sigma[q])
+    ok, problems = verify_certificate(SubstructureCertificate(
+        cert.source, cert.target, cert.family, sigma))
+    assert not ok
+    assert problems == [f"sigma({q}) = {sigma[q]} outside the target ambient"]
+
+
 def test_direct_search_tables_belong_to_their_pair():
     tables_ = DirectSearchTables(OR3_COND, OR3_COND)
     fam = IndexFamily(3, ((1, 2), (1, 3), (2, 3)))
