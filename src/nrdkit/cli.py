@@ -171,7 +171,18 @@ def cmd_verify_nrd(args):
 
 def cmd_nrd_exact(args):
     pq = load_predicate(args.predicate)
+    if args.n < 0:
+        raise UsageError("nrd nrd-exact: -n must not be negative")
     parts = parse_coords(args.parts) if args.parts else None
+    if parts is not None:
+        if len(parts) != pq.arity:
+            raise UsageError(
+                f"nrd nrd-exact: --parts gives {len(parts)} part sizes but "
+                f"{args.predicate} has arity {pq.arity}")
+        if min(parts) < 0:
+            raise UsageError("nrd nrd-exact: --parts sizes must not be negative")
+        if sum(parts) != args.n:
+            raise UsageError("nrd nrd-exact: --parts sizes must sum to -n")
     value, inst = hypergraph.nrd_exact(pq, args.n, part_sizes=parts,
                                        max_checks=args.search_budget)
     emit(args, {"n": args.n, "nrd": value, "instance": inst.to_dict()},
@@ -346,7 +357,11 @@ def build_parser():
                     default=_env_int("NRD_CONFLICT_BUDGET", 0) or None,
                     help="SAT conflict budget (0 = unlimited)")
     ap.add_argument("--search-budget", type=int,
-                    default=_env_int("NRD_SEARCH_BUDGET", 2_000_000))
+                    default=_env_int("NRD_SEARCH_BUDGET", 2_000_000),
+                    help="cap on the feasibility checks of nrd-exact, "
+                         "counted after its symmetry pruning, and on the "
+                         "families find-substructure tries without --family "
+                         "(there 0 = unlimited); default 2000000")
     ap.add_argument("-v", "--verbose", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -457,6 +472,10 @@ def main(argv=None):
                         level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
+        for flag in ("search_budget", "conflict_budget"):
+            if (getattr(args, flag) or 0) < 0:
+                raise UsageError(f"nrd: --{flag.replace('_', '-')} must not "
+                                 "be negative")
         return args.fn(args)
     except UsageError as exc:
         print(exc, file=sys.stderr)

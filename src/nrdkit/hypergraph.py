@@ -639,34 +639,74 @@ class WitnessKernel:
 # --- exact NRD at toy scale ------------------------------------------
 
 
+def _exact_space(r, n, part_sizes):
+    """The search space of exact NRD on the vertices v1..vn: their labels,
+    the candidate edges in lexicographic order of vertex indices, each
+    candidate's vertex indices within their parts, the part of each edge
+    position, and the instance maker.  Without part_sizes the n vertices
+    form one part, from which every position draws."""
+    if n < 0:
+        raise InstanceError("n must not be negative")
+    if part_sizes is None:
+        sizes, part_of = [n], [0] * r
+    else:
+        sizes, part_of = list(part_sizes), list(range(r))
+        if sum(sizes) != n:
+            raise InstanceError("part sizes must sum to n")
+        if len(sizes) != r:
+            raise InstanceError(f"{len(sizes)} part sizes for arity {r}")
+        if min(sizes, default=0) < 0:
+            raise InstanceError("part sizes must not be negative")
+    parts, c = [], 0
+    for k in sizes:
+        parts.append([f"v{c + j + 1}" for j in range(k)])
+        c += k
+    vs = [v for p in parts for v in p]
+    idx = list(product(*(range(sizes[p]) for p in part_of)))
+    cands = [tuple(parts[p][j] for p, j in zip(part_of, e)) for e in idx]
+    if part_sizes is None:
+        make = lambda es: Hypergraph(tuple(vs), tuple(es))
+    else:
+        make = lambda es: PartiteHypergraph(tuple(map(tuple, parts)), tuple(es))
+    return vs, cands, idx, part_of, make
+
+
 def nrd_exact(pq, n, part_sizes=None, max_checks=2_000_000):
     """Exact maximum size of a non-redundant instance on n vertices.
 
-    Branch-and-bound over candidate edges; non-redundancy is hereditary
-    downward so a redundant set prunes all its supersets.  A feasible edge
-    list keeps its witnesses: extending it by an edge c re-searches only the
-    witnesses whose tuple on c falls outside P, then searches c itself.
-    Past max_checks feasibility checks it raises BudgetExceeded whose
-    `partial` is the best size found so far.
+    Branch-and-bound over candidate edges, in lexicographic order; an edge
+    list is extended only by later candidates.  Non-redundancy is
+    hereditary downward, so a redundant list prunes all its supersets.  A
+    feasible edge list keeps its witnesses: extending it by an edge c
+    re-searches only the witnesses whose tuple on c falls outside P, then
+    searches c itself.
+
+    Symmetry breaking: a candidate is tried only if each vertex that it
+    brings in for the first time is the lowest unused vertex of its part,
+    several new vertices in order of first appearance.  The used vertices
+    of each part are then always a prefix v1..vk of it, so the state is
+    one count per part.  The result is the one of the unpruned search.
+    That search returns the lexicographically first maximum non-redundant
+    edge list S, because the non-redundant lists are closed under subsets,
+    so every prefix of S is feasible, and the bound prunes no list that
+    could still exceed the best one found.  Every prefix of S passes the
+    rule: suppose S's first j edges pass it with the vertices v1..vk of
+    each part used, and edge s = S[j] does not.  Let g be the
+    part-preserving relabelling that fixes the used vertices and maps s's
+    new vertices, in order of first appearance, to the lowest unused ones.
+    g(S) is non-redundant, as large as S, and holds S's first j edges and
+    g(s), which comes before s in candidate order and is not in S (it
+    differs from S's first j edges, which g fixes).  Every edge of S that
+    is missing from g(S) comes at or after s, so g(S) is the
+    lexicographically smaller list, against the choice of S.  So the
+    pruned search, which visits only lists that the unpruned one visits,
+    reaches S, and no list as large before it.
+
+    Past max_checks feasibility checks (counted after pruning) it raises
+    BudgetExceeded whose `partial` is the best size found so far.
     """
     pq = as_conditional(pq)
-    r = pq.arity
-    if part_sizes is not None:
-        if sum(part_sizes) != n:
-            raise InstanceError("part sizes must sum to n")
-        parts = []
-        c = 0
-        for k in part_sizes:
-            parts.append([f"v{c + j + 1}" for j in range(k)])
-            c += k
-        vs = [v for p in parts for v in p]
-        cands = [tuple(e) for e in product(*parts)]
-        make = lambda es: PartiteHypergraph(tuple(tuple(p) for p in parts), tuple(es))
-    else:
-        vs = [f"v{i + 1}" for i in range(n)]
-        cands = [tuple(e) for e in product(vs, repeat=r)]
-        make = lambda es: Hypergraph(tuple(vs), tuple(es))
-
+    vs, cands, idx, part_of, make = _exact_space(pq.arity, n, part_sizes)
     base = frozenset(pq.base.tuples)
     checks = [0]
     best = {"size": 0, "edges": ()}
@@ -694,28 +734,34 @@ def nrd_exact(pq, n, part_sizes=None, max_checks=2_000_000):
         out.append(w)
         return out
 
-    def extend(edge_list, witnesses, start):
+    def extend(edge_list, witnesses, start, used):
         if len(edge_list) > best["size"]:
             best["size"] = len(edge_list)
             best["edges"] = tuple(edge_list)
         for i in range(start, len(cands)):
             if len(edge_list) + (len(cands) - i) <= best["size"]:
                 break
-            nxt = edge_list + [cands[i]]
-            ws = feasible(nxt, witnesses)
-            if ws is not None:
-                extend(nxt, ws, i + 1)
+            now = list(used)
+            for p, j in zip(part_of, idx[i]):
+                if j > now[p]:
+                    break  # skips the lowest unused vertex of part p
+                if j == now[p]:
+                    now[p] += 1
+            else:
+                nxt = edge_list + [cands[i]]
+                ws = feasible(nxt, witnesses)
+                if ws is not None:
+                    extend(nxt, ws, i + 1, now)
 
-    extend([], [], 0)
+    extend([], [], 0, [0] * pq.arity)  # one count per part, at most r parts
     return best["size"], make(best["edges"])
 
 
 def nrd_exact_exhaustive(pq, n, part_sizes=None, max_subsets=1 << 18):
-    """Independent oracle: enumerate every candidate edge subset."""
+    """Independent oracle: enumerate every candidate edge subset, over the
+    same candidates as `nrd_exact` and without its pruning."""
     pq = as_conditional(pq)
-    r = pq.arity
-    vs = [f"v{i + 1}" for i in range(n)]
-    cands = [tuple(e) for e in product(vs, repeat=r)]
+    vs, cands, _, _, _ = _exact_space(pq.arity, n, part_sizes)
     if 2 ** len(cands) > max_subsets:
         # Drop edges that can never appear in a non-redundant instance.
         keep = []

@@ -65,7 +65,7 @@ def test_02_balance_suite():
             is_balanced_bounded(p, 3).balanced
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_03a_exact_nrd_equality(n):
     start = time.monotonic()
     assert nrd_exact(EQ, n)[0] == n - 1

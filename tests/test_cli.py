@@ -126,6 +126,35 @@ def test_nrd_exact_budget_exhausted_exits_1(capsys):
                    "best size so far 3\n")
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["nrd-exact", "EQ", "-n", "-1"], "nrd nrd-exact: -n must not be negative"),
+    (["--search-budget", "-1", "nrd-exact", "EQ", "-n", "3"],
+     "nrd: --search-budget must not be negative"),
+    (["--conflict-budget", "-1", "find-substructure", "C6*|C6", "3LIN*",
+      "--family", "1;1;2"], "nrd: --conflict-budget must not be negative"),
+    (["nrd-exact", "EQ", "-n", "6", "--parts", "2,2,2"],
+     "nrd nrd-exact: --parts gives 3 part sizes but EQ has arity 2"),
+    (["nrd-exact", "EQ", "-n", "1", "--parts", "2,-1"],
+     "nrd nrd-exact: --parts sizes must not be negative"),
+    (["nrd-exact", "EQ", "-n", "5", "--parts", "2,2"],
+     "nrd nrd-exact: --parts sizes must sum to -n"),
+], ids=["n", "search-budget", "conflict-budget", "parts-count",
+        "parts-negative", "parts-sum"])
+def test_bad_sizes_and_budgets_exit_2(capsys, argv, err):
+    assert usage_error(capsys, *argv) == err
+
+
+def test_negative_search_budget_from_environment_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("NRD_SEARCH_BUDGET", "-3")
+    assert usage_error(capsys, "nrd-exact", "EQ", "-n", "3") == (
+        "nrd: --search-budget must not be negative")
+
+
+def test_nrd_exact_zero_vertices(capsys):
+    code, d = run_json(capsys, "nrd-exact", "EQ", "-n", "0")
+    assert code == 0 and d["nrd"] == 0
+
+
 def test_find_substructure_conflict_budget_exits_1(tmp_path, capsys):
     # this family takes the solver 4 conflicts
     from nrdkit.tables import certificate

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nrdkit.catalog import C6_COND, EQ, ONE_IN_THREE, or_k
+from nrdkit.catalog import C6, C6_COND, C6_STAR, EQ, ONE_IN_THREE, or_k
 from nrdkit.generators import build_R1S1_instance
 from nrdkit.hypergraph import (BudgetExceeded, Hypergraph, InstanceError,
                                NrdCertificate, NrdFailure, PartiteHypergraph,
@@ -296,6 +296,154 @@ def test_nrd_exact_budget():
     with pytest.raises(BudgetExceeded) as info:
         nrd_exact(or_k(2), 4, max_checks=3)
     assert info.value.partial == 1  # only {(v1, v1)} was feasible
+
+
+
+def test_nrd_exact_skips_relabelled_copies():
+    # 6574 feasibility checks with symmetry breaking, 340 689 without
+    assert nrd_exact(EQ, 6, max_checks=6574)[0] == 5
+    assert nrd_exact(or_k(2), 5, max_checks=5231)[0] == 10
+
+def _edges(spec):
+    """'12 13' -> (('v1', 'v2'), ('v1', 'v3'))."""
+    return tuple(tuple(f"v{c}" for c in e) for e in spec.split())
+
+
+# (size, edges) of nrd_exact before its symmetry breaking, which must not
+# change them: the search returns the lexicographically first maximum list.
+@pytest.mark.parametrize("pq, n, parts, size, edges", [
+    (EQ, 2, None, 1, "12"),
+    (EQ, 3, None, 2, "12 13"),
+    (EQ, 4, None, 3, "12 13 14"),
+    (EQ, 5, None, 4, "12 13 14 15"),
+    (EQ, 6, None, 5, "12 13 14 15 16"),
+    (or_k(2), 2, None, 2, "11 22"),
+    (or_k(2), 3, None, 3, "11 22 33"),
+    (or_k(2), 4, None, 6, "12 13 14 23 24 34"),
+    (or_k(2), 5, None, 10, "12 13 14 15 23 24 25 34 35 45"),
+    (ONE_IN_THREE, 3, None, 3, "112 113 123"),
+    (C6, 3, None, 5, "11 12 13 22 33"),
+    (C6_STAR, 3, None, 4, "11 12 13 23"),
+    (C6_COND, 3, None, 3, "11 22 33"),
+    (or_k(3), 3, None, 3, "111 222 333"),
+    (EQ, 4, (2, 2), 3, "13 14 23"),
+    (EQ, 5, (2, 3), 4, "13 14 15 23"),
+    (or_k(2), 5, (2, 3), 6, "13 14 15 23 24 25"),
+    (ONE_IN_THREE, 4, (1, 1, 2), 2, "123 124"),
+    (ONE_IN_THREE, 6, (2, 2, 2), 4, "135 136 145 235"),
+], ids=[f"EQ-{n}" for n in range(2, 7)] + [f"OR2-{n}" for n in range(2, 6)]
+   + ["1IN3-3", "C6-3", "C6STAR-3", "C6COND-3", "OR3-3", "EQ-2,2", "EQ-2,3",
+      "OR2-2,3", "1IN3-1,1,2", "1IN3-2,2,2"])
+def test_nrd_exact_pinned(pq, n, parts, size, edges):
+    got, inst = nrd_exact(pq, n, part_sizes=parts)
+    assert (got, inst.edges) == (size, _edges(edges))
+    if parts is None:
+        assert inst.vertices() == [f"v{i + 1}" for i in range(n)]
+    else:
+        assert isinstance(inst, PartiteHypergraph)
+        assert list(map(len, inst.parts)) == list(parts)
+
+
+@pytest.mark.parametrize("pq, n, parts", [
+    (EQ, 4, (2, 2)), (EQ, 5, (2, 3)), (or_k(2), 5, (2, 3)),
+    (ONE_IN_THREE, 4, (1, 1, 2)), (ONE_IN_THREE, 6, (2, 2, 2)),
+])
+def test_nrd_exact_partite_matches_oracle(pq, n, parts):
+    assert nrd_exact(pq, n, part_sizes=parts)[0] == \
+        nrd_exact_exhaustive(pq, n, part_sizes=parts)
+
+
+def test_nrd_exact_oracle_reads_part_sizes():
+    # OR2 on two parts of one vertex allows only the edge (v1, v2); on one
+    # part of two vertices also (v1, v1) and (v2, v2)
+    assert nrd_exact_exhaustive(or_k(2), 2, part_sizes=(1, 1)) == 1
+    assert nrd_exact_exhaustive(or_k(2), 2) == 2
+
+
+@pytest.mark.parametrize("n, parts, match", [
+    (-1, None, "negative"), (4, (2, 1), "sum"), (6, (2, 2, 2), "arity"),
+    (1, (2, -1), "negative"),
+])
+def test_nrd_exact_rejects_bad_sizes(n, parts, match):
+    for fn in (nrd_exact, nrd_exact_exhaustive):
+        with pytest.raises(InstanceError, match=match):
+            fn(EQ, n, part_sizes=parts)
+
+
+def _unpruned_nrd_exact(pq, n, part_sizes=None):
+    """nrd_exact without symmetry breaking, as it was before it."""
+    pq = as_conditional(pq)
+    r = pq.arity
+    if part_sizes is not None:
+        parts = []
+        c = 0
+        for k in part_sizes:
+            parts.append([f"v{c + j + 1}" for j in range(k)])
+            c += k
+        vs = [v for p in parts for v in p]
+        cands = [tuple(e) for e in product(*parts)]
+        make = lambda es: PartiteHypergraph(tuple(tuple(p) for p in parts), tuple(es))
+    else:
+        vs = [f"v{i + 1}" for i in range(n)]
+        cands = [tuple(e) for e in product(vs, repeat=r)]
+        make = lambda es: Hypergraph(tuple(vs), tuple(es))
+    base = frozenset(pq.base.tuples)
+    best = {"size": 0, "edges": ()}
+
+    def feasible(edge_list, witnesses):
+        search = WitnessSearch(vs, edge_list, pq)
+        c = search.edges[-1]
+        out = []
+        for k, w in enumerate(witnesses):
+            if tuple(w[j] for j in c) not in base:
+                w = search.values(k)
+                if w is None:
+                    return None
+            out.append(w)
+        w = search.values(len(witnesses))
+        if w is None:
+            return None
+        out.append(w)
+        return out
+
+    def extend(edge_list, witnesses, start):
+        if len(edge_list) > best["size"]:
+            best["size"] = len(edge_list)
+            best["edges"] = tuple(edge_list)
+        for i in range(start, len(cands)):
+            if len(edge_list) + (len(cands) - i) <= best["size"]:
+                break
+            nxt = edge_list + [cands[i]]
+            ws = feasible(nxt, witnesses)
+            if ws is not None:
+                extend(nxt, ws, i + 1)
+
+    extend([], [], 0)
+    return best["size"], make(best["edges"])
+
+
+@st.composite
+def small_exact_cases(draw):
+    """A random conditional pair P | Q with n <= 3 vertices, or with parts
+    of at most 2 vertices each."""
+    d, r = draw(st.sampled_from([(2, 2), (3, 2), (2, 3)]))
+    cube = list(product(range(d), repeat=r))
+    ambient = draw(st.lists(st.sampled_from(cube), min_size=1, unique=True))
+    base = draw(st.lists(st.sampled_from(ambient), unique=True,
+                         max_size=len(ambient) - 1))
+    pq = ConditionalPredicate(Predicate(d, r, base), Predicate(d, r, ambient))
+    if draw(st.booleans()):
+        return pq, draw(st.integers(1, 3)), None
+    parts = tuple(draw(st.lists(st.integers(1, 2), min_size=r, max_size=r)))
+    return pq, sum(parts), parts
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_exact_cases())
+def test_nrd_exact_matches_unpruned_search(case):
+    pq, n, parts = case
+    size, inst = nrd_exact(pq, n, part_sizes=parts)
+    assert (size, inst) == _unpruned_nrd_exact(pq, n, part_sizes=parts)
 
 
 def test_to_r_partite_retention():
