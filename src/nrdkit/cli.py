@@ -184,7 +184,7 @@ def cmd_nrd_exact(args):
         if sum(parts) != args.n:
             raise UsageError("nrd nrd-exact: --parts sizes must sum to -n")
     value, inst = hypergraph.nrd_exact(pq, args.n, part_sizes=parts,
-                                       max_checks=args.search_budget)
+                                       max_checks=args.search_budget or None)
     emit(args, {"n": args.n, "nrd": value, "instance": inst.to_dict()},
          f"NRD = {value}")
     return 0
@@ -361,7 +361,7 @@ def build_parser():
                     help="cap on the feasibility checks of nrd-exact, "
                          "counted after its symmetry pruning, and on the "
                          "families find-substructure tries without --family "
-                         "(there 0 = unlimited); default 2000000")
+                         "(0 = unlimited); default 2000000")
     ap.add_argument("-v", "--verbose", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
 

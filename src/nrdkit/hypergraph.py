@@ -703,7 +703,8 @@ def nrd_exact(pq, n, part_sizes=None, max_checks=2_000_000):
     reaches S, and no list as large before it.
 
     Past max_checks feasibility checks (counted after pruning) it raises
-    BudgetExceeded whose `partial` is the best size found so far.
+    BudgetExceeded whose `partial` is the best size found so far;
+    max_checks=None runs with no cap.
     """
     pq = as_conditional(pq)
     vs, cands, idx, part_of, make = _exact_space(pq.arity, n, part_sizes)
@@ -715,7 +716,7 @@ def nrd_exact(pq, n, part_sizes=None, max_checks=2_000_000):
         """Witness values for edge_list, given those of all but its last
         edge, or None when it is redundant."""
         checks[0] += 1
-        if checks[0] > max_checks:
+        if max_checks is not None and checks[0] > max_checks:
             raise BudgetExceeded(
                 f"search budget of {max_checks} feasibility checks exceeded; "
                 f"best size so far {best['size']}", partial=best["size"])

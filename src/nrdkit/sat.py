@@ -1,7 +1,20 @@
 """Minimal CDCL SAT solver and CNF plumbing (DIMACS import/export).
 
+The solver keeps MiniSat's watched-literal core (Een and Sorensson, SAT
+2003): two watched literals per clause, 1-UIP clause learning, phase
+saving, and restarts after 100 conflicts, each limit 1.3 times the last.
+Assignments and watch lists live in flat lists indexed by the literal
+itself (see `_Solver`), and propagation runs over local names.
+
 Deterministic: decisions use an activity heuristic with ties broken by
-variable index, so identical formulas always produce identical models.
+variable index, so identical formulas always produce identical models
+after the same number of conflicts (`tests/test_sat.py` pins both for a
+seeded batch and the bundled encodings).
+
+Input checks: `solve` rejects the literal 0 and any literal outside
++-num_vars with ValueError, since `clauses` is a public list that may not
+have gone through `add_clause`.  `from_dimacs` reads clauses as 0-ended
+token streams and rejects malformed text with ValueError.
 """
 
 from __future__ import annotations
@@ -10,7 +23,14 @@ from dataclasses import dataclass, field
 
 
 class ConflictBudgetExceeded(RuntimeError):
-    pass
+    """The solver took more conflicts than its budget.  `conflicts` and
+    `assigned` are the conflicts counted and the variables assigned when it
+    stopped."""
+
+    def __init__(self, msg, conflicts=None, assigned=None):
+        super().__init__(msg)
+        self.conflicts = conflicts
+        self.assigned = assigned
 
 
 @dataclass
@@ -45,7 +65,15 @@ class CnfFormula:
 
     @classmethod
     def from_dimacs(cls, text):
+        """Read DIMACS CNF.  Lines starting with "c" are comments ("c var V =
+        tag" lines fill the registry); one "p cnf V C" line comes before the
+        clauses; each clause is a run of literals ended by 0, so a clause may
+        span lines and a line may hold several clauses.  Raises ValueError
+        for a missing or repeated header, a literal outside +-V, a clause
+        without its closing 0, or a clause count other than C."""
         f = cls()
+        header = None
+        clause = []
         for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("c"):
@@ -55,31 +83,71 @@ class CnfFormula:
                         f.registry[int(parts[0])] = parts[1]
                 continue
             if line.startswith("p"):
-                f.num_vars = int(line.split()[2])
+                fields = line.split()
+                if (header is not None or len(fields) != 4
+                        or fields[1] != "cnf"):
+                    raise ValueError(f"bad or repeated DIMACS header {line!r}")
+                f.num_vars, header = int(fields[2]), int(fields[3])
+                if f.num_vars < 0 or header < 0:
+                    raise ValueError(f"bad DIMACS header {line!r}")
                 continue
-            lits = [int(x) for x in line.split()]
-            if lits and lits[-1] == 0:
-                lits = lits[:-1]
-            f.clauses.append(lits)
+            if header is None:
+                raise ValueError("DIMACS clause before the 'p cnf' line")
+            for tok in line.split():
+                lit = int(tok)
+                if lit == 0:
+                    f.clauses.append(clause)
+                    clause = []
+                elif abs(lit) > f.num_vars:
+                    raise ValueError(f"literal {lit} is outside the formula's "
+                                     f"{f.num_vars} variables")
+                else:
+                    clause.append(lit)
+        if header is None:
+            raise ValueError("DIMACS text has no 'p cnf' line")
+        if clause:
+            raise ValueError("the last DIMACS clause is not ended by 0")
+        if len(f.clauses) != header:
+            raise ValueError(f"DIMACS header declares {header} clauses, "
+                             f"the text holds {len(f.clauses)}")
         return f
 
 
 def solve(formula: CnfFormula, conflict_budget=None):
-    """Return a model as {var: bool} or None for UNSAT."""
+    """Return a model as {var: bool} or None for UNSAT.
+
+    Raises ValueError for the literal 0 or a literal outside +-num_vars, and
+    ConflictBudgetExceeded when the formula takes more than conflict_budget
+    conflicts.
+    """
     s = _Solver(formula.num_vars, formula.clauses, conflict_budget)
     return s.solve()
 
 
 class _Solver:
+    """CDCL with two watched literals, 1-UIP learning, phase saving and
+    geometric restarts.
+
+    A literal is a nonzero int in [-n, n].  `lv` and `watches` hold 2n + 1
+    slots indexed by the literal itself: the slots 1..n are the positive
+    literals and Python's negative indexing puts -n..-1 in n+1..2n.  lv[lit]
+    is 1 when lit is true, -1 when false and 0 when unassigned, so
+    assigning lit writes lv[lit] and lv[-lit].  The per-variable arrays
+    (level, reason, activity, saved) are indexed by variable.
+    """
+
     def __init__(self, nvars, clauses, conflict_budget=None):
-        self.n = nvars
-        self.val = [0] * (nvars + 1)       # 0 unknown, 1 true, -1 false
-        self.level = [0] * (nvars + 1)
-        self.reason = [None] * (nvars + 1)
-        self.activity = [0.0] * (nvars + 1)
-        self.saved = [False] * (nvars + 1)  # phase saving
-        self.watches = {}                   # lit -> list of clauses (lists)
-        self.clauses = []
+        n = self.n = nvars
+        for lit in {lit for cl in clauses for lit in cl}:
+            if lit == 0 or not -n <= lit <= n:
+                raise ValueError(f"literal {lit} is outside the formula's "
+                                 f"{n} variables")
+        self.lv = [0] * (2 * n + 1)
+        self.watches = [[] for _ in range(2 * n + 1)]  # lit -> clauses
+        self.level = [0] * (n + 1)
+        self.reason = [None] * (n + 1)
+        self.activity = [0.0] * (n + 1)
+        self.saved = [False] * (n + 1)  # phase saving
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
@@ -87,119 +155,141 @@ class _Solver:
         self.conflicts = 0
         self.ok = True
         self.units = []
+        watches = self.watches
         for cl in clauses:
-            if not self._add_clause(list(dict.fromkeys(cl))):
-                self.ok = False
-                break
-
-    def _watch(self, lit, cl):
-        self.watches.setdefault(lit, []).append(cl)
-
-    def _add_clause(self, cl):
-        if not cl:
-            return False
-        if any(-l in cl for l in cl):
-            return True  # tautology
-        if len(cl) == 1:
-            self.units.append(cl[0])
-            return True
-        self._watch(cl[0], cl)
-        self._watch(cl[1], cl)
-        self.clauses.append(cl)
-        return True
-
-    def _value(self, lit):
-        v = self.val[abs(lit)]
-        return v if lit > 0 else -v
+            cl = list(dict.fromkeys(cl))
+            if len(cl) < 2:
+                if not cl:
+                    self.ok = False
+                    break
+                self.units.append(cl[0])
+            elif len(set(map(abs, cl))) == len(cl):  # else a tautology
+                watches[cl[0]].append(cl)
+                watches[cl[1]].append(cl)
 
     def _assign(self, lit, reason):
-        v = abs(lit)
-        self.val[v] = 1 if lit > 0 else -1
+        v = lit if lit > 0 else -lit
+        self.lv[lit] = 1
+        self.lv[-lit] = -1
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.saved[v] = lit > 0
         self.trail.append(lit)
 
     def _propagate(self):
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            false_lit = -lit
-            watchlist = self.watches.get(false_lit, [])
-            i = 0
-            while i < len(watchlist):
-                cl = watchlist[i]
-                # normalize: watched literals are cl[0], cl[1]
-                if cl[0] == false_lit:
-                    cl[0], cl[1] = cl[1], cl[0]
-                if self._value(cl[0]) == 1:
+        """Unit propagation from qhead; return a conflict clause or None.
+
+        A clause's watched literals are cl[0] and cl[1].  A clause visited
+        from the false literal's list moves that literal to cl[1]; it is
+        satisfied if cl[0] is true, moves its watch to the first later
+        literal that is not false, and otherwise is unit (cl[0] is assigned)
+        or in conflict.
+        """
+        lv, watches, trail = self.lv, self.watches, self.trail
+        level, reason, saved = self.level, self.reason, self.saved
+        depth = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            ws = watches[false_lit]
+            # a clause that moves its watch is replaced by the list's last
+            # one; the list is cut to `end` when the visit is over
+            i, end = 0, len(ws)
+            while i < end:
+                cl = ws[i]
+                first = cl[0]
+                if first == false_lit:
+                    first = cl[0] = cl[1]
+                    cl[1] = false_lit
+                if lv[first] == 1:
                     i += 1
                     continue
-                moved = False
                 for k in range(2, len(cl)):
-                    if self._value(cl[k]) != -1:
-                        cl[1], cl[k] = cl[k], cl[1]
-                        self._watch(cl[1], cl)
-                        watchlist[i] = watchlist[-1]
-                        watchlist.pop()
-                        moved = True
+                    other = cl[k]
+                    if lv[other] != -1:
+                        cl[1] = other
+                        cl[k] = false_lit
+                        watches[other].append(cl)
+                        end -= 1
+                        ws[i] = ws[end]
                         break
-                if moved:
-                    continue
-                if self._value(cl[0]) == -1:
-                    return cl  # conflict
-                self._assign(cl[0], cl)
-                i += 1
+                else:
+                    if lv[first] == -1:
+                        del ws[end:]
+                        self.qhead = qhead
+                        return cl
+                    lv[first] = 1
+                    lv[-first] = -1
+                    v = first if first > 0 else -first
+                    level[v] = depth
+                    reason[v] = cl
+                    saved[v] = first > 0
+                    trail.append(first)
+                    i += 1
+            del ws[end:]
+        self.qhead = qhead
         return None
 
     def _analyze(self, conflict):
-        learnt = []
+        """1-UIP learning.  Return (learnt, back): learnt[0] is the negated
+        UIP, learnt[1] the first literal of the highest level below it, and
+        back that level (0 for a unit clause)."""
+        level, activity, reason, trail = (self.level, self.activity,
+                                          self.reason, self.trail)
+        bump = self.bump
+        learnt = [0]
         seen = [False] * (self.n + 1)
-        counter = 0
-        lit0 = None
+        counter = back = k = 0
         cl = conflict
-        idx = len(self.trail) - 1
+        idx = len(trail) - 1
         cur_level = len(self.trail_lim)
         while True:
             for l in cl:
-                v = abs(l)
-                if not seen[v] and self.level[v] > 0:
-                    seen[v] = True
-                    self.activity[v] += self.bump
-                    if self.level[v] == cur_level:
-                        counter += 1
-                    else:
-                        learnt.append(l)
-            while not seen[abs(self.trail[idx])]:
+                v = l if l > 0 else -l
+                if not seen[v]:
+                    lvl = level[v]
+                    if lvl > 0:
+                        seen[v] = True
+                        activity[v] += bump
+                        if lvl == cur_level:
+                            counter += 1
+                        else:
+                            if lvl > back:
+                                back, k = lvl, len(learnt)
+                            learnt.append(l)
+            lit0 = trail[idx]
+            while not seen[lit0 if lit0 > 0 else -lit0]:
                 idx -= 1
-            lit0 = self.trail[idx]
-            seen[abs(lit0)] = False
+                lit0 = trail[idx]
             counter -= 1
             idx -= 1
             if counter == 0:
                 break
-            cl = [l for l in self.reason[abs(lit0)] if l != lit0]
-        learnt.insert(0, -lit0)
-        if len(learnt) == 1:
-            return learnt, 0
-        back = max(self.level[abs(l)] for l in learnt[1:])
+            # lit0 stays seen, so its own reason skips it
+            cl = reason[lit0 if lit0 > 0 else -lit0]
+        learnt[0] = -lit0
+        if k > 1:
+            learnt[1], learnt[k] = learnt[k], learnt[1]
         return learnt, back
 
     def _backjump(self, level):
+        # level and reason are read only for assigned variables, so only the
+        # values are cleared
         target = self.trail_lim[level]
+        lv = self.lv
         for lit in self.trail[target:]:
-            v = abs(lit)
-            self.val[v] = 0
-            self.reason[v] = None
+            lv[lit] = lv[-lit] = 0
         del self.trail[target:]
         del self.trail_lim[level:]
         self.qhead = len(self.trail)
 
     def _decide(self):
+        lv, activity = self.lv, self.activity
         best, best_act = 0, -1.0
         for v in range(1, self.n + 1):
-            if self.val[v] == 0 and self.activity[v] > best_act:
-                best, best_act = v, self.activity[v]
+            if lv[v] == 0 and activity[v] > best_act:
+                best, best_act = v, activity[v]
         if best == 0:
             return 0
         return best if self.saved[best] else -best
@@ -207,11 +297,12 @@ class _Solver:
     def solve(self):
         if not self.ok:
             return None
+        lv = self.lv
         self.bump = 1.0
         for u in self.units:
-            if self._value(u) == -1:
+            if lv[u] == -1:
                 return None
-            if self._value(u) == 0:
+            if lv[u] == 0:
                 self._assign(u, None)
         restart_limit, total = 100, 0
         while True:
@@ -222,7 +313,8 @@ class _Solver:
                 if self.budget is not None and self.conflicts > self.budget:
                     raise ConflictBudgetExceeded(
                         f"SAT conflict budget of {self.budget} exceeded with "
-                        f"{len(self.trail)} of {self.n} variables assigned")
+                        f"{len(self.trail)} of {self.n} variables assigned",
+                        self.conflicts, len(self.trail))
                 if not self.trail_lim:
                     return None
                 learnt, back = self._analyze(conflict)
@@ -230,13 +322,9 @@ class _Solver:
                 if len(learnt) == 1:
                     self._assign(learnt[0], None)
                 else:
-                    self._watch(learnt[0], learnt)
-                    # second watch must be a highest-level literal
-                    k = max(range(1, len(learnt)),
-                            key=lambda i: self.level[abs(learnt[i])])
-                    learnt[1], learnt[k] = learnt[k], learnt[1]
-                    self._watch(learnt[1], learnt)
-                    self.clauses.append(learnt)
+                    # learnt[1] is a highest-level literal: the second watch
+                    self.watches[learnt[0]].append(learnt)
+                    self.watches[learnt[1]].append(learnt)
                     self._assign(learnt[0], learnt)
                 self.bump *= 1.05
                 if self.bump > 1e100:
@@ -252,7 +340,7 @@ class _Solver:
             else:
                 lit = self._decide()
                 if lit == 0:
-                    return {v: self.val[v] == 1 for v in range(1, self.n + 1)}
+                    return {v: lv[v] == 1 for v in range(1, self.n + 1)}
                 self.trail_lim.append(len(self.trail))
                 self._assign(lit, None)
 

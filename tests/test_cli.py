@@ -101,6 +101,16 @@ def test_find_witnesses_output_is_pinned(tmp_path, capsys):
         "10f107e84e1e1eaf08657a2520f5dead8fd5d151b9aa1e0525afd53f29b07d77")
 
 
+def test_find_substructure_output_is_pinned(capsys):
+    # every hit is confirmed through the SAT solver, so the output must not
+    # change with how the solver stores its assignment and watch lists
+    code, out = run(capsys, "--json", "find-substructure", "C6*|C6", "3LIN*",
+                    "--max-results", "5")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "97b2e8cc90c7e9a5648667ef510043626aa6420704361010b592d2ec68bec1e7")
+
+
 @pytest.mark.parametrize("budget", ["10", "0"])
 def test_verify_nrd_budget_exhausted_exits_1(tmp_path, capsys, budget):
     code = main(["--json", "verify-nrd", "--instance", _r1s1_file(tmp_path),
@@ -148,6 +158,18 @@ def test_negative_search_budget_from_environment_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("NRD_SEARCH_BUDGET", "-3")
     assert usage_error(capsys, "nrd-exact", "EQ", "-n", "3") == (
         "nrd: --search-budget must not be negative")
+
+
+@pytest.mark.parametrize("argv", [
+    ["nrd-exact", "EQ", "-n", "4"],
+    ["find-substructure", "C6*|C6", "3LIN*", "--max-results", "5"],
+], ids=["nrd-exact", "find-substructure"])
+def test_search_budget_zero_is_unlimited(capsys, monkeypatch, argv):
+    want = run(capsys, "--json", *argv)
+    assert want[0] == 0
+    assert run(capsys, "--json", "--search-budget", "0", *argv) == want
+    monkeypatch.setenv("NRD_SEARCH_BUDGET", "0")
+    assert run(capsys, "--json", *argv) == want
 
 
 def test_nrd_exact_zero_vertices(capsys):

@@ -1,9 +1,13 @@
+import hashlib
 import random
 
 import numpy as np
+import pytest
 
-from nrdkit.sat import (CnfFormula, ConflictBudgetExceeded,
+from nrdkit import tables
+from nrdkit.sat import (CnfFormula, ConflictBudgetExceeded, _Solver,
                         brute_force_satisfiable, check_model, solve)
+from nrdkit.substructure import encode
 
 
 def truth_table_satisfiable(formula):
@@ -135,7 +139,12 @@ def test_conflict_budget():
         f = random_3cnf(rng, 16, int(16 * 4.3))
         try:
             solve(f, conflict_budget=1)
-        except ConflictBudgetExceeded:
+        except ConflictBudgetExceeded as exc:
+            # the counters where it stopped, as the message prints them
+            assert exc.conflicts == 2
+            assert 0 <= exc.assigned <= 16
+            assert str(exc) == ("SAT conflict budget of 1 exceeded with "
+                                f"{exc.assigned} of 16 variables assigned")
             tripped = True
             break
     assert tripped
@@ -152,8 +161,96 @@ def test_dimacs_round_trip():
     assert [list(c) for c in g.clauses] == [[1, -2], [2, 3]]
 
 
+def test_dimacs_clauses_end_at_zero():
+    # a clause ends at its 0, not at the end of its line
+    f = CnfFormula.from_dimacs("c two clauses on one line\n"
+                               "p cnf 2 3\n1 -2 0 2 0\n-1\n2 0\n")
+    assert f.num_vars == 2
+    assert f.clauses == [[1, -2], [2], [-1, 2]]
+    model = solve(f)
+    assert model is not None and model[2] and check_model(f, model)
+
+
+@pytest.mark.parametrize("text", [
+    "",                               # no header at all
+    "c only a comment\n",
+    "1 2 0\np cnf 2 1\n",              # clause before the header
+    "p cnf 2 1\np cnf 2 1\n1 0\n",     # repeated header
+    "p dnf 2 1\n1 0\n",
+    "p cnf 2\n1 0\n",
+    "p cnf -1 0\n",
+    "p cnf 2 1\n3 0\n",                # literal outside +-num_vars
+    "p cnf 2 1\n1 -3 0\n",
+    "p cnf 2 1\n1 2\n",                # last clause without its 0
+    "p cnf 2 2\n1 2 0\n",              # fewer clauses than declared
+    "p cnf 2 1\n1 0 2 0\n",            # more clauses than declared
+    "p cnf 2 1\n1 x 0\n",
+], ids=["empty", "comment-only", "clause-first", "two-headers", "not-cnf",
+        "short-header", "negative-vars", "literal-high", "literal-low",
+        "unterminated", "too-few", "too-many", "not-int"])
+def test_dimacs_rejects_malformed_text(text):
+    with pytest.raises(ValueError):
+        CnfFormula.from_dimacs(text)
+
+
+@pytest.mark.parametrize("clause", [[1, 5], [1, 0], [3], [-3], [2, -4]])
+def test_solve_rejects_literals_outside_the_formula(clause):
+    # `clauses` is public, so these bypass add_clause; 3 and -4 would alias
+    # another literal's slot in a 2-variable solver
+    f = CnfFormula(num_vars=2, clauses=[[1, 2], clause])
+    with pytest.raises(ValueError, match=f"literal {clause[-1]} is outside"):
+        solve(f)
+
+
 def test_variable_registry():
     f = CnfFormula()
     v = f.new_var(tag=("x", 1, 2))
     assert f.registry[v] == ("x", 1, 2)
     assert "c var 1" in f.to_dimacs()
+
+
+def pinned_formulas():
+    """200 seeded random 3-SAT formulas (30-80 variables at ratio 4.26, every
+    other one planted) and the SAT encoding of every bundled certificate."""
+    rng = random.Random(20261018)
+    out = []
+    for i in range(200):
+        n = rng.randint(30, 80)
+        hidden = ([rng.random() < 0.5 for _ in range(n + 1)]
+                  if i % 2 == 0 else None)
+        f = CnfFormula()
+        for _ in range(n):
+            f.new_var()
+        for _ in range(round(4.26 * n)):
+            lits = [v if rng.random() < 0.5 else -v
+                    for v in rng.sample(range(1, n + 1), 3)]
+            if hidden and not any(hidden[abs(l)] == (l > 0) for l in lits):
+                lits[0] = -lits[0]
+            f.add_clause(lits)
+        out.append(f)
+    for name in tables.CERTIFICATE_NAMES:
+        c = tables.certificate(name)
+        out.append(encode(c.source, c.target, c.family)[0])
+    return out
+
+
+def test_search_is_pinned():
+    # The model and the number of conflicts of every formula, recorded
+    # before the solver moved to literal-indexed arrays: any change to the
+    # decisions, watch order, learnt clauses, restarts, phase saving or the
+    # activity tie-break shows here.
+    h = hashlib.sha256()
+    solved = conflicts = 0
+    for f in pinned_formulas():
+        s = _Solver(f.num_vars, f.clauses)
+        model = s.solve()
+        bits = "-" if model is None else "".join(
+            "1" if model[v] else "0" for v in range(1, f.num_vars + 1))
+        h.update(f"{bits} {s.conflicts}\n".encode())
+        solved += model is not None
+        conflicts += s.conflicts
+        if model is not None:
+            assert check_model(f, model)
+    assert (solved, conflicts) == (161, 10958)
+    assert h.hexdigest() == (
+        "22aa9174d011188a1916cdda8d9908b2a874aa20b365afacee05b9c55042b57f")
