@@ -10,8 +10,8 @@ lookup = _catalog.catalog  # catalog() the function lives on the catalog module
 from .balance import BalanceReport, is_balanced_bounded, is_balanced_lattice
 from .cancellation import cancel, catalan_matrix_check, catalan_search
 from .hypergraph import (Hypergraph, NrdCertificate, NrdFailure,
-                         PartiteHypergraph, nrd_exact, projection_hypergraph,
-                         shrinking_report, verify_nrd)
+                         PartiteHypergraph, nrd_exact, shrinking_report,
+                         verify_nrd)
 from .substructure import (SubstructureCertificate, dependency_analysis,
                            family_supports, find_substructure,
                            search_families, verify_certificate)

@@ -49,15 +49,17 @@ def load_predicate(spec):
 def load_instance(path):
     with open(path) as fh:
         d = json.load(fh)
-    if "parts" in d:
+    if isinstance(d, dict) and "parts" in d:
         return hypergraph.PartiteHypergraph.from_dict(d)
     return hypergraph.Hypergraph.from_dict(d)
 
 
 def load_certificate(spec):
-    key = spec.strip().upper().replace(" ", "")
-    if key in tables.CERTIFICATE_NAMES or key in ("3LIN", "CAT5"):
-        return tables.certificate(key)
+    """Bundled certificate name, or path to a certificate JSON file."""
+    try:
+        return tables.certificate(spec)
+    except KeyError:
+        pass
     with open(spec) as fh:
         return substructure.SubstructureCertificate.from_dict(json.load(fh))
 

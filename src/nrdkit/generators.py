@@ -122,7 +122,7 @@ def _cycle_index(h):
     return 4 if h % 2 == 0 else 3
 
 
-def girth6_witness(graph: PartiteHypergraph, edge, adj=None, verify=True):
+def girth6_witness(graph: PartiteHypergraph, edge, adj=None):
     """Assignment violating `edge` (value (0,0)) while every other incidence
     takes a value of the punctured 6-cycle.  Valid whenever girth >= 6;
     checked edge-by-edge and refused otherwise."""
@@ -142,16 +142,15 @@ def girth6_witness(graph: PartiteHypergraph, edge, adj=None, verify=True):
         h = -du[w] if du[w] < dv[w] else 1 + dv[w]
         idx = _cycle_index(h)
         assign[w] = _LEFT_VALUE[idx] if w in left else _RIGHT_VALUE[idx]
-    if verify:
-        base = set(C6_COND.base.tuples)
-        for e in graph.edges:
-            val = (assign[e[0]], assign[e[1]])
-            if e == edge:
-                if val != (0, 0):
-                    raise InstanceError("constructed witness misses the excluded edge")
-            elif val not in base:
-                raise InstanceError(
-                    f"constructed witness fails on {e} (girth below 6?)")
+    base = set(C6_COND.base.tuples)
+    for e in graph.edges:
+        val = (assign[e[0]], assign[e[1]])
+        if e == edge:
+            if val != (0, 0):
+                raise InstanceError("constructed witness misses the excluded edge")
+        elif val not in base:
+            raise InstanceError(
+                f"constructed witness fails on {e} (girth below 6?)")
     return assign
 
 

@@ -9,9 +9,6 @@ violated edge must land in Q \\ P.
 from __future__ import annotations
 
 import functools
-import logging
-import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, combinations, product, repeat
 from operator import itemgetter
@@ -19,8 +16,6 @@ from operator import itemgetter
 import numpy as np
 
 from .predicates import ConditionalPredicate, IndexFamily, Predicate, PredicateError
-
-log = logging.getLogger(__name__)
 
 
 class InstanceError(ValueError):
@@ -79,8 +74,11 @@ class PartiteHypergraph:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(tuple(tuple(p) for p in d["parts"]),
-                   tuple(tuple(e) for e in d["edges"]))
+        try:
+            return cls(tuple(tuple(p) for p in d["parts"]),
+                       tuple(tuple(e) for e in d["edges"]))
+        except TypeError as exc:
+            raise InstanceError(f"malformed instance: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -113,7 +111,10 @@ class Hypergraph:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(tuple(d["vertices"]), tuple(tuple(e) for e in d["edges"]))
+        try:
+            return cls(tuple(d["vertices"]), tuple(tuple(e) for e in d["edges"]))
+        except TypeError as exc:
+            raise InstanceError(f"malformed instance: {exc}") from None
 
 
 @dataclass
@@ -130,12 +131,16 @@ class NrdCertificate:
     def from_dict(cls, h, d):
         """Witnesses keyed by edge index; every value must be a JSON integer
         (the domain range is the checker's business, not the parser's)."""
+        if not isinstance(d, dict):
+            raise InstanceError("certificate must be an object keyed by edge index")
         if set(d) != {str(i) for i in range(len(h.edges))}:
             raise InstanceError("certificate keys must be the edge indices "
                                 f"0..{len(h.edges) - 1}")
         witnesses = {}
         for i, e in enumerate(h.edges):
             psi = d[str(i)]
+            if not isinstance(psi, dict):
+                raise InstanceError(f"witness {i} is not an object of vertex values")
             for v, x in psi.items():
                 if type(x) is not int:
                     raise InstanceError(f"witness {i}: value {x!r} for vertex "
@@ -784,59 +789,11 @@ def nrd_exact_exhaustive(pq, n, part_sizes=None, max_subsets=1 << 18):
     return best
 
 
-# --- structural operations -------------------------------------------
-
-
-def to_r_partite(h: Hypergraph, r, seed=0, retries=50):
-    """Random colorings retaining rainbow edges, reordered so coordinates
-    ascend with part index.
-
-    Suitable for symmetric predicates; retains an expected r!/r^r fraction
-    of edges with distinct vertices.  Returns (instance, retained_fraction).
-    """
-    import random
-
-    rng = random.Random(seed)
-    vs = list(h.vertex_set)
-    best = None
-    for _ in range(max(1, retries)):
-        color = {v: rng.randrange(r) for v in vs}
-        kept = []
-        for e in h.edges:
-            cols = [color[v] for v in e]
-            if len(set(cols)) == r:
-                kept.append(tuple(v for _, v in sorted(zip(cols, e))))
-        kept = list(dict.fromkeys(kept))
-        if best is None or len(kept) > len(best[0]):
-            best = (kept, color)
-    kept, color = best
-    parts = [tuple(sorted(v for v in vs if color[v] == i)) for i in range(r)]
-    frac = len(kept) / len(h.edges) if h.edges else 0.0
-    if not kept:
-        log.warning("to_r_partite retained no edges after %d retries", retries)
-    return PartiteHypergraph(tuple(parts), tuple(kept)), frac
-
-
-def project_instance(h: PartiteHypergraph, J):
-    """Restrict parts to J (1-based) and project edges, deduplicating."""
-    J = sorted(set(J))
-    if not J or J[0] < 1 or J[-1] > h.arity:
-        raise InstanceError(f"projection indices must lie in [1, {h.arity}]")
-    idx = [j - 1 for j in J]
-    parts = tuple(h.parts[i] for i in idx)
-    edges = tuple(dict.fromkeys(tuple(e[i] for i in idx) for e in h.edges))
-    return PartiteHypergraph(parts, edges)
+# --- projections ------------------------------------------------------
 
 
 def projection_label(j, source_vertices):
     return f"{j}:" + ("|".join(source_vertices) if source_vertices else "()")
-
-
-def projection_hypergraph(h: PartiteHypergraph, fam: IndexFamily, warn=True):
-    """The instance whose part-j vertices are the distinct I_j-projections of
-    the edges, with one edge per source edge (collisions merged)."""
-    proj, _, mult = projection_map(h, fam, warn=warn)
-    return proj, mult
 
 
 def _projections(edges, idx):
@@ -860,9 +817,10 @@ class _Labels(dict):
         return label
 
 
-def projection_map(h: PartiteHypergraph, fam: IndexFamily, warn=True):
-    """As projection_hypergraph but also returns the projected edge for every
-    source edge (needed for witness transfer)."""
+def projection_map(h: PartiteHypergraph, fam: IndexFamily) -> PartiteHypergraph:
+    """The instance whose part-j vertices are the distinct I_j-projections of
+    the edges, in order of first use, and whose edges are the projected
+    source edges in source order, colliding ones merged."""
     if fam.source_arity != h.arity:
         raise InstanceError("index family arity does not match instance")
     parts, columns = [], []
@@ -871,12 +829,8 @@ def projection_map(h: PartiteHypergraph, fam: IndexFamily, warn=True):
         columns.append(list(map(labels.__getitem__,
                                 _projections(h.edges, [i - 1 for i in I]))))
         parts.append(tuple(labels.values()))
-    per_source = list(zip(*columns)) if columns else [()] * len(h.edges)
-    mult = dict(Counter(per_source))
-    merged = len(per_source) - len(mult)
-    if merged and warn:
-        warnings.warn(f"projection merged {merged} colliding edges", stacklevel=2)
-    return PartiteHypergraph(tuple(parts), tuple(mult)), per_source, mult
+    edges = zip(*columns) if columns else [()] * len(h.edges)
+    return PartiteHypergraph(tuple(parts), tuple(dict.fromkeys(edges)))
 
 
 @dataclass

@@ -204,7 +204,7 @@ def apply_reduction(h: PartiteHypergraph, cert: SubstructureCertificate,
     ok, problems = verify_certificate(cert)
     if not ok:
         raise PipelineError(f"invalid certificate: {problems}")
-    proj, _, _ = projection_map(h, cert.family, warn=False)
+    proj = projection_map(h, cert.family)
     if len(proj.edges) != len(h.edges):
         raise PipelineError(
             "joint projection merges source edges; witnesses cannot transfer")

@@ -50,13 +50,6 @@ class Predicate:
     def __contains__(self, t):
         return tuple(t) in self._members
 
-    def is_nontrivial(self):
-        return 0 < len(self.tuples) < self.domain_size ** self.arity
-
-    def complement(self):
-        full = set(product(range(self.domain_size), repeat=self.arity))
-        return Predicate(self.domain_size, self.arity, full - set(self.tuples))
-
     @classmethod
     def full(cls, domain_size, arity):
         return cls(domain_size, arity, product(range(domain_size), repeat=arity))
@@ -78,11 +71,6 @@ class Predicate:
     @classmethod
     def from_json(cls, s):
         return cls.from_dict(json.loads(s))
-
-    def digit_strings(self):
-        if self.domain_size > 10:
-            raise PredicateError("digit-string notation needs domain size <= 10")
-        return ["".join(str(v) for v in t) for t in self.tuples]
 
 
 def parse_tuple(spec):
@@ -182,10 +170,6 @@ def project(p: Predicate, J) -> Predicate:
 
 def project_conditional(pq: ConditionalPredicate, J) -> ConditionalPredicate:
     return ConditionalPredicate(project(pq.base, J), project(pq.ambient, J))
-
-
-def project_tuple(t, J):
-    return tuple(t[j - 1] for j in sorted(set(J)))
 
 
 def permute(p: Predicate, sigma) -> Predicate:

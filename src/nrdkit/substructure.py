@@ -86,15 +86,9 @@ def verify_certificate(cert: SubstructureCertificate):
     if any(len(cert.sigma[q]) != tgt.arity for q in q1):
         return False, problems  # no coordinate j to compare on a short image
     for j, I in enumerate(fam.sets):
-        idx = [i - 1 for i in I]
-        by_class = {}
-        for q in q1:
-            key = tuple(q[i] for i in idx)
-            val = cert.sigma[q][j]
-            if by_class.setdefault(key, val) != val:
-                problems.append(
-                    f"output coordinate {j + 1} depends on more than I_{j + 1}")
-                break
+        if not _determines(q1, cert.sigma, j, I):
+            problems.append(
+                f"output coordinate {j + 1} depends on more than I_{j + 1}")
     return not problems, problems
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from nrdkit import tables
 from nrdkit.cli import main
-from nrdkit.generators import build_R1S1_instance
+from nrdkit.generators import build_R1S1_instance, build_R2S2_instance
 
 
 def run(capsys, *argv):
@@ -84,10 +84,14 @@ def test_verify_nrd_roundtrip(tmp_path, capsys):
     assert code == 0 and d["non_redundant"]
 
 
-def _r1s1_file(tmp_path):
-    f = tmp_path / "r1s1.json"
-    f.write_text(json.dumps(build_R1S1_instance(2).hypergraph.to_dict()))
+def _instance_file(tmp_path, inst):
+    f = tmp_path / f"{inst.name}.json"
+    f.write_text(json.dumps(inst.hypergraph.to_dict()))
     return str(f)
+
+
+def _r1s1_file(tmp_path):
+    return _instance_file(tmp_path, build_R1S1_instance(2))
 
 
 def test_find_witnesses_output_is_pinned(tmp_path, capsys):
@@ -360,6 +364,67 @@ def test_reduce(tmp_path, capsys):
     code, out = run(capsys, "--json", "reduce", "--instance", str(f),
                     "--certificate", "P1Q1", "--witnesses", str(wf))
     assert code == 1 and out == ""
+
+
+def _sha256_of_run(capsys, *argv):
+    code, out = run(capsys, "--json", *argv)
+    assert code == 0
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+def test_reduce_output_is_pinned(tmp_path, capsys):
+    # the projected instance lists parts and edges in first-use order, so
+    # these pins hold however the projection is computed
+    inst = build_R2S2_instance(2)
+    wf = tmp_path / "wit.json"
+    wf.write_text(json.dumps(inst.certificate().to_dict(inst.hypergraph)))
+    assert _sha256_of_run(capsys, "reduce", "--instance",
+                          _instance_file(tmp_path, inst), "--certificate",
+                          "J1", "--witnesses", str(wf)) == (
+        "3adca79acd916b60a59b77840bad922678925de28b6dce5eb0656c30d4ad67b6")
+    assert _sha256_of_run(capsys, "reduce", "--instance",
+                          _instance_file(tmp_path, build_R1S1_instance(3)),
+                          "--certificate", "P1Q1") == (
+        "e070de518810ba3dc5ecfa02107e069f695aecc629b48c3135f5c6a832081e45")
+
+
+def test_shrink_report_output_is_pinned(tmp_path, capsys):
+    assert _sha256_of_run(capsys, "shrink-report", "--instance",
+                          _instance_file(tmp_path, build_R2S2_instance(2))) == (
+        "113ec43f57aa9dab8fad91e3a2493d1a7c6527cda787a17a8e08b6efd9e07967")
+
+
+@pytest.mark.parametrize("command", ["verify-nrd", "reduce"])
+@pytest.mark.parametrize("witnesses, err", [
+    ({"0": [1, 2]}, "witness 0 is not an object of vertex values"),
+    ({"0": 7}, "witness 0 is not an object of vertex values"),
+    ([{"a": 1}], "certificate must be an object keyed by edge index")],
+    ids=["witness-list", "witness-int", "top-level-list"])
+def test_malformed_witness_json_exits_2(tmp_path, capsys, command, witnesses,
+                                        err):
+    inst = build_R1S1_instance(2).truncated(1)
+    wf = tmp_path / "wit.json"
+    wf.write_text(json.dumps(witnesses))
+    argv = ["--instance", _instance_file(tmp_path, inst)]
+    if command == "verify-nrd":
+        argv += ["--predicate", "R1S1", "--mode", "check-given",
+                 "--certificate", str(wf)]
+    else:
+        argv += ["--certificate", "P1Q1", "--witnesses", str(wf)]
+    assert usage_error(capsys, command, *argv) == f"nrd: {err}"
+
+
+@pytest.mark.parametrize("instance, err", [
+    ({"parts": [["a"], ["b"]], "edges": [1, 2]}, "'int' object is not iterable"),
+    ({"vertices": ["a", "b"], "edges": [1, 2]}, "'int' object is not iterable"),
+    ([1], "list indices must be integers or slices, not str"),
+    (5, "'int' object is not subscriptable")],
+    ids=["partite", "plain", "top-level-list", "top-level-int"])
+def test_malformed_instance_json_exits_2(tmp_path, capsys, instance, err):
+    f = tmp_path / "inst.json"
+    f.write_text(json.dumps(instance))
+    assert usage_error(capsys, "verify-nrd", "--instance", str(f),
+                       "--predicate", "EQ") == f"nrd: malformed instance: {err}"
 
 
 def test_fit(capsys):

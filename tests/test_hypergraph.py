@@ -1,6 +1,5 @@
 import functools
 import random
-import warnings
 from itertools import combinations, product
 
 import numpy as np
@@ -13,9 +12,8 @@ from nrdkit.hypergraph import (BudgetExceeded, Hypergraph, InstanceError,
                                NrdCertificate, NrdFailure, PartiteHypergraph,
                                RadixTable, WitnessKernel, WitnessSearch,
                                as_conditional, nrd_exact, nrd_exact_exhaustive,
-                               project_instance, projection_hypergraph,
                                projection_label, projection_map,
-                               shrinking_report, to_r_partite, verify_nrd)
+                               shrinking_report, verify_nrd)
 from nrdkit.predicates import ConditionalPredicate, IndexFamily, Predicate
 
 
@@ -446,61 +444,10 @@ def test_nrd_exact_matches_unpruned_search(case):
     assert (size, inst) == _unpruned_nrd_exact(pq, n, part_sizes=parts)
 
 
-def test_to_r_partite_retention():
-    rng = random.Random(0)
-    vs = tuple(f"v{i}" for i in range(30))
-    edges = set()
-    while len(edges) < 150:
-        edges.add(tuple(rng.sample(vs, 3)))
-    h = Hypergraph(vs, tuple(edges))
-    inst, frac = to_r_partite(h, 3, seed=1)
-    assert inst.arity == 3
-    # expected retention 3!/3^3 = 2/9; retries keep the best coloring
-    assert frac >= 0.5 * 6 / 27
-    assert len(inst.edges) == round(frac * len(edges))
-    # retained edges exist in some order in the source
-    src = {frozenset(e) for e in edges}
-    assert all(frozenset(e) in src for e in inst.edges)
-
-
-def test_project_instance():
-    h = PartiteHypergraph((("a", "b"), ("c",), ("d", "e")),
-                          (("a", "c", "d"), ("b", "c", "d"), ("a", "c", "e")))
-    p = project_instance(h, [1, 3])
-    assert p.arity == 2
-    assert set(p.edges) == {("a", "d"), ("b", "d"), ("a", "e")}
-    p1 = project_instance(h, [2])
-    assert p1.edges == (("c",),)  # deduplicated
-
-
-def test_projection_hypergraph_counts():
-    h = PartiteHypergraph((("a", "b"), ("c", "d")),
-                          (("a", "c"), ("a", "d"), ("b", "c")))
-    fam = IndexFamily(2, ((1,), (2,)))
-    proj, mult = projection_hypergraph(h, fam)
-    assert len(proj.edges) == 3
-    assert all(c == 1 for c in mult.values())
-    # merging family: both coordinates read part 1 only
-    fam2 = IndexFamily(2, ((1,), (1,)))
-    with pytest.warns(UserWarning):
-        proj2, mult2 = projection_hypergraph(h, fam2)
-    assert len(proj2.edges) == 2  # a- and b-edges merge
-    assert max(mult2.values()) == 2
-
-
-def test_projection_map_per_source_alignment():
-    h = PartiteHypergraph((("a", "b"), ("c", "d")),
-                          (("a", "c"), ("b", "d")))
-    fam = IndexFamily(2, ((1, 2), (2,)))
-    proj, per_source, mult = projection_map(h, fam)
-    assert len(per_source) == len(h.edges)
-    assert set(per_source) == set(proj.edges)
-
-
 def test_empty_index_set_gives_shared_vertex():
     h = PartiteHypergraph((("a", "b"), ("c",)), (("a", "c"), ("b", "c")))
     fam = IndexFamily(2, ((), (1,)))
-    proj, _, _ = projection_map(h, fam)
+    proj = projection_map(h, fam)
     assert len(proj.parts[0]) == 1  # single () vertex shared by all edges
 
 
@@ -521,11 +468,10 @@ def test_shrinking_report():
 
 
 def reference_projection_map(h, fam):
-    """The per-edge loop projection_map used to run, with its warning as
-    a count: (parts, edges, per_source, mult, merged)."""
+    """The per-edge loop projection_map used to run: (parts, edges)."""
     ell = len(fam.sets)
     part_vertices = [dict() for _ in range(ell)]
-    out_edges, per_source, mult = [], [], {}
+    out_edges = []
     for e in h.edges:
         coords = []
         for j, I in enumerate(fam.sets):
@@ -535,15 +481,10 @@ def reference_projection_map(h, fam):
                 lab = projection_label(j + 1, key)
                 part_vertices[j][key] = lab
             coords.append(lab)
-        pe = tuple(coords)
-        per_source.append(pe)
-        mult[pe] = mult.get(pe, 0) + 1
-        if mult[pe] == 1:
-            out_edges.append(pe)
-    collisions = {e: c for e, c in mult.items() if c > 1}
+        if tuple(coords) not in out_edges:
+            out_edges.append(tuple(coords))
     parts = tuple(tuple(part_vertices[j].values()) for j in range(ell))
-    return (parts, tuple(out_edges), per_source, mult,
-            sum(collisions.values()) - len(collisions))
+    return parts, tuple(out_edges)
 
 
 def reference_shrink_counts(h, families):
@@ -591,15 +532,8 @@ def test_projection_map_matches_reference_loop():
         if sets and rng.random() < 0.3:
             sets.append(sets[0])  # a repeated index set
         fam = IndexFamily(r, tuple(sets))
-        parts_, edges_, per_source_, mult_, merged = reference_projection_map(h, fam)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            proj, per_source, mult = projection_map(h, fam)
-        assert proj.parts == parts_ and proj.edges == edges_
-        assert per_source == per_source_
-        assert type(mult) is dict and list(mult.items()) == list(mult_.items())
-        assert [str(w.message) for w in caught] == (
-            [f"projection merged {merged} colliding edges"] if merged else [])
+        proj = projection_map(h, fam)
+        assert (proj.parts, proj.edges) == reference_projection_map(h, fam)
         default = [I for k in range(1, r) for I in combinations(range(1, r + 1), k)]
         for families, given in ((sets + [()], sets + [()]), (default, None)):
             assert shrinking_report(h, given).factors == {

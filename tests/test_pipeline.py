@@ -132,7 +132,7 @@ def p1q1_block():
     """P1Q1 on R1S1 q=3: the instance, certificate and transfer block size."""
     inst = build_R1S1_instance(3)
     cert = tables.certificate("P1Q1")
-    proj, _, _ = projection_map(inst.hypergraph, cert.family, warn=False)
+    proj = projection_map(inst.hypergraph, cert.family)
     block = TransferPlan(WitnessKernel.of(inst.hypergraph, cert.source),
                          WitnessKernel.of(proj, cert.target), cert.sigma).block
     assert 4 <= block and 3 * block < len(inst.hypergraph.edges)
