@@ -5,11 +5,12 @@ constructed witnesses, project them through bundled substructure
 certificates, and fit the resulting edge growth against vertex count.
 """
 
+import sys
 import time
 
 from nrdkit import tables
 from nrdkit.generators import build_R1S1_instance, build_R2S2_instance, gen_girth6, girth
-from nrdkit.hypergraph import shrinking_report
+from nrdkit.hypergraph import NrdCertificate, shrinking_report
 from nrdkit.pipeline import fit_shrinkage, reduction_family
 
 print("Girth-6 incidence graphs (projective plane over F_q):")
@@ -28,7 +29,10 @@ for builder, name, eps0 in ((build_R1S1_instance, "R1S1", "1/4"),
         verified = ""
         if q <= 3:
             t0 = time.monotonic()
-            ok = inst.verify("check-given").verified
+            res = inst.verify("check-given")
+            if not isinstance(res, NrdCertificate):
+                sys.exit(f"{name} q={q}: witness check failed at edge "
+                         f"{res.failed_edge} ({res.reason})")
             verified = f"  witnesses ok ({time.monotonic() - t0:.1f}s)"
         print(f"  {name} q={q}: m={inst.n_edges:5d}, "
               f"shrink factor {rep.shrink_factor:.0f}{verified}")

@@ -40,6 +40,8 @@ def load_predicate(spec):
     if os.path.exists(spec):
         with open(spec) as fh:
             d = json.load(fh)
+        if not isinstance(d, dict):
+            raise predicates.PredicateError("a predicate file must hold an object")
         if "base" in d:
             return predicates.ConditionalPredicate.from_dict(d)
         return predicates.Predicate.from_dict(d)
@@ -205,7 +207,7 @@ def cmd_find_substructure(args):
             emit(args, {"found": False}, "no substructure map for this family")
             return 1
         emit(args, {"found": True, "certificate": cert.to_dict()},
-             cert.to_json())
+             json.dumps(cert.to_dict()))
         return 0
     sizes = tuple(parse_coords(args.sizes)) if args.sizes else None
     res = substructure.search_families(
@@ -257,7 +259,7 @@ def cmd_build_instance(args):
         inst = generators.build_R2S2_instance(args.q)
     else:
         raise UsageError(f"nrd build-instance: unknown family {args.name!r}")
-    if args.m:
+    if args.m is not None:
         inst = inst.truncated(args.m)
     out = {"name": inst.name, "q": inst.q, "n_vertices": inst.n_vertices,
            "n_edges": inst.n_edges, "instance": inst.hypergraph.to_dict()}
@@ -313,6 +315,8 @@ def cmd_shrink_report(args):
 
 def cmd_fit(args):
     pts = [tuple(map(float, p.split(","))) for p in args.points.split(";")]
+    if any(len(p) != 2 for p in pts):
+        raise UsageError("nrd fit: each point must be a pair n,m")
     rep = pipeline.fit_exponent(pts)
     emit(args, rep.to_dict(),
          f"exponent = {rep.exponent:.4f} (epsilon = {rep.epsilon:.4f})")

@@ -159,7 +159,7 @@ def c6_certificate(graph: PartiteHypergraph) -> NrdCertificate:
     the punctured 6-cycle pair."""
     adj = adjacency(graph)
     witnesses = {e: girth6_witness(graph, e, adj=adj) for e in graph.edges}
-    return NrdCertificate(witnesses, verified=True)
+    return NrdCertificate(witnesses)
 
 
 # --- shrinking instances ---------------------------------------------

@@ -122,7 +122,6 @@ class NrdCertificate:
     """Per-edge witness assignments; witnesses[e] violates e, satisfies the rest."""
 
     witnesses: dict  # edge tuple -> {vertex: value}
-    verified: bool = False
 
     def to_dict(self, h):
         return {str(i): dict(self.witnesses[e]) for i, e in enumerate(h.edges)}
@@ -413,7 +412,7 @@ def verify_nrd(h, pq, mode="find-witnesses", certificate=None,
         if w is None:
             return NrdFailure(e)
         witnesses[e] = w
-    return NrdCertificate(witnesses, verified=True)
+    return NrdCertificate(witnesses)
 
 
 def _check_certificate(h, pq: ConditionalPredicate, certificate):
@@ -423,7 +422,7 @@ def _check_certificate(h, pq: ConditionalPredicate, certificate):
     edges = h.edges
     if set(certificate.witnesses) != set(edges):
         raise InstanceError("certificate must cover exactly the instance edges")
-    kernel = WitnessKernel.of(h, pq)
+    kernel = WitnessKernel(h, pq)
     psis = [certificate.witnesses[e] for e in edges]
     size = kernel.block
     for lo in range(0, len(edges), size):
@@ -433,7 +432,7 @@ def _check_certificate(h, pq: ConditionalPredicate, certificate):
             reason = kernel.failure(psis[i:i + 1], i)
             if reason is not None:
                 return NrdFailure(edges[i], reason)
-    return NrdCertificate(dict(certificate.witnesses), verified=True)
+    return NrdCertificate(dict(certificate.witnesses))
 
 
 # --- the witness kernel ----------------------------------------------
@@ -536,34 +535,29 @@ class WitnessKernel:
     array, look up every edge's tuple under every witness with one column
     gather per position, and compare with the label each must have.  A
     block holds at most 2**15 / max(m, n) witnesses, so no temporary array
-    exceeds 2**15 elements.  Without base/outside tuples the kernel only
-    validates.
+    exceeds 2**15 elements.
     """
 
-    def __init__(self, vertices, edges, domain_size, arity, base=(), outside=()):
-        self.vertices = list(dict.fromkeys(vertices))
+    def __init__(self, h, pq):
+        pq = as_conditional(pq)
+        self.vertices = list(dict.fromkeys(h.vertices()))
         self.vidx = {v: i for i, v in enumerate(self.vertices)}
-        self.edges = tuple(edges)
-        self.d, self.r = domain_size, arity
+        self.edges = h.edges
+        self.d, self.r = pq.domain_size, pq.arity
         for e in self.edges:
-            if len(e) != arity:
-                raise InstanceError(f"edge {e} does not match arity {arity}")
+            if len(e) != self.r:
+                raise InstanceError(f"edge {e} does not match arity {self.r}")
         em = np.array([[self.vidx[v] for v in e] for e in self.edges],
-                      dtype=np.intp).reshape(len(self.edges), arity)
+                      dtype=np.intp).reshape(len(self.edges), self.r)
         self.cols = np.ascontiguousarray(em.T)
+        base, outside = pq.base.tuples, pq.outside()
         self.table = RadixTable(
             list(base) + list(outside),
             [_IN_BASE] * len(base) + [_OUTSIDE] * len(outside),
-            domain_size, arity, missing=0)
+            self.d, self.r, missing=0)
         self.block = max(
             1, _BLOCK_LIMIT // max(len(self.edges), len(self.vertices), 1))
         self._get = _getter(self.vertices)
-
-    @classmethod
-    def of(cls, h, pq):
-        pq = as_conditional(pq)
-        return cls(h.vertices(), h.edges, pq.domain_size, pq.arity,
-                   pq.base.tuples, pq.outside())
 
     def values(self, psis):
         """The witnesses as a (len(psis) x n) array in vertex order, after
@@ -763,12 +757,16 @@ def nrd_exact(pq, n, part_sizes=None, max_checks=2_000_000):
     return best["size"], make(best["edges"])
 
 
-def nrd_exact_exhaustive(pq, n, part_sizes=None, max_subsets=1 << 18):
+_EXHAUSTIVE_SUBSETS = 1 << 18
+
+
+def nrd_exact_exhaustive(pq, n, part_sizes=None):
     """Independent oracle: enumerate every candidate edge subset, over the
-    same candidates as `nrd_exact` and without its pruning."""
+    same candidates as `nrd_exact` and without its pruning, up to
+    _EXHAUSTIVE_SUBSETS subsets."""
     pq = as_conditional(pq)
     vs, cands, _, _, _ = _exact_space(pq.arity, n, part_sizes)
-    if 2 ** len(cands) > max_subsets:
+    if 2 ** len(cands) > _EXHAUSTIVE_SUBSETS:
         # Drop edges that can never appear in a non-redundant instance.
         keep = []
         for e in cands:
@@ -776,7 +774,7 @@ def nrd_exact_exhaustive(pq, n, part_sizes=None, max_subsets=1 << 18):
             if isinstance(res, NrdCertificate):
                 keep.append(e)
         cands = keep
-    if 2 ** len(cands) > max_subsets:
+    if 2 ** len(cands) > _EXHAUSTIVE_SUBSETS:
         raise BudgetExceeded("exhaustive oracle limited to small searches")
     best = 0
     for bits in range(1 << len(cands)):

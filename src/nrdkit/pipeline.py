@@ -54,8 +54,10 @@ def fit_loglog(xs, ys):
     """Least-squares slope/intercept of log y against log x, with residuals."""
     if len(xs) < 2:
         raise ValueError("need at least 2 data points")
-    lx = np.log(np.asarray(xs, dtype=float))
-    ly = np.log(np.asarray(ys, dtype=float))
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if not all(np.isfinite(v).all() and (v > 0).all() for v in (xs, ys)):
+        raise ValueError("a log-log fit needs finite positive values")
+    lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
     return float(slope), float(intercept), [float(r) for r in resid]
@@ -174,22 +176,6 @@ class TransferPlan:
             raise PipelineError(f"transferred witness failed for edge {e}")
 
 
-def transfer_witness(source_edges, projected_edges, sigma, psi):
-    """Target-instance assignment induced by one source witness psi, which
-    must assign exactly the vertices of source_edges.  The domains are
-    those that sigma's tuples span."""
-    def kernel(edges, tuples):
-        tuples = list(tuples)
-        d = 1 + max((v for t in tuples for v in t), default=0)
-        return WitnessKernel([v for e in edges for v in e], edges, d,
-                             len(tuples[0]) if tuples else 0)
-
-    plan = TransferPlan(kernel(source_edges, sigma),
-                        kernel(projected_edges, sigma.values()), sigma)
-    _, phi = plan.transfer([psi])
-    return dict(zip(plan.target.vertices, phi[0].tolist()))
-
-
 def apply_reduction(h: PartiteHypergraph, cert: SubstructureCertificate,
                     witness_fn=None) -> ReductionResult:
     """Project a source instance through a substructure certificate.
@@ -213,8 +199,8 @@ def apply_reduction(h: PartiteHypergraph, cert: SubstructureCertificate,
     if witness_fn is None:
         return result
     # no edge merges, so the target edges are the projections in source order
-    plan = TransferPlan(WitnessKernel.of(h, cert.source),
-                        WitnessKernel.of(proj, cert.target), cert.sigma)
+    plan = TransferPlan(WitnessKernel(h, cert.source),
+                        WitnessKernel(proj, cert.target), cert.sigma)
     edges, size = h.edges, plan.block
     for lo in range(0, len(edges), size):
         psis = [witness_fn(e) for e in edges[lo:lo + size]]

@@ -8,7 +8,6 @@ domain values are 0-based.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -62,15 +61,11 @@ class Predicate:
 
     @classmethod
     def from_dict(cls, d):
-        tuples = [parse_tuple(t) for t in d["tuples"]]
-        return cls(d["domain"], d["arity"], tuples)
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_dict(json.loads(s))
+        try:
+            tuples = [parse_tuple(t) for t in d["tuples"]]
+            return cls(d["domain"], d["arity"], tuples)
+        except TypeError as exc:
+            raise PredicateError(f"malformed predicate: {exc}") from None
 
 
 def parse_tuple(spec):
@@ -112,13 +107,6 @@ class ConditionalPredicate:
     @classmethod
     def from_dict(cls, d):
         return cls(Predicate.from_dict(d["base"]), Predicate.from_dict(d["ambient"]))
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_dict(json.loads(s))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ own class computation, so the two routes share no search code.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -46,18 +45,15 @@ class SubstructureCertificate:
 
     @classmethod
     def from_dict(cls, d):
-        src = ConditionalPredicate.from_dict(d["source"])
-        tgt = ConditionalPredicate.from_dict(d["target"])
-        fam = IndexFamily.from_list(src.arity, d["family"])
-        sigma = {tuple(k): tuple(v) for k, v in d["sigma"]}
+        try:
+            src = ConditionalPredicate.from_dict(d["source"])
+            tgt = ConditionalPredicate.from_dict(d["target"])
+            fam = IndexFamily.from_list(src.arity, d["family"])
+            sigma = {tuple(k): tuple(v) for k, v in d["sigma"]}
+            set(sigma.values())  # an image holding a list is unhashable
+        except TypeError as exc:
+            raise SubstructureError(f"malformed certificate: {exc}") from None
         return cls(src, tgt, fam, sigma)
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_dict(json.loads(s))
 
 
 def verify_certificate(cert: SubstructureCertificate):
@@ -115,6 +111,10 @@ def dependency_analysis(cert: SubstructureCertificate):
     src = cert.source
     r1 = src.arity
     q1 = list(src.ambient.tuples)
+    for q in q1:
+        if len(cert.sigma[q]) != cert.target.arity:
+            raise SubstructureError(f"sigma({q}) = {cert.sigma[q]} does not "
+                                    f"have arity {cert.target.arity}")
     subsets = [()] + [s for k in range(1, r1 + 1)
                       for s in combinations(range(1, r1 + 1), k)]
     out = []
@@ -351,7 +351,7 @@ class FamilySearchResult:
 
 def search_families(source: ConditionalPredicate, target: ConditionalPredicate,
                     sizes=None, max_results=1, max_families=None,
-                    time_budget=None, confirm_with_sat=True):
+                    time_budget=None):
     """Enumerate index families and report those admitting a substructure map.
 
     Families are products of subsets of the source coordinates, one subset
@@ -359,8 +359,8 @@ def search_families(source: ConditionalPredicate, target: ConditionalPredicate,
     exact sizes are tried; by default, uniform-size strata are scanned from
     largest proper size downwards, then all mixed-size families.  The direct
     backtracking search filters each family; positives are re-derived through
-    the SAT encoding before being reported.  The direct search's tables are
-    built once for the pair and shared by every family.
+    the SAT encoding, which verifies the certificate it reports.  The direct
+    search's tables are built once for the pair and shared by every family.
     """
     if max_results < 1:
         raise SubstructureError("max_results must be at least 1")
@@ -397,18 +397,12 @@ def search_families(source: ConditionalPredicate, target: ConditionalPredicate,
             break
         tried += 1
         fam = IndexFamily(r1, sets)
-        cert = direct_search(source, target, fam, tables=tables)
-        if cert is None:
+        if direct_search(source, target, fam, tables=tables) is None:
             continue
-        if confirm_with_sat:
-            sat_cert = find_substructure(source, target, fam)
-            if sat_cert is None:
-                raise SubstructureError(
-                    f"direct search and SAT disagree on family {fam.to_list()}")
-            cert = sat_cert
-        ok, problems = verify_certificate(cert)
-        if not ok:
-            raise SubstructureError(f"search produced a bad certificate: {problems}")
+        cert = find_substructure(source, target, fam)
+        if cert is None:
+            raise SubstructureError(
+                f"direct search and SAT disagree on family {fam.to_list()}")
         found.append(cert)
         if len(found) >= max_results:
             exhausted = False

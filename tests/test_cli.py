@@ -115,6 +115,35 @@ def test_find_substructure_output_is_pinned(capsys):
         "97b2e8cc90c7e9a5648667ef510043626aa6420704361010b592d2ec68bec1e7")
 
 
+def _pair_files(tmp_path, cert):
+    """The certificate's source and target pairs as predicate files."""
+    files = []
+    for pq in (cert.source, cert.target):
+        files.append(tmp_path / f"{len(files)}.json")
+        files[-1].write_text(json.dumps(pq.to_dict()))
+    return [str(f) for f in files]
+
+
+@pytest.mark.parametrize("name, family, text, as_json", [
+    ("3LIN*", "1,2;1,3;2,3",
+     "0c641ad3e0c8d357940453008b602a17cb2cb1c388ee0be24a657014f93ff6a7",
+     "daa6f9be3c0c9d530b66d5e51412f3613fc4d66515c203e157770ccc71d07495"),
+    ("P1Q1", "1,2;2,3;1,3",
+     "20f65dc239462cfc86f09eec1036df52f8a1e91ef05f7030004ac7c19fba65c8",
+     "75b0c818f25bd25bc8cc946a4c828d78c650ea727cf4a0323058fd0f7de956b4"),
+], ids=["3LIN*", "P1Q1"])
+def test_find_substructure_family_output_is_pinned(tmp_path, capsys, name,
+                                                   family, text, as_json):
+    # text mode prints the certificate's JSON without sorted keys, --json
+    # wraps it with sorted keys; neither may change with how it is written
+    files = _pair_files(tmp_path, tables.certificate(name))
+    argv = ["find-substructure", *files, "--family", family]
+    for prefix, digest in (([], text), (["--json"], as_json)):
+        code, out = run(capsys, *prefix, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("budget", ["10", "0"])
 def test_verify_nrd_budget_exhausted_exits_1(tmp_path, capsys, budget):
     code = main(["--json", "verify-nrd", "--instance", _r1s1_file(tmp_path),
@@ -183,14 +212,9 @@ def test_nrd_exact_zero_vertices(capsys):
 
 def test_find_substructure_conflict_budget_exits_1(tmp_path, capsys):
     # this family takes the solver 4 conflicts
-    from nrdkit.tables import certificate
-    cert = certificate("CAT5-BOOLBCK")
-    files = []
-    for pq in (cert.source, cert.target):
-        files.append(tmp_path / f"{len(files)}.json")
-        files[-1].write_text(json.dumps(pq.to_dict()))
-    code = main(["--conflict-budget", "1", "find-substructure", str(files[0]),
-                 str(files[1]), "--family",
+    files = _pair_files(tmp_path, tables.certificate("CAT5-BOOLBCK"))
+    code = main(["--conflict-budget", "1", "find-substructure", *files,
+                 "--family",
                  "2,3,5;5;1,2,4;2,4;5;1,3;2,3,4,5;1,2;4,5"])
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
@@ -427,10 +451,80 @@ def test_malformed_instance_json_exits_2(tmp_path, capsys, instance, err):
                        "--predicate", "EQ") == f"nrd: malformed instance: {err}"
 
 
+def _nested_image(cert):
+    cert["sigma"][1][1] = [[0], 0, 1]
+    return cert
+
+
+@pytest.mark.parametrize("command", ["verify-substructure", "deps", "reduce"])
+@pytest.mark.parametrize("certificate, err", [
+    (lambda: [1], "malformed certificate: list indices must be integers or "
+                  "slices, not str"),
+    (lambda: {"source": 1}, "malformed certificate: 'int' object is not "
+                            "subscriptable"),
+    (lambda: _nested_image(tables.certificate("3LIN*").to_dict()),
+     "malformed certificate: unhashable type: 'list'")],
+    ids=["top-level-list", "source-int", "nested-image"])
+def test_malformed_certificate_json_exits_2(tmp_path, capsys, command,
+                                            certificate, err):
+    f = tmp_path / "cert.json"
+    f.write_text(json.dumps(certificate()))
+    argv = [command, str(f)]
+    if command == "reduce":
+        argv = [command, "--instance", _r1s1_file(tmp_path),
+                "--certificate", str(f)]
+    assert usage_error(capsys, *argv) == f"nrd: {err}"
+
+
+@pytest.mark.parametrize("predicate, err", [
+    (5, "a predicate file must hold an object"),
+    ([[0, 1]], "a predicate file must hold an object"),
+    ({"base": 5, "ambient": []},
+     "malformed predicate: 'int' object is not subscriptable"),
+    ({"domain": 2, "arity": 2, "tuples": 5},
+     "malformed predicate: 'int' object is not iterable"),
+    ({"domain": "x", "arity": 2, "tuples": []},
+     "malformed predicate: '<' not supported between instances of 'str' "
+     "and 'int'")],
+    ids=["int", "list", "base-int", "tuples-int", "domain-str"])
+def test_malformed_predicate_json_exits_2(tmp_path, capsys, predicate, err):
+    f = tmp_path / "pred.json"
+    f.write_text(json.dumps(predicate))
+    assert usage_error(capsys, "project", str(f), "--coords", "1") == \
+        f"nrd: {err}"
+
+
+@pytest.mark.parametrize("resize", [lambda t: t[:2], lambda t: t + [0]],
+                         ids=["short", "long"])
+def test_deps_image_of_wrong_length_exits_2(capsys, tmp_path, resize):
+    cert = tables.certificate("3LIN*").to_dict()
+    cert["sigma"][1][1] = resize(cert["sigma"][1][1])
+    f = tmp_path / "cert.json"
+    f.write_text(json.dumps(cert))
+    q, t = (tuple(x) for x in cert["sigma"][1])
+    assert usage_error(capsys, "deps", str(f)) == (
+        f"nrd: sigma({q}) = {t} does not have arity 3")
+
+
 def test_fit(capsys):
     code, d = run_json(capsys, "fit", "10,1000;20,8000;40,64000")
     assert code == 0
     assert d["exponent"] == pytest.approx(3.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("points, err", [
+    ("1,2;3", "nrd fit: each point must be a pair n,m"),
+    ("1,2,3;4,5", "nrd fit: each point must be a pair n,m"),
+    ("0,1;2,3", "nrd: a log-log fit needs finite positive values")],
+    ids=["short-point", "long-point", "zero"])
+def test_fit_bad_points_exit_2(capfd, points, err):
+    # capfd, not capsys: LAPACK would write to file descriptor 1 directly
+    assert usage_error(capfd, "fit", points) == err
+
+
+def test_build_instance_zero_edges_exits_2(capsys):
+    assert usage_error(capsys, "build-instance", "R1S1", "-q", "2",
+                       "-m", "0") == "nrd: m must be in [1, 147]"
 
 
 def test_cond2plain(capsys):

@@ -11,7 +11,7 @@ from nrdkit.pipeline import (PipelineError, TransferPlan, apply_reduction,
                              build_plain_lb_instance, conditional_to_plain,
                              conditional_to_plain_pair, fit_exponent,
                              fit_shrinkage, paper_verify, reduction_family,
-                             slice_by_projection, transfer_witness)
+                             slice_by_projection)
 from nrdkit.predicates import ConditionalPredicate, IndexFamily, Predicate
 from nrdkit.substructure import SubstructureCertificate
 
@@ -32,37 +32,62 @@ def test_fit_exponent_rejects_non_increasing():
         fit_exponent([(10, 100)])
 
 
+@pytest.mark.parametrize("points", [[(0, 1), (2, 3)], [(1, 0), (2, 3)],
+                                    [(1, 2), (-2, 3)],
+                                    [(1, 2), (float("inf"), 3)]])
+def test_fit_exponent_rejects_non_positive(points):
+    with pytest.raises(ValueError, match="finite positive"):
+        fit_exponent(points)
+
+
 def test_fit_shrinkage_exact():
     pts = [(m, m ** 0.25) for m in (100, 1000, 10000)]
     assert fit_shrinkage(pts) == pytest.approx(0.25, abs=1e-9)
 
 
+def _boolean_pair(r):
+    """A Boolean pair of arity r; a transfer uses only its domain and arity."""
+    return ConditionalPredicate(Predicate(2, r, [(0,) * r]), Predicate.full(2, r))
+
+
+# two edges sharing their first vertex, in the source and in the target
+SOURCE = PartiteHypergraph((("a",), ("b", "c")), (("a", "b"), ("a", "c")))
+TARGET = PartiteHypergraph((("x",), ("y", "z")), (("x", "y"), ("x", "z")))
+
+
+def _plan(source, target, sigma):
+    return TransferPlan(WitnessKernel(source, _boolean_pair(source.arity)),
+                        WitnessKernel(target, _boolean_pair(target.arity)),
+                        sigma)
+
+
+def _transfer(plan, psi):
+    """The target assignment that one source witness psi induces."""
+    _, phi = plan.transfer([psi])
+    return dict(zip(plan.target.vertices, phi[0].tolist()))
+
+
 def test_transfer_witness_consistency_check():
     # sigma maps both source tuples to outputs that disagree on the shared
     # projected vertex -> transfer must fail
-    src_edges = [("a", "b"), ("a", "c")]
-    proj_edges = [("x",), ("x",)]
-    sigma = {(0, 0): (0,), (0, 1): (1,)}
-    psi = {"a": 0, "b": 0, "c": 1}
-    with pytest.raises(PipelineError):
-        transfer_witness(src_edges, proj_edges, sigma, psi)
-    ok = transfer_witness([("a", "b")], [("x",)], {(0, 0): (1,)}, {"a": 0, "b": 0})
-    assert ok == {"x": 1}
+    plan = _plan(SOURCE, TARGET, {(0, 0): (0, 0), (0, 1): (1, 0)})
+    with pytest.raises(PipelineError, match="coordinate locality"):
+        _transfer(plan, {"a": 0, "b": 0, "c": 1})
+    plan = _plan(PartiteHypergraph((("a",), ("b",)), (("a", "b"),)),
+                 PartiteHypergraph((("x",),), (("x",),)), {(0, 0): (1,)})
+    assert _transfer(plan, {"a": 0, "b": 0}) == {"x": 1}
 
 
 def test_transfer_witness_rejects_malformed_witness():
-    src_edges, proj_edges = [("a", "b"), ("a", "c")], [("x", "y"), ("x", "z")]
-    sigma = {(0, 0): (0, 1), (0, 1): (0, 0), (1, 1): (1, 1)}
-    psi = {"a": 0, "b": 0, "c": 1}
-    assert transfer_witness(src_edges, proj_edges, sigma, psi) == \
-        {"x": 0, "y": 1, "z": 0}
+    plan = _plan(SOURCE, TARGET, {(0, 0): (0, 1), (0, 1): (0, 0), (1, 1): (1, 1)})
+    assert _transfer(plan, {"a": 0, "b": 0, "c": 1}) == {"x": 0, "y": 1, "z": 0}
     for bad in ({"a": 0, "b": 0},                     # missing vertex
                 {"a": 0, "b": 0, "c": 1, "d": 0},     # extra vertex
                 {"a": 0, "b": 0, "c": 2},             # outside the domain
                 {"a": 0, "b": 0, "c": -1},
                 {"a": 1, "b": 0, "c": 1}):            # (1, 0) not in sigma
         with pytest.raises(PipelineError):
-            transfer_witness(src_edges, proj_edges, sigma, bad)
+            _transfer(plan, bad)
 
 
 def test_apply_reduction_rejects_merging_certificate():
@@ -133,8 +158,8 @@ def p1q1_block():
     inst = build_R1S1_instance(3)
     cert = tables.certificate("P1Q1")
     proj = projection_map(inst.hypergraph, cert.family)
-    block = TransferPlan(WitnessKernel.of(inst.hypergraph, cert.source),
-                         WitnessKernel.of(proj, cert.target), cert.sigma).block
+    block = TransferPlan(WitnessKernel(inst.hypergraph, cert.source),
+                         WitnessKernel(proj, cert.target), cert.sigma).block
     assert 4 <= block and 3 * block < len(inst.hypergraph.edges)
     return inst, cert, block
 

@@ -46,9 +46,10 @@ def test_parse_tuple():
 
 def test_json_round_trip():
     p = Predicate(3, 2, [(0, 1), (2, 2)])
-    assert Predicate.from_json(p.to_json()) == p
+    round_trip = lambda x: json.loads(json.dumps(x.to_dict()))
+    assert Predicate.from_dict(round_trip(p)) == p
     pq = ConditionalPredicate(p, Predicate(3, 2, [(0, 1), (2, 2), (1, 1)]))
-    assert ConditionalPredicate.from_json(pq.to_json()) == pq
+    assert ConditionalPredicate.from_dict(round_trip(pq)) == pq
 
 
 def test_project_basic():

@@ -69,7 +69,8 @@ def test_verify_rejects_partial_sigma():
 
 def test_json_round_trip():
     cert = identity_cert(THREELIN)
-    again = SubstructureCertificate.from_json(cert.to_json())
+    again = SubstructureCertificate.from_dict(
+        json.loads(json.dumps(cert.to_dict())))
     assert again.sigma == cert.sigma
     assert again.family.sets == cert.family.sets
     assert verify_certificate(again)[0]
@@ -258,8 +259,9 @@ def _sigma_digest(certs):
     return hashlib.sha256("\n".join(sigmas).encode()).hexdigest()
 
 
-# direct-search results without SAT confirmation, recorded before the
-# direct search's tables were shared across families
+# direct-search results, recorded before the direct search's tables were
+# shared across families; the families are those search_families reports,
+# and the digest is of the direct search's sigma on each of them
 PINNED_SEARCHES = [
     ("J1", (3,) * 8, 1, 6258, False,
      [[[1, 2, 3], [1, 2, 4], [1, 3, 4], [1, 2, 3], [1, 2, 4], [2, 3, 4],
@@ -283,11 +285,14 @@ def test_direct_search_results_are_pinned(name, sizes, max_results, tried,
                                           exhausted, families, digest):
     cert = tables.certificate(name)
     res = search_families(cert.source, cert.target, sizes=sizes,
-                          max_results=max_results, confirm_with_sat=False)
+                          max_results=max_results)
     assert res.families_tried == tried
     assert res.exhausted == exhausted
     assert [c.family.to_list() for c in res.certificates] == families
-    assert _sigma_digest(res.certificates) == digest
+    shared = DirectSearchTables(cert.source, cert.target)
+    direct = [direct_search(cert.source, cert.target, c.family, tables=shared)
+              for c in res.certificates]
+    assert _sigma_digest(direct) == digest
 
 
 # --- bundled construction tables --------------------------------------
