@@ -121,6 +121,8 @@ def cmd_boxprod(args):
 
 def cmd_balance(args):
     p = load_predicate(args.predicate)
+    if isinstance(p, predicates.ConditionalPredicate):
+        raise UsageError("nrd balance: input must be a plain predicate, not a pair")
     if args.method == "lattice":
         rep = balance.is_balanced_lattice(p)
     else:
@@ -303,6 +305,10 @@ def cmd_reduce(args):
 
 def cmd_shrink_report(args):
     h = load_instance(args.instance)
+    if not h.edges:
+        raise UsageError("nrd shrink-report: the instance has no edges")
+    if h.arity < 2:
+        raise UsageError("nrd shrink-report: arity 1 has no proper projection")
     rep = hypergraph.shrinking_report(h)
     text = [f"|E| = {rep.edge_count}"]
     for I, (count, lam) in sorted(rep.factors.items()):

@@ -4,19 +4,21 @@ The point-line incidence graph of the projective plane over F_q (q prime)
 is bipartite with 2(q^2+q+1) vertices, (q+1)(q^2+q+1) edges and girth 6 --
 the densest possible at girth >= 6 up to constants.  Viewing each incidence
 as a binary constraint of the 6-cycle predicate pair C6* | C6 yields
-non-redundant instances, and products of two such graphs give instances of
-the box-product pairs whose every proper projection collapses by a q+1
-factor.
+non-redundant instances.  The R1|S1 and R2|S2 instances are box products of
+instances (`box_product_instance`) of such graphs, and every proper
+projection of them collapses by a q+1 factor.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
 from .catalog import C6_COND, R1S1, R2S2
-from .hypergraph import InstanceError, NrdCertificate, PartiteHypergraph, verify_nrd
+from .hypergraph import (Hypergraph, InstanceError, NrdCertificate,
+                         PartiteHypergraph, verify_nrd)
 from .predicates import ConditionalPredicate
 
 
@@ -154,12 +156,34 @@ def girth6_witness(graph: PartiteHypergraph, edge, adj=None):
     return assign
 
 
-def c6_certificate(graph: PartiteHypergraph) -> NrdCertificate:
-    """Full non-redundancy certificate of a girth >= 6 incidence graph for
-    the punctured 6-cycle pair."""
+def _c6_factor(graph: PartiteHypergraph):
+    """The incidence graph with its witness function, cached per edge."""
     adj = adjacency(graph)
-    witnesses = {e: girth6_witness(graph, e, adj=adj) for e in graph.edges}
-    return NrdCertificate(witnesses)
+    return graph, functools.cache(
+        lambda edge: girth6_witness(graph, edge, adj=adj))
+
+
+def c6_certificate(graph: PartiteHypergraph) -> NrdCertificate:
+    """Non-redundancy certificate of a girth >= 6 incidence graph for C6*|C6."""
+    witness = _c6_factor(graph)[1]
+    return NrdCertificate({e: witness(e) for e in graph.edges})
+
+
+def box_product_instance(a, b):
+    """Box product of two (instance, witness function) pairs: edges e + f,
+    a's edges outer, and the witness for e + f joins those for e and f.
+
+    Partite when both factors are, else a plain Hypergraph over a's vertices
+    then b's; a vertex in both factors raises InstanceError.
+    """
+    (ha, wa), (hb, wb) = a, b
+    edges = tuple(e + f for e in ha.edges for f in hb.edges)
+    if isinstance(ha, PartiteHypergraph) and isinstance(hb, PartiteHypergraph):
+        h = PartiteHypergraph(ha.parts + hb.parts, edges)
+    else:
+        h = Hypergraph(tuple(ha.vertices()) + tuple(hb.vertices()), edges)
+    r = ha.arity
+    return h, lambda edge: {**wa(edge[:r]), **wb(edge[r:])}
 
 
 # --- shrinking instances ---------------------------------------------
@@ -210,54 +234,24 @@ def _relabel(graph: PartiteHypergraph, prefix):
 
 
 def build_R1S1_instance(q: int, third_part_size: int = None) -> ShrinkingInstance:
-    """Incidences of the plane crossed with a third part of q^2+q+1 slots
-    (overridable via third_part_size).
-
-    Edges (p, l, z) for p on l and every z; the violating assignment for an
-    edge combines the girth-6 witness for (p, l) with z -> 0, other z -> 1.
-    """
+    """Box product of the incidence graph with q^2+q+1 unary slots z0, z1, ...
+    (third_part_size overrides) for ONE_TWO_COND; the witness for the slot
+    (z,) is 0 on z and 1 on every other slot."""
     g = gen_girth6(q)
     n3 = q * q + q + 1 if third_part_size is None else third_part_size
     if n3 < 1:
         raise GeneratorError("third part must be nonempty")
     zs = tuple(f"z{k}" for k in range(n3))
-    parts = (g.parts[0], g.parts[1], zs)
-    edges = tuple((p, l, z) for (p, l) in g.edges for z in zs)
-    inst = PartiteHypergraph(parts, edges)
-    adj = adjacency(g)
-    cache = {}
-
-    def witness(edge):
-        p, l, z = edge
-        if (p, l) not in cache:
-            cache[p, l] = girth6_witness(g, (p, l), adj=adj)
-        out = dict(cache[p, l])
-        for z2 in zs:
-            out[z2] = 0 if z2 == z else 1
-        return out
-
+    slots = PartiteHypergraph((zs,), ((z,) for z in zs))
+    inst, witness = box_product_instance(_c6_factor(g), (slots, functools.cache(
+        lambda edge: {z: 0 if (z,) == edge else 1 for z in zs})))
     return ShrinkingInstance("R1S1", q, R1S1, inst, witness)
 
 
 def build_R2S2_instance(q: int) -> ShrinkingInstance:
-    """Product of two labelled copies of the incidence graph: edges
-    (p, l, p', l') for incidences (p, l) and (p', l')."""
+    """Box product of two relabelled copies ("A.", "B.") of the incidence
+    graph: edges (p, l, p', l') for incidences (p, l) and (p', l')."""
     g = gen_girth6(q)
-    ga, gb = _relabel(g, "A."), _relabel(g, "B.")
-    parts = (ga.parts[0], ga.parts[1], gb.parts[0], gb.parts[1])
-    edges = tuple(ea + eb for ea in ga.edges for eb in gb.edges)
-    inst = PartiteHypergraph(parts, edges)
-    adj_a, adj_b = adjacency(ga), adjacency(gb)
-    cache_a, cache_b = {}, {}
-
-    def witness(edge):
-        ea, eb = edge[:2], edge[2:]
-        if ea not in cache_a:
-            cache_a[ea] = girth6_witness(ga, ea, adj=adj_a)
-        if eb not in cache_b:
-            cache_b[eb] = girth6_witness(gb, eb, adj=adj_b)
-        out = dict(cache_a[ea])
-        out.update(cache_b[eb])
-        return out
-
+    inst, witness = box_product_instance(_c6_factor(_relabel(g, "A.")),
+                                         _c6_factor(_relabel(g, "B.")))
     return ShrinkingInstance("R2S2", q, R2S2, inst, witness)

@@ -28,6 +28,13 @@ class BudgetExceeded(RuntimeError):
         self.partial = partial
 
 
+def _check_distinct(vertices, what):
+    """Raise InstanceError naming the first vertex that occurs twice."""
+    if len(set(vertices)) != len(vertices):
+        dup = next(v for i, v in enumerate(vertices) if v in vertices[:i])
+        raise InstanceError(f"vertex {dup!r} {what}")
+
+
 @dataclass(frozen=True)
 class PartiteHypergraph:
     """Parts V_1..V_r of string labels, edges in V_1 x ... x V_r."""
@@ -40,13 +47,7 @@ class PartiteHypergraph:
         edges = tuple(map(tuple, self.edges))
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "edges", edges)
-        vertices = list(chain.from_iterable(parts))
-        if len(set(vertices)) != len(vertices):
-            seen = set()
-            for v in vertices:
-                if v in seen:
-                    raise InstanceError(f"vertex {v!r} appears in two parts")
-                seen.add(v)
+        _check_distinct(list(chain.from_iterable(parts)), "appears in two parts")
         if len(set(edges)) != len(edges):
             raise InstanceError("duplicate edges are not allowed")
         part_sets = [set(p) for p in parts]
@@ -91,6 +92,7 @@ class Hypergraph:
     def __post_init__(self):
         object.__setattr__(self, "vertex_set", tuple(self.vertex_set))
         object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
+        _check_distinct(self.vertex_set, "is listed twice")
         vs = set(self.vertex_set)
         if len(set(self.edges)) != len(self.edges):
             raise InstanceError("duplicate edges are not allowed")

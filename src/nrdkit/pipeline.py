@@ -18,8 +18,8 @@ import numpy as np
 from . import catalog, tables
 from .balance import is_balanced_bounded, is_balanced_lattice
 from .cancellation import cancel, catalan_matrix_check, catalan_search
-from .generators import (build_R1S1_instance, build_R2S2_instance,
-                         gen_girth6, girth)
+from .generators import (box_product_instance, build_R1S1_instance,
+                         build_R2S2_instance, gen_girth6, girth)
 from .hypergraph import (Hypergraph, InstanceError, MalformedWitness,
                          NrdCertificate, PartiteHypergraph, RadixTable,
                          WitnessKernel, nrd_exact, projection_map,
@@ -264,7 +264,8 @@ def conditional_to_plain(pq: ConditionalPredicate) -> Predicate:
 
 def build_plain_lb_instance(h: PartiteHypergraph, pq: ConditionalPredicate,
                             witness_fn, v_prime_size: int):
-    """Crossing a conditional instance with r-subsets of fresh vertices.
+    """Box product of a conditional instance with the r-subsets of fresh
+    vertices w0, w1, ... for (OR_r | {0,1}^r).
 
     Returns (instance of the lifted plain predicate, certificate); the
     witness for (e, w) extends the source witness for e by 0 on w's
@@ -273,20 +274,11 @@ def build_plain_lb_instance(h: PartiteHypergraph, pq: ConditionalPredicate,
     r = pq.arity
     if v_prime_size < r:
         raise PipelineError(f"need at least r = {r} fresh vertices")
-    fresh = [f"w{k}" for k in range(v_prime_size)]
-    subsets = list(combinations(fresh, r))
-    edges = tuple(e + w for e in h.edges for w in subsets)
-    inst = Hypergraph(tuple(h.vertices()) + tuple(fresh), edges)
-    witnesses = {}
-    for e in h.edges:
-        psi = witness_fn(e)
-        for w in subsets:
-            out = dict(psi)
-            chosen = set(w)
-            for v in fresh:
-                out[v] = 0 if v in chosen else 1
-            witnesses[e + w] = out
-    return inst, NrdCertificate(witnesses)
+    fresh = tuple(f"w{k}" for k in range(v_prime_size))
+    subsets = Hypergraph(fresh, combinations(fresh, r))
+    inst, witness = box_product_instance((h, witness_fn), (
+        subsets, lambda w: {v: 0 if v in w else 1 for v in fresh}))
+    return inst, NrdCertificate({e: witness(e) for e in inst.edges})
 
 
 def slice_by_projection(h, coords, s=None):

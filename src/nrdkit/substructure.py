@@ -53,6 +53,9 @@ class SubstructureCertificate:
             set(sigma.values())  # an image holding a list is unhashable
         except TypeError as exc:
             raise SubstructureError(f"malformed certificate: {exc}") from None
+        except KeyError as exc:
+            raise SubstructureError(
+                f"malformed certificate: missing key {exc}") from None
         return cls(src, tgt, fam, sigma)
 
 
@@ -112,6 +115,8 @@ def dependency_analysis(cert: SubstructureCertificate):
     r1 = src.arity
     q1 = list(src.ambient.tuples)
     for q in q1:
+        if q not in cert.sigma:
+            raise SubstructureError(f"sigma is not defined on the source tuple {q}")
         if len(cert.sigma[q]) != cert.target.arity:
             raise SubstructureError(f"sigma({q}) = {cert.sigma[q]} does not "
                                     f"have arity {cert.target.arity}")

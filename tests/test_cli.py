@@ -553,3 +553,73 @@ def test_build_instance_unknown_family_exits_2(capsys):
 def test_cond2plain_rejects_plain_predicate(capsys):
     assert usage_error(capsys, "cond2plain", "EQ") == (
         "nrd cond2plain: input must be a conditional pair")
+
+
+@pytest.mark.parametrize("name", ["3LIN*", "C6*|C6", "file"])
+def test_balance_rejects_a_conditional_pair(tmp_path, capsys, name):
+    if name == "file":
+        name = str(tmp_path / "pair.json")
+        with open(name, "w") as fh:
+            json.dump(tables.certificate("3LIN*").source.to_dict(), fh)
+    assert usage_error(capsys, "balance", name) == (
+        "nrd balance: input must be a plain predicate, not a pair")
+
+
+@pytest.mark.parametrize("command", ["deps", "verify-substructure"])
+def test_certificate_missing_a_key_exits_2(tmp_path, capsys, command):
+    cert = tables.certificate("3LIN*").to_dict()
+    del cert["family"]
+    f = tmp_path / "cert.json"
+    f.write_text(json.dumps(cert))
+    assert usage_error(capsys, command, str(f)) == (
+        "nrd: malformed certificate: missing key 'family'")
+
+
+def test_deps_sigma_missing_a_row_exits_2(tmp_path, capsys):
+    cert = tables.certificate("3LIN*").to_dict()
+    q = tuple(cert["sigma"].pop(0)[0])
+    f = tmp_path / "cert.json"
+    f.write_text(json.dumps(cert))
+    assert usage_error(capsys, "deps", str(f)) == (
+        f"nrd: sigma is not defined on the source tuple {q}")
+
+
+@pytest.mark.parametrize("instance, err", [
+    ({"parts": [["a"], ["b"]], "edges": []}, "the instance has no edges"),
+    ({"vertices": ["a"], "edges": []}, "the instance has no edges"),
+    ({"parts": [["a", "b"]], "edges": [["a"], ["b"]]},
+     "arity 1 has no proper projection")],
+    ids=["partite-no-edges", "plain-no-edges", "arity-1"])
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_shrink_report_degenerate_instance_exits_2(tmp_path, capsys,
+                                                   instance, err, fmt):
+    f = tmp_path / "inst.json"
+    f.write_text(json.dumps(instance))
+    assert usage_error(capsys, *fmt, "shrink-report", "--instance", str(f)) == (
+        f"nrd shrink-report: {err}")
+
+
+def test_verify_nrd_rejects_a_vertex_listed_twice(tmp_path, capsys):
+    f = tmp_path / "inst.json"
+    f.write_text(json.dumps({"vertices": ["a", "b", "a"],
+                             "edges": [["a", "b"]]}))
+    assert usage_error(capsys, "verify-nrd", "--instance", str(f),
+                       "--predicate", "EQ") == "nrd: vertex 'a' is listed twice"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["paper-verify"],
+     "b5f4f0f519694928366484435ea686e1e1262636d229d3b6946f334b2e75f1b1"),
+    (["build-instance", "R1S1", "-q", "2", "--verify"],
+     "5c13ce3dc3a854ee4a4f5e63304af085dccae280434402d7c45889fa780bf502"),
+    (["build-instance", "R1S1", "-q", "3", "--verify"],
+     "1033a33ec7b2b0e892bc63d2a51363cb16967820ef53031a88ac02d436d5b130"),
+    (["build-instance", "R1S1", "-q", "2", "--n3", "4", "--verify"],
+     "f7cd1078c083b5635f8dde10fc949acfcc81fe0b1b34ff7a76a29c6c9d590051"),
+    (["build-instance", "R2S2", "-q", "2", "--verify"],
+     "d73b5fbf8a1968f990e338e8650fdd229a93013f753c445b1a5c30706c92c3f4"),
+    (["build-instance", "R2S2", "-q", "3", "--verify"],
+     "9ce83a378302b4cebf38594811ba28a60c7109c51c6a3b2e49ede24bd23b53df")],
+    ids=["paper-verify", "R1S1-2", "R1S1-3", "R1S1-2-n3=4", "R2S2-2", "R2S2-3"])
+def test_constructed_outputs_are_pinned(capsys, argv, digest):
+    assert _sha256_of_run(capsys, *argv) == digest

@@ -1,15 +1,20 @@
+import hashlib
+import json
 import math
 import random
 
 import pytest
 
-from nrdkit.catalog import C6_COND
+from nrdkit import catalog
+from nrdkit.catalog import C6_COND, EQ, ONE_TWO_COND, or_k
 from nrdkit.generators import (GeneratorError, ShrinkingInstance, adjacency,
-                               build_R1S1_instance, build_R2S2_instance,
-                               c6_certificate, gen_girth6, girth,
-                               girth6_witness)
-from nrdkit.hypergraph import (NrdCertificate, PartiteHypergraph,
+                               box_product_instance, build_R1S1_instance,
+                               build_R2S2_instance, c6_certificate,
+                               gen_girth6, girth, girth6_witness)
+from nrdkit.hypergraph import (Hypergraph, InstanceError, NrdCertificate,
+                               PartiteHypergraph, as_conditional, nrd_exact,
                                shrinking_report, verify_nrd)
+from nrdkit.predicates import box_product
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -133,3 +138,94 @@ def test_witness_search_matches_girth_oracle_random_bipartite():
         g = PartiteHypergraph((a, b), edges)
         got = isinstance(verify_nrd(g, C6_COND), NrdCertificate)
         assert got == (girth(g) >= 6)
+
+
+def _sha256_of_certificate(h, cert):
+    # json.dumps without sort_keys: the witnesses' key order is pinned too
+    return hashlib.sha256(json.dumps(cert.to_dict(h)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("build, digest", [
+    (lambda: build_R1S1_instance(2),
+     "dde2286629489633a26bf29a1c99869fb47ffcdc58085aa37d89d0a22d722c12"),
+    (lambda: build_R1S1_instance(3),
+     "3cd43cbfe843aee7a873496fa5ae60d2974358414eacdd8aae8a0f9b7e55f962"),
+    (lambda: build_R1S1_instance(2, third_part_size=4),
+     "f37278356f02756317519ad7c96c32a735f2f16d42e216d407f5f378d26f4992"),
+    (lambda: build_R2S2_instance(2),
+     "81626138ec1a0a8d9198793c61cdc2c5939bc85c68f65b87c73c76978b4ff4af"),
+    (lambda: build_R2S2_instance(3),
+     "6758d77e961de159f2b424cf1e67a9e746c8cf94061428d05b4a8a3a67a4871e"),
+], ids=["R1S1-2", "R1S1-3", "R1S1-2-n3=4", "R2S2-2", "R2S2-3"])
+def test_shrinking_certificates_are_pinned(build, digest):
+    inst = build()
+    assert _sha256_of_certificate(inst.hypergraph, inst.certificate()) == digest
+
+
+@pytest.mark.parametrize("q, digest", [
+    (2, "ace9f6ef1d262b61aad037489203d4296cec250b84d33e45f91cd299670f72bd"),
+    (3, "3997f37ba4b3272de05cd5e77afa489d9e5dbf819bd0518d8fedbaf361b29b52")])
+def test_c6_certificate_is_pinned(q, digest):
+    g = gen_girth6(q)
+    assert _sha256_of_certificate(g, c6_certificate(g)) == digest
+
+
+def test_builder_pairs_are_the_catalog_box_products():
+    assert build_R1S1_instance(2).predicate == catalog.R1S1 == box_product(
+        C6_COND, ONE_TWO_COND)
+    assert build_R2S2_instance(2).predicate == catalog.R2S2 == box_product(
+        C6_COND, C6_COND)
+
+
+def _relabel(h, prefix):
+    if isinstance(h, PartiteHypergraph):
+        return PartiteHypergraph(
+            tuple(tuple(prefix + v for v in p) for p in h.parts),
+            tuple(tuple(prefix + v for v in e) for e in h.edges))
+    return Hypergraph(tuple(prefix + v for v in h.vertex_set),
+                      tuple(tuple(prefix + v for v in e) for e in h.edges))
+
+
+def _factor(pq, n, parts, prefix):
+    """A maximum non-redundant instance of pq, relabelled, with the
+    witnesses that find-witnesses gives it."""
+    _, h = nrd_exact(pq, n, part_sizes=parts)
+    h = _relabel(h, prefix)
+    cert = verify_nrd(h, pq, mode="find-witnesses")
+    assert isinstance(cert, NrdCertificate)
+    return h, cert.witnesses.__getitem__
+
+
+def test_box_product_instance_is_non_redundant_for_the_box_product():
+    # small non-redundant factors of one domain; the product of their
+    # instances must be non-redundant for the product of their pairs
+    pairs = {2: [as_conditional(EQ), as_conditional(or_k(2))], 3: [C6_COND]}
+    rng = random.Random(10)
+    for _ in range(12):
+        d = rng.choice((2, 3))
+        pa, pb = rng.choice(pairs[d]), rng.choice(pairs[d])
+        sides = []
+        for pq, prefix in ((pa, "A."), (pb, "B.")):
+            n = rng.randint(2, 4)
+            parts = (1, n - 1) if rng.random() < 0.5 else None
+            sides.append(_factor(pq, n, parts, prefix))
+        (ha, _), (hb, _) = sides
+        h, witness = box_product_instance(*sides)
+        assert len(h.edges) == len(ha.edges) * len(hb.edges)
+        assert isinstance(h, PartiteHypergraph) == (
+            isinstance(ha, PartiteHypergraph) and isinstance(hb, PartiteHypergraph))
+        cert = NrdCertificate({e: witness(e) for e in h.edges})
+        assert isinstance(verify_nrd(h, box_product(pa, pb), mode="check-given",
+                                     certificate=cert), NrdCertificate)
+
+
+@pytest.mark.parametrize("partite", [True, False], ids=["partite", "plain"])
+def test_box_product_instance_rejects_a_shared_vertex(partite):
+    if partite:
+        a = PartiteHypergraph((("a",), ("x",)), (("a", "x"),))
+        b = PartiteHypergraph((("x",),), (("x",),))
+    else:
+        a = Hypergraph(("a", "x"), (("a", "x"),))
+        b = Hypergraph(("x",), (("x",),))
+    with pytest.raises(InstanceError, match="'x'"):
+        box_product_instance((a, dict), (b, dict))

@@ -33,6 +33,8 @@ def test_instance_validation():
         PartiteHypergraph((("a",), ("b",)), (("b", "a"),))  # wrong part
     with pytest.raises(InstanceError):
         Hypergraph(("a",), (("a", "z"),))
+    with pytest.raises(InstanceError, match="vertex 'a' is listed twice"):
+        Hypergraph(("a", "b", "a"), (("a", "b"),))
 
 
 def test_round_trip_dict():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -5,8 +7,9 @@ import pytest
 from nrdkit import tables
 from nrdkit.catalog import C6_COND, catalog
 from nrdkit.generators import build_R1S1_instance, build_R2S2_instance
-from nrdkit.hypergraph import (Hypergraph, NrdCertificate, PartiteHypergraph,
-                               WitnessKernel, projection_map, verify_nrd)
+from nrdkit.hypergraph import (Hypergraph, InstanceError, NrdCertificate,
+                               PartiteHypergraph, WitnessKernel,
+                               projection_map, verify_nrd)
 from nrdkit.pipeline import (PipelineError, TransferPlan, apply_reduction,
                              build_plain_lb_instance, conditional_to_plain,
                              conditional_to_plain_pair, fit_exponent,
@@ -245,6 +248,29 @@ def test_build_plain_lb_instance():
     with pytest.raises(PipelineError):
         build_plain_lb_instance(g, C6_COND, lambda e: res.witnesses[e],
                                 v_prime_size=1)
+
+
+def test_build_plain_lb_instance_is_pinned():
+    # the toy of the acceptance gate's lifting check
+    g = PartiteHypergraph((("a", "b", "c"), ("x", "y", "z")),
+                          (("a", "x"), ("b", "y"), ("c", "z"), ("a", "y")))
+    res = verify_nrd(g, C6_COND)
+    lifted, cert = build_plain_lb_instance(
+        g, C6_COND, lambda e: res.witnesses[e], v_prime_size=4)
+    sha = lambda obj: hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+    assert sha(lifted.to_dict()) == (
+        "c92136d9e40ab6ff3184b822143c94fdb81ec69fc1f30799f80ec990bf9ddb84")
+    assert sha(cert.to_dict(lifted)) == (
+        "4aeb4e212b18c9b2c280befe7428f21a79c7985d158dd8c3a330123d5f8b9206")
+
+
+def test_build_plain_lb_instance_rejects_a_fresh_vertex_name():
+    # a source vertex named like a fresh one used to be merged with it
+    g = PartiteHypergraph((("w0", "b"), ("c", "d")), (("w0", "c"), ("b", "d")))
+    res = verify_nrd(g, C6_COND)
+    with pytest.raises(InstanceError, match="vertex 'w0' is listed twice"):
+        build_plain_lb_instance(g, C6_COND, lambda e: res.witnesses[e],
+                                v_prime_size=3)
 
 
 def test_slice_by_projection():
