@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from itertools import chain, combinations, product, repeat
+from itertools import chain, combinations, product
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,6 +81,8 @@ class PartiteHypergraph:
                        tuple(tuple(e) for e in d["edges"]))
         except TypeError as exc:
             raise InstanceError(f"malformed instance: {exc}") from None
+        except KeyError as exc:
+            raise InstanceError(f"malformed instance: missing key {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -93,10 +96,12 @@ class Hypergraph:
         object.__setattr__(self, "vertex_set", tuple(self.vertex_set))
         object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
         _check_distinct(self.vertex_set, "is listed twice")
-        vs = set(self.vertex_set)
+        vs, r = set(self.vertex_set), self.arity
         if len(set(self.edges)) != len(self.edges):
             raise InstanceError("duplicate edges are not allowed")
         for e in self.edges:
+            if len(e) != r:
+                raise InstanceError(f"edge {e} does not match arity {r}")
             if not set(e) <= vs:
                 raise InstanceError(f"edge {e} uses unknown vertices")
 
@@ -117,6 +122,35 @@ class Hypergraph:
             return cls(tuple(d["vertices"]), tuple(tuple(e) for e in d["edges"]))
         except TypeError as exc:
             raise InstanceError(f"malformed instance: {exc}") from None
+        except KeyError as exc:
+            raise InstanceError(f"malformed instance: missing key {exc}") from None
+
+
+class InstanceIndex(NamedTuple):
+    """An instance in integers: vertex k is the k-th of its n vertices, and
+    cols[p, i] is the vertex at position p of edge i (an r x m array)."""
+
+    n: int
+    cols: np.ndarray
+
+    @property
+    def m(self):
+        return self.cols.shape[1]
+
+
+def instance_index(h, r) -> InstanceIndex:
+    """The read-only index of h, numbering h.vertices() in order; built on
+    first use and kept on h.  InstanceError if h's edges are not r-ary."""
+    if h.edges and len(h.edges[0]) != r:
+        raise InstanceError(f"edge {h.edges[0]} does not match arity {r}")
+    if "_index" not in h.__dict__ or h._index.cols.shape[0] != r:
+        number = {v: k for k, v in enumerate(h.vertices())}  # the one label map
+        cols = np.fromiter(map(number.__getitem__, chain.from_iterable(h.edges)),
+                           dtype=np.intp, count=len(h.edges) * r)
+        cols = np.ascontiguousarray(cols.reshape(len(h.edges), r).T)
+        cols.setflags(write=False)
+        object.__setattr__(h, "_index", InstanceIndex(len(number), cols))
+    return h._index
 
 
 @dataclass
@@ -236,20 +270,18 @@ class WitnessSearch:
     that are unit from the start, such as the excluded edge when Q \\ P has
     one tuple, are propagated before the first decision, so their vertices
     cost no trials (292 032 trials for all 2704 edges of R2S2 q=3).
+
+    Set up from an InstanceIndex and the labels of its vertices, which
+    break degree ties and key the dicts of `witness`.
     """
 
-    def __init__(self, vertices, edges, pq, budget=None):
+    def __init__(self, index, pq, vertices, budget=None):
         tab = self.tab = _tuple_tables(as_conditional(pq))
         r = tab.r
-        self.vertices = list(dict.fromkeys(vertices))
-        vidx = {v: i for i, v in enumerate(self.vertices)}
-        self.edges = []
-        for e in edges:
-            if len(e) != r:
-                raise InstanceError(f"edge {e} does not match arity {r}")
-            self.edges.append(tuple(vidx[v] for v in e))
+        self.vertices, self.n = vertices, index.n
+        self.edges = index.cols.T.tolist()
         self.full = full = (1 << len(self.edges)) - 1
-        bits = [[0] * r for _ in self.vertices]
+        bits = [[0] * r for _ in range(self.n)]
         for i, e in enumerate(self.edges):
             for p, v in enumerate(e):
                 bits[v][p] |= 1 << i
@@ -258,7 +290,7 @@ class WitnessSearch:
                     for bv in bits]
         degree = [sum(b.bit_count() for b in bv) for bv in bits]
         self.by_degree = sorted((i for i, k in enumerate(degree) if k),
-                                key=lambda i: (-degree[i], self.vertices[i]))
+                                key=lambda i: (-degree[i], vertices[i]))
         self.budget = budget
         self.trials = 0
 
@@ -279,7 +311,7 @@ class WitnessSearch:
         self.alive = ([full ^ xbit] * tab.n_base
                       + [xbit] * (len(tab.tuples) - tab.n_base))
         self.unassigned = [full] * tab.r
-        self.val = [-1] * len(self.vertices)
+        self.val = [-1] * self.n
         self.trail = []
         ones = twos = 0
         for a in self.alive:
@@ -402,7 +434,8 @@ def verify_nrd(h, pq, mode="find-witnesses", certificate=None,
         raise InstanceError(f"unknown mode {mode!r}")
     if h.arity != pq.arity:
         raise InstanceError("instance arity does not match predicate arity")
-    search = WitnessSearch(h.vertices(), h.edges, pq, budget=max_assignments)
+    search = WitnessSearch(instance_index(h, pq.arity), pq, h.vertices(),
+                           budget=max_assignments)
     witnesses = {}
     for i, e in enumerate(h.edges):
         try:
@@ -424,7 +457,7 @@ def _check_certificate(h, pq: ConditionalPredicate, certificate):
     edges = h.edges
     if set(certificate.witnesses) != set(edges):
         raise InstanceError("certificate must cover exactly the instance edges")
-    kernel = WitnessKernel(h, pq)
+    kernel = WitnessKernel(instance_index(h, pq.arity), pq, h.vertices())
     psis = [certificate.witnesses[e] for e in edges]
     size = kernel.block
     for lo in range(0, len(edges), size):
@@ -531,42 +564,40 @@ class WitnessKernel:
     """Witness checks on one instance for one predicate pair, a block of
     witnesses at a time.
 
-    Set up once: a vertex-index map, the r x m matrix `cols` of the vertex
-    index at each position of each edge, and a RadixTable marking the
-    tuples of P and Q \\ P.  Per block: validate the witnesses into one
-    array, look up every edge's tuple under every witness with one column
-    gather per position, and compare with the label each must have.  A
-    block holds at most 2**15 / max(m, n) witnesses, so no temporary array
-    exceeds 2**15 elements.
+    Set up once from an InstanceIndex, whose r x m array `cols` holds the
+    vertex at each position of each edge, and the labels of its vertices
+    (None for the target of a transfer, which validates no witnesses of
+    its own), plus a RadixTable marking the tuples of P and Q \\ P.  Per
+    block: validate the witnesses into one array, look up every edge's
+    tuple under every witness with one column gather per position, and
+    compare with the label each must have.  A block holds at most
+    2**15 / max(m, n) witnesses, so no temporary array exceeds 2**15
+    elements.
     """
 
-    def __init__(self, h, pq):
+    def __init__(self, index, pq, vertices):
         pq = as_conditional(pq)
-        self.vertices = list(dict.fromkeys(h.vertices()))
-        self.vidx = {v: i for i, v in enumerate(self.vertices)}
-        self.edges = h.edges
+        self.vertices, self.n, self.m = vertices, index.n, index.m
         self.d, self.r = pq.domain_size, pq.arity
-        for e in self.edges:
-            if len(e) != self.r:
-                raise InstanceError(f"edge {e} does not match arity {self.r}")
-        em = np.array([[self.vidx[v] for v in e] for e in self.edges],
-                      dtype=np.intp).reshape(len(self.edges), self.r)
-        self.cols = np.ascontiguousarray(em.T)
+        self.cols = index.cols
         base, outside = pq.base.tuples, pq.outside()
         self.table = RadixTable(
             list(base) + list(outside),
             [_IN_BASE] * len(base) + [_OUTSIDE] * len(outside),
             self.d, self.r, missing=0)
-        self.block = max(
-            1, _BLOCK_LIMIT // max(len(self.edges), len(self.vertices), 1))
-        self._get = _getter(self.vertices)
+        self.block = max(1, _BLOCK_LIMIT // max(self.m, self.n, 1))
+        self._get = None if vertices is None else _getter(vertices)
+
+    def edge(self, j):
+        """Edge j as a tuple of vertex labels."""
+        return tuple(self.vertices[v] for v in self.cols[:, j].tolist())
 
     def values(self, psis):
         """The witnesses as a (len(psis) x n) array in vertex order, after
         checking that each assigns exactly the instance's vertices, each an
         integer in [0, d) (numpy integers too).  Raises MalformedWitness
         naming the first problem of the first malformed witness."""
-        get, n = self._get, len(self.vertices)
+        get, n = self._get, self.n
         rows = []
         for psi in psis:
             try:
@@ -593,7 +624,8 @@ class WitnessKernel:
         missing = next((v for v in self.vertices if v not in psi), None)
         if missing is not None:
             return MalformedWitness(f"witness has no value for vertex {missing!r}")
-        extra = next((v for v in psi if v not in self.vidx), None)
+        known = set(self.vertices)
+        extra = next((v for v in psi if v not in known), None)
         if extra is not None:
             return MalformedWitness(
                 f"witness assigns {extra!r}, which is not a vertex of the instance")
@@ -634,17 +666,17 @@ class WitnessKernel:
         k, j = bad
         if j == start + k:
             return "witness does not (Q\\P)-satisfy its edge"
-        return f"witness fails to P-satisfy {self.edges[j]}"
+        return f"witness fails to P-satisfy {self.edge(j)}"
 
 
 # --- exact NRD at toy scale ------------------------------------------
 
 
 def _exact_space(r, n, part_sizes):
-    """The search space of exact NRD on the vertices v1..vn: their labels,
-    the candidate edges in lexicographic order of vertex indices, each
-    candidate's vertex indices within their parts, the part of each edge
-    position, and the instance maker.  Without part_sizes the n vertices
+    """The search space of exact NRD on the vertices 0..n-1, numbered part
+    by part: the candidate edges in lexicographic order, the first vertex
+    of each part, the part of each edge position, and the instance maker,
+    which labels vertex k as v{k+1}.  Without part_sizes the n vertices
     form one part, from which every position draws."""
     if n < 0:
         raise InstanceError("n must not be negative")
@@ -658,18 +690,16 @@ def _exact_space(r, n, part_sizes):
             raise InstanceError(f"{len(sizes)} part sizes for arity {r}")
         if min(sizes, default=0) < 0:
             raise InstanceError("part sizes must not be negative")
-    parts, c = [], 0
-    for k in sizes:
-        parts.append([f"v{c + j + 1}" for j in range(k)])
-        c += k
-    vs = [v for p in parts for v in p]
-    idx = list(product(*(range(sizes[p]) for p in part_of)))
-    cands = [tuple(parts[p][j] for p, j in zip(part_of, e)) for e in idx]
-    if part_sizes is None:
-        make = lambda es: Hypergraph(tuple(vs), tuple(es))
-    else:
-        make = lambda es: PartiteHypergraph(tuple(map(tuple, parts)), tuple(es))
-    return vs, cands, idx, part_of, make
+    start = [sum(sizes[:p]) for p in range(len(sizes))]
+    cands = list(product(*(range(start[p], start[p] + sizes[p]) for p in part_of)))
+
+    def make(edges):
+        vs = [f"v{k + 1}" for k in range(n)]
+        es = [tuple(vs[v] for v in e) for e in edges]
+        if part_sizes is None:
+            return Hypergraph(vs, es)
+        return PartiteHypergraph([vs[a:a + k] for a, k in zip(start, sizes)], es)
+    return cands, start, part_of, make
 
 
 def nrd_exact(pq, n, part_sizes=None, max_checks=2_000_000):
@@ -708,21 +738,24 @@ def nrd_exact(pq, n, part_sizes=None, max_checks=2_000_000):
     max_checks=None runs with no cap.
     """
     pq = as_conditional(pq)
-    vs, cands, idx, part_of, make = _exact_space(pq.arity, n, part_sizes)
+    cands, start, part_of, make = _exact_space(pq.arity, n, part_sizes)
+    cand_cols = np.array(cands, dtype=np.intp).reshape(len(cands), pq.arity).T
     base = frozenset(pq.base.tuples)
     checks = [0]
     best = {"size": 0, "edges": ()}
 
     def feasible(edge_list, witnesses):
-        """Witness values for edge_list, given those of all but its last
-        edge, or None when it is redundant."""
+        """Witness values for the candidates edge_list, given those of all
+        but its last edge, or None when it is redundant."""
         checks[0] += 1
         if max_checks is not None and checks[0] > max_checks:
             raise BudgetExceeded(
                 f"search budget of {max_checks} feasibility checks exceeded; "
                 f"best size so far {best['size']}", partial=best["size"])
-        search = WitnessSearch(vs, edge_list, pq)
-        c = search.edges[-1]
+        # labelled by number: the tie-break moves witnesses, not the answer
+        search = WitnessSearch(InstanceIndex(n, cand_cols[:, edge_list]), pq,
+                               range(n))
+        c = cands[edge_list[-1]]
         out = []
         for k, w in enumerate(witnesses):
             if tuple(w[j] for j in c) not in base:
@@ -744,19 +777,19 @@ def nrd_exact(pq, n, part_sizes=None, max_checks=2_000_000):
             if len(edge_list) + (len(cands) - i) <= best["size"]:
                 break
             now = list(used)
-            for p, j in zip(part_of, idx[i]):
-                if j > now[p]:
+            for p, v in zip(part_of, cands[i]):
+                if v > now[p]:
                     break  # skips the lowest unused vertex of part p
-                if j == now[p]:
+                if v == now[p]:
                     now[p] += 1
             else:
-                nxt = edge_list + [cands[i]]
+                nxt = edge_list + [i]
                 ws = feasible(nxt, witnesses)
                 if ws is not None:
                     extend(nxt, ws, i + 1, now)
 
-    extend([], [], 0, [0] * pq.arity)  # one count per part, at most r parts
-    return best["size"], make(best["edges"])
+    extend([], [], 0, start)  # the lowest unused vertex of each part
+    return best["size"], make(cands[i] for i in best["edges"])
 
 
 _EXHAUSTIVE_SUBSETS = 1 << 18
@@ -767,12 +800,13 @@ def nrd_exact_exhaustive(pq, n, part_sizes=None):
     same candidates as `nrd_exact` and without its pruning, up to
     _EXHAUSTIVE_SUBSETS subsets."""
     pq = as_conditional(pq)
-    vs, cands, _, _, _ = _exact_space(pq.arity, n, part_sizes)
+    cands = _exact_space(pq.arity, n, part_sizes)[0]
+    vs = tuple(range(n))
     if 2 ** len(cands) > _EXHAUSTIVE_SUBSETS:
         # Drop edges that can never appear in a non-redundant instance.
         keep = []
         for e in cands:
-            res = verify_nrd(Hypergraph(tuple(vs), (e,)), pq)
+            res = verify_nrd(Hypergraph(vs, (e,)), pq)
             if isinstance(res, NrdCertificate):
                 keep.append(e)
         cands = keep
@@ -783,7 +817,7 @@ def nrd_exact_exhaustive(pq, n, part_sizes=None):
         es = [cands[i] for i in range(len(cands)) if (bits >> i) & 1]
         if len(es) <= best:
             continue
-        res = verify_nrd(Hypergraph(tuple(vs), tuple(es)), pq)
+        res = verify_nrd(Hypergraph(vs, es), pq)
         if isinstance(res, NrdCertificate):
             best = len(es)
     return best
@@ -796,41 +830,61 @@ def projection_label(j, source_vertices):
     return f"{j}:" + ("|".join(source_vertices) if source_vertices else "()")
 
 
-def _projections(edges, idx):
-    """The tuples (e[i] for i in idx) of the edges, in edge order."""
-    if len(idx) > 1:
-        return map(itemgetter(*idx), edges)
-    if idx:
-        return zip(map(itemgetter(idx[0]), edges))
-    return repeat((), len(edges))
+def _first_use(rows, n):
+    """Number the distinct columns of rows (values in [0, n)) 0, 1, ... in
+    order of first use: (each column's number, each number's first column)."""
+    code, top = np.zeros(rows.shape[1], dtype=np.int64), 1
+    for row in rows:  # mixed radix, renumbered densely before it overflows
+        if top * n >= 1 << 62:
+            code = np.unique(code, return_inverse=True)[1].reshape(-1)
+            top = len(code)
+        code, top = code * n + row, top * n
+    _, first, code = np.unique(code, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return np.argsort(order)[code.reshape(-1)], first[order]
 
 
-class _Labels(dict):
-    """Projected tuple -> vertex label of part j, in order of first use."""
+class Projection:
+    """A projected instance: `index` numbers its vertices part by part, each
+    part in order of first use; `instance`, the labelled PartiteHypergraph,
+    is made on first read."""
 
-    def __init__(self, j):
-        super().__init__()
-        self.j = j
+    def __init__(self, index, make):
+        self.index, self._make = index, make
 
-    def __missing__(self, key):
-        label = self[key] = projection_label(self.j, key)
-        return label
+    @functools.cached_property
+    def instance(self) -> PartiteHypergraph:
+        return self._make()
 
 
-def projection_map(h: PartiteHypergraph, fam: IndexFamily) -> PartiteHypergraph:
+def projection_map(h: PartiteHypergraph, fam: IndexFamily) -> Projection:
     """The instance whose part-j vertices are the distinct I_j-projections of
     the edges, in order of first use, and whose edges are the projected
-    source edges in source order, colliding ones merged."""
+    source edges in source order, colliding ones merged; computed on h's
+    index, with no vertex labels made until `Projection.instance` is read."""
     if fam.source_arity != h.arity:
         raise InstanceError("index family arity does not match instance")
-    parts, columns = [], []
-    for j, I in enumerate(fam.sets):  # empty I -> one shared () vertex
-        labels = _Labels(j + 1)
-        columns.append(list(map(labels.__getitem__,
-                                _projections(h.edges, [i - 1 for i in I]))))
-        parts.append(tuple(labels.values()))
-    edges = zip(*columns) if columns else [()] * len(h.edges)
-    return PartiteHypergraph(tuple(parts), tuple(dict.fromkeys(edges)))
+    index = instance_index(h, h.arity)
+    rows, sources, n = [], [], 0  # empty I -> one shared () vertex
+    for I in fam.sets:
+        key = index.cols[[i - 1 for i in I]]
+        number, first = _first_use(key, index.n)
+        rows.append(number + n)
+        sources.append(key[:, first])  # the source vertices of each vertex
+        n += len(first)
+    rows = np.array(rows, dtype=np.intp).reshape(len(rows), index.m)
+    cols = np.ascontiguousarray(rows[:, _first_use(rows, n)[1]])
+    cols.setflags(write=False)
+
+    def make():
+        labels = h.vertices()
+        parts = [[projection_label(j, tuple(labels[v] for v in vs))
+                  for vs in source.T.tolist()]
+                 for j, source in enumerate(sources, 1)]
+        vertices = list(chain.from_iterable(parts))
+        return PartiteHypergraph(parts, (tuple(vertices[v] for v in e)
+                                         for e in cols.T.tolist()))
+    return Projection(InstanceIndex(n, cols), make)
 
 
 @dataclass
@@ -859,10 +913,10 @@ def shrinking_report(h: PartiteHypergraph, families=None) -> ShrinkReport:
     if families is None:
         families = [I for size in range(1, r)
                     for I in combinations(range(1, r + 1), size)]
-    m = len(h.edges)
-    rep = ShrinkReport(m)
+    index = instance_index(h, r)
+    rep = ShrinkReport(index.m)
     for I in families:
         I = tuple(sorted(set(I)))
-        count = len(set(_projections(h.edges, [i - 1 for i in I])))
-        rep.factors[I] = (count, m / count if count else float("inf"))
+        count = len(_first_use(index.cols[[i - 1 for i in I]], index.n)[1])
+        rep.factors[I] = (count, index.m / count if count else float("inf"))
     return rep

@@ -21,9 +21,9 @@ from .cancellation import cancel, catalan_matrix_check, catalan_search
 from .generators import (box_product_instance, build_R1S1_instance,
                          build_R2S2_instance, gen_girth6, girth)
 from .hypergraph import (Hypergraph, InstanceError, MalformedWitness,
-                         NrdCertificate, PartiteHypergraph, RadixTable,
-                         WitnessKernel, nrd_exact, projection_map,
-                         shrinking_report, verify_nrd)
+                         NrdCertificate, PartiteHypergraph, Projection,
+                         RadixTable, WitnessKernel, instance_index, nrd_exact,
+                         projection_map, shrinking_report, verify_nrd)
 from .predicates import ConditionalPredicate, Predicate, box_product
 from .substructure import SubstructureCertificate, dependency_analysis, \
     family_supports, verify_certificate
@@ -86,11 +86,16 @@ def fit_shrinkage(points) -> float:
 
 @dataclass
 class ReductionResult:
-    instance: PartiteHypergraph
+    projection: Projection
     certificate: SubstructureCertificate
     verified: bool       # False = counts only (no witnesses requested)
     n_vertices: int
     n_edges: int
+
+    @property
+    def instance(self) -> PartiteHypergraph:
+        """The labelled projected instance, made on first read."""
+        return self.projection.instance
 
     def to_dict(self):
         return {"n_vertices": self.n_vertices, "n_edges": self.n_edges,
@@ -112,7 +117,7 @@ class TransferPlan:
     """
 
     def __init__(self, source: WitnessKernel, target: WitnessKernel, sigma):
-        if len(source.edges) != len(target.edges):
+        if source.m != target.m:
             raise PipelineError("every source edge needs one projected edge")
         keys = list(sigma)
         bad = [x for x in keys if len(x) != source.r
@@ -134,7 +139,7 @@ class TransferPlan:
         # each target vertex's first occurrence in position-major order: at
         # position i, (the vertices first seen there, the edges they are
         # first seen on)
-        m = len(target.edges)
+        m = target.m
         verts, first = np.unique(target.cols.ravel(), return_index=True)
         self.first = [(verts[first // m == i], first[first // m == i] % m)
                       for i in range(target.r)]
@@ -155,7 +160,7 @@ class TransferPlan:
             k, j = np.argwhere(rows < 0)[0]
             x = tuple(vals[k, src.cols[:, j]].tolist())
             raise PipelineError(f"witness value {x} outside the certificate domain")
-        phi = np.zeros((len(psis), len(tgt.vertices)), dtype=np.int64)
+        phi = np.zeros((len(psis), tgt.n), dtype=np.int64)
         for col, image, (verts, first) in zip(tgt.cols, self.image.T, self.first):
             y = np.take(image, rows)
             phi[:, verts] = np.take(y, first, axis=1)
@@ -172,7 +177,7 @@ class TransferPlan:
         rows, _ = self.transfer(psis)
         bad = self.target.first_failure(np.take(self.labels, rows), start)
         if bad is not None:
-            e = self.source.edges[start + bad[0]]
+            e = self.source.edge(start + bad[0])
             raise PipelineError(f"transferred witness failed for edge {e}")
 
 
@@ -191,16 +196,17 @@ def apply_reduction(h: PartiteHypergraph, cert: SubstructureCertificate,
     if not ok:
         raise PipelineError(f"invalid certificate: {problems}")
     proj = projection_map(h, cert.family)
-    if len(proj.edges) != len(h.edges):
+    if proj.index.m != len(h.edges):
         raise PipelineError(
             "joint projection merges source edges; witnesses cannot transfer")
-    result = ReductionResult(proj, cert, False,
-                             sum(len(p) for p in proj.parts), len(proj.edges))
+    result = ReductionResult(proj, cert, False, proj.index.n, proj.index.m)
     if witness_fn is None:
         return result
     # no edge merges, so the target edges are the projections in source order
-    plan = TransferPlan(WitnessKernel(h, cert.source),
-                        WitnessKernel(proj, cert.target), cert.sigma)
+    plan = TransferPlan(
+        WitnessKernel(instance_index(h, cert.source.arity), cert.source,
+                      h.vertices()),
+        WitnessKernel(proj.index, cert.target, None), cert.sigma)
     edges, size = h.edges, plan.block
     for lo in range(0, len(edges), size):
         psis = [witness_fn(e) for e in edges[lo:lo + size]]

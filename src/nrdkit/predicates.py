@@ -66,6 +66,8 @@ class Predicate:
             return cls(d["domain"], d["arity"], tuples)
         except TypeError as exc:
             raise PredicateError(f"malformed predicate: {exc}") from None
+        except KeyError as exc:
+            raise PredicateError(f"malformed predicate: missing key {exc}") from None
 
 
 def parse_tuple(spec):

@@ -105,6 +105,21 @@ def test_find_witnesses_output_is_pinned(tmp_path, capsys):
         "10f107e84e1e1eaf08657a2520f5dead8fd5d151b9aa1e0525afd53f29b07d77")
 
 
+def test_find_witnesses_tie_break_is_pinned(tmp_path, capsys):
+    # every vertex has degree 2, so ties are broken by label, and "v10"
+    # comes before "v2" although v2 is listed (and numbered) first; with
+    # ties broken by number, 8 of the 12 witnesses change
+    f = tmp_path / "tie.json"
+    f.write_text(json.dumps({
+        "vertices": [f"v{i}" for i in range(1, 13)],
+        "edges": [["v3", "v5"], ["v1", "v9"], ["v2", "v8"], ["v10", "v6"],
+                  ["v6", "v3"], ["v2", "v5"], ["v11", "v8"], ["v10", "v4"],
+                  ["v12", "v7"], ["v4", "v7"], ["v12", "v9"], ["v11", "v1"]]}))
+    assert _sha256_of_run(capsys, "verify-nrd", "--instance", str(f),
+                          "--predicate", "OR2", "--emit-witnesses") == (
+        "121a34e6175754da04747ef3a1ac71f8548e32f581a34137f09fcd5c53a8342c")
+
+
 def test_find_substructure_output_is_pinned(capsys):
     # every hit is confirmed through the SAT solver, so the output must not
     # change with how the solver stores its assignment and watch lists
@@ -597,6 +612,33 @@ def test_shrink_report_degenerate_instance_exits_2(tmp_path, capsys,
     f.write_text(json.dumps(instance))
     assert usage_error(capsys, *fmt, "shrink-report", "--instance", str(f)) == (
         f"nrd shrink-report: {err}")
+
+
+@pytest.mark.parametrize("edges, err", [
+    ([["a", "b", "c"], ["a", "b"]], "edge ('a', 'b') does not match arity 3"),
+    ([["a", "b"], ["a", "b", "c"]], "edge ('a', 'b', 'c') does not match arity 2")],
+    ids=["long-first", "short-first"])
+def test_shrink_report_rejects_edges_of_different_lengths(tmp_path, capsys,
+                                                          edges, err):
+    f = tmp_path / "inst.json"
+    f.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": edges}))
+    assert usage_error(capsys, "shrink-report", "--instance", str(f)) == (
+        f"nrd: {err}")
+
+
+@pytest.mark.parametrize("command, contents, err", [
+    (["project", "{}", "--coords", "1"], {"domain": 2, "arity": 2},
+     "malformed predicate: missing key 'tuples'"),
+    (["verify-nrd", "--instance", "{}", "--predicate", "EQ"],
+     {"parts": [["a"], ["b"]]}, "malformed instance: missing key 'edges'"),
+    (["verify-nrd", "--instance", "{}", "--predicate", "EQ"],
+     {"edges": [["a", "b"]]}, "malformed instance: missing key 'vertices'")],
+    ids=["predicate", "partite-instance", "plain-instance"])
+def test_file_missing_a_key_exits_2(tmp_path, capsys, command, contents, err):
+    f = tmp_path / "file.json"
+    f.write_text(json.dumps(contents))
+    argv = [str(f) if a == "{}" else a for a in command]
+    assert usage_error(capsys, *argv) == f"nrd: {err}"
 
 
 def test_verify_nrd_rejects_a_vertex_listed_twice(tmp_path, capsys):

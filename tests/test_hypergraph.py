@@ -11,9 +11,9 @@ from nrdkit.generators import build_R1S1_instance
 from nrdkit.hypergraph import (BudgetExceeded, Hypergraph, InstanceError,
                                NrdCertificate, NrdFailure, PartiteHypergraph,
                                RadixTable, WitnessKernel, WitnessSearch,
-                               as_conditional, nrd_exact, nrd_exact_exhaustive,
-                               projection_label, projection_map,
-                               shrinking_report, verify_nrd)
+                               as_conditional, instance_index, nrd_exact,
+                               nrd_exact_exhaustive, projection_label,
+                               projection_map, shrinking_report, verify_nrd)
 from nrdkit.predicates import ConditionalPredicate, IndexFamily, Predicate
 
 
@@ -125,7 +125,7 @@ def test_negative_budget_rejected():
 def test_budget_partial_counts_witnessed_edges():
     inst = build_R1S1_instance(2)
     h, pq = inst.hypergraph, inst.predicate
-    search = WitnessSearch(h.vertices(), h.edges, pq)
+    search = WitnessSearch(instance_index(h, pq.arity), pq, h.vertices())
     spent = []  # value trials after each edge
     for i in range(len(h.edges)):
         search.values(i)
@@ -196,7 +196,8 @@ def test_find_witnesses_decides_high_degree_vertices_first():
     # give v1 = 1, v4 = 0
     vs = ("v0", "v1", "v2", "v3", "v4")
     edges = (("v0", "v2"), ("v3", "v0"), ("v4", "v1"), ("v3", "v1"))
-    witness = WitnessSearch(vs, edges, or_k(2)).witness(0)
+    witness = WitnessSearch(instance_index(Hypergraph(vs, edges), 2), or_k(2),
+                            vs).witness(0)
     assert witness == {"v0": 0, "v1": 0, "v2": 0, "v3": 1, "v4": 1}
     assert witness == _first_witness(vs, edges, 0, as_conditional(or_k(2)))
 
@@ -206,7 +207,8 @@ def test_trial_count_is_pinned():
     # in propagation strength moves this count even when witnesses stay
     inst = build_R1S1_instance(2)
     h = inst.hypergraph
-    search = WitnessSearch(h.vertices(), h.edges, inst.predicate)
+    search = WitnessSearch(instance_index(h, h.arity), inst.predicate,
+                           h.vertices())
     for i in range(len(h.edges)):
         search.values(i)
     assert search.trials == 5292
@@ -217,7 +219,7 @@ def test_trial_count_is_pinned():
 def test_find_witnesses_returns_first_solution_in_order(case):
     h, pq = case
     vertices, edges = h.vertices(), h.edges
-    search = WitnessSearch(vertices, edges, pq)
+    search = WitnessSearch(instance_index(h, pq.arity), pq, vertices)
     expected = [_first_witness(vertices, edges, i, pq) for i in range(len(edges))]
     assert [search.witness(i) for i in range(len(edges))] == expected
     res = verify_nrd(h, pq)
@@ -391,7 +393,8 @@ def _unpruned_nrd_exact(pq, n, part_sizes=None):
     best = {"size": 0, "edges": ()}
 
     def feasible(edge_list, witnesses):
-        search = WitnessSearch(vs, edge_list, pq)
+        search = WitnessSearch(
+            instance_index(Hypergraph(vs, edge_list), r), pq, vs)
         c = search.edges[-1]
         out = []
         for k, w in enumerate(witnesses):
@@ -449,7 +452,7 @@ def test_nrd_exact_matches_unpruned_search(case):
 def test_empty_index_set_gives_shared_vertex():
     h = PartiteHypergraph((("a", "b"), ("c",)), (("a", "c"), ("b", "c")))
     fam = IndexFamily(2, ((), (1,)))
-    proj = projection_map(h, fam)
+    proj = projection_map(h, fam).instance
     assert len(proj.parts[0]) == 1  # single () vertex shared by all edges
 
 
@@ -535,7 +538,13 @@ def test_projection_map_matches_reference_loop():
             sets.append(sets[0])  # a repeated index set
         fam = IndexFamily(r, tuple(sets))
         proj = projection_map(h, fam)
-        assert (proj.parts, proj.edges) == reference_projection_map(h, fam)
+        parts, proj_edges = reference_projection_map(h, fam)
+        # the integer projection: counts, and merges seen without labels
+        assert proj.index.n == sum(map(len, parts))
+        assert proj.index.m == len(proj_edges)
+        assert (proj.index.m < len(edges)) == (len(proj_edges) < len(edges))
+        proj = proj.instance
+        assert (proj.parts, proj.edges) == (parts, proj_edges)
         default = [I for k in range(1, r) for I in combinations(range(1, r + 1), k)]
         for families, given in ((sets + [()], sets + [()]), (default, None)):
             assert shrinking_report(h, given).factors == {
@@ -783,7 +792,9 @@ def block_case(changes):
 def r1s1_block():
     """The check-given block size on R1S1 q=3, and its witnesses."""
     inst = r1s1(3)
-    block = WitnessKernel(inst.hypergraph, inst.predicate).block
+    h = inst.hypergraph
+    block = WitnessKernel(instance_index(h, h.arity), inst.predicate,
+                          h.vertices()).block
     assert 4 <= block and 3 * block < len(inst.hypergraph.edges)
     return block, inst.witness, inst.hypergraph.edges
 

@@ -4,12 +4,12 @@ import random
 
 import pytest
 
-from nrdkit import tables
+from nrdkit import hypergraph, tables
 from nrdkit.catalog import C6_COND, catalog
 from nrdkit.generators import build_R1S1_instance, build_R2S2_instance
 from nrdkit.hypergraph import (Hypergraph, InstanceError, NrdCertificate,
                                PartiteHypergraph, WitnessKernel,
-                               projection_map, verify_nrd)
+                               instance_index, projection_map, verify_nrd)
 from nrdkit.pipeline import (PipelineError, TransferPlan, apply_reduction,
                              build_plain_lb_instance, conditional_to_plain,
                              conditional_to_plain_pair, fit_exponent,
@@ -59,9 +59,12 @@ TARGET = PartiteHypergraph((("x",), ("y", "z")), (("x", "y"), ("x", "z")))
 
 
 def _plan(source, target, sigma):
-    return TransferPlan(WitnessKernel(source, _boolean_pair(source.arity)),
-                        WitnessKernel(target, _boolean_pair(target.arity)),
-                        sigma)
+    return TransferPlan(
+        WitnessKernel(instance_index(source, source.arity),
+                      _boolean_pair(source.arity), source.vertices()),
+        WitnessKernel(instance_index(target, target.arity),
+                      _boolean_pair(target.arity), target.vertices()),
+        sigma)
 
 
 def _transfer(plan, psi):
@@ -124,6 +127,23 @@ def test_apply_reduction_p1q1_counts_and_verification():
     assert isinstance(out, NrdCertificate)
 
 
+@pytest.mark.parametrize("with_witnesses", [False, True],
+                         ids=["counts-only", "witness-transfer"])
+def test_apply_reduction_makes_no_labels(monkeypatch, with_witnesses):
+    # the counts and the transfer run on integers; labels are made only
+    # when the projected instance is read
+    def no_labels(*args):
+        raise AssertionError("projection_label called")
+    monkeypatch.setattr(hypergraph, "projection_label", no_labels)
+    inst = build_R2S2_instance(2)
+    res = apply_reduction(inst.hypergraph, tables.certificate("J1"),
+                          inst.witness if with_witnesses else None)
+    assert (res.n_vertices, res.n_edges, res.verified) == (1176, 441,
+                                                           with_witnesses)
+    with pytest.raises(AssertionError, match="projection_label called"):
+        res.instance
+
+
 @pytest.mark.parametrize("change", [
     lambda psi: psi.__setitem__("p010", 5),    # out of domain
     lambda psi: psi.__setitem__("p010", -1),
@@ -161,8 +181,10 @@ def p1q1_block():
     inst = build_R1S1_instance(3)
     cert = tables.certificate("P1Q1")
     proj = projection_map(inst.hypergraph, cert.family)
-    block = TransferPlan(WitnessKernel(inst.hypergraph, cert.source),
-                         WitnessKernel(proj, cert.target), cert.sigma).block
+    h = inst.hypergraph
+    block = TransferPlan(
+        WitnessKernel(instance_index(h, h.arity), cert.source, h.vertices()),
+        WitnessKernel(proj.index, cert.target, None), cert.sigma).block
     assert 4 <= block and 3 * block < len(inst.hypergraph.edges)
     return inst, cert, block
 
