@@ -258,6 +258,8 @@ def cmd_build_instance(args):
     if key == "R1S1":
         inst = generators.build_R1S1_instance(args.q, args.n3)
     elif key == "R2S2":
+        if args.n3 is not None:
+            raise UsageError("nrd build-instance: --n3 applies to R1S1 only")
         inst = generators.build_R2S2_instance(args.q)
     else:
         raise UsageError(f"nrd build-instance: unknown family {args.name!r}")

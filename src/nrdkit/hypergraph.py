@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .predicates import ConditionalPredicate, IndexFamily, Predicate, PredicateError
+from .predicates import ConditionalPredicate, IndexFamily, Predicate
 
 
 class InstanceError(ValueError):
@@ -168,6 +168,9 @@ class NrdCertificate:
         (the domain range is the checker's business, not the parser's)."""
         if not isinstance(d, dict):
             raise InstanceError("certificate must be an object keyed by edge index")
+        if d and not h.edges:
+            raise InstanceError("the instance has no edges, so its "
+                                "certificate must be empty")
         if set(d) != {str(i) for i in range(len(h.edges))}:
             raise InstanceError("certificate keys must be the edge indices "
                                 f"0..{len(h.edges) - 1}")
@@ -432,7 +435,7 @@ def verify_nrd(h, pq, mode="find-witnesses", certificate=None,
         return _check_certificate(h, pq, certificate)
     if mode != "find-witnesses":
         raise InstanceError(f"unknown mode {mode!r}")
-    if h.arity != pq.arity:
+    if h.edges and h.arity != pq.arity:
         raise InstanceError("instance arity does not match predicate arity")
     search = WitnessSearch(instance_index(h, pq.arity), pq, h.vertices(),
                            budget=max_assignments)

@@ -9,6 +9,7 @@ instance pipelines in one run.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 from itertools import combinations, product
@@ -23,7 +24,7 @@ from .generators import (box_product_instance, build_R1S1_instance,
 from .hypergraph import (Hypergraph, InstanceError, MalformedWitness,
                          NrdCertificate, PartiteHypergraph, Projection,
                          RadixTable, WitnessKernel, instance_index, nrd_exact,
-                         projection_map, shrinking_report, verify_nrd)
+                         projection_map, shrinking_report)
 from .predicates import ConditionalPredicate, Predicate, box_product
 from .substructure import SubstructureCertificate, dependency_analysis, \
     family_supports, verify_certificate
@@ -87,7 +88,6 @@ def fit_shrinkage(points) -> float:
 @dataclass
 class ReductionResult:
     projection: Projection
-    certificate: SubstructureCertificate
     verified: bool       # False = counts only (no witnesses requested)
     n_vertices: int
     n_edges: int
@@ -199,7 +199,7 @@ def apply_reduction(h: PartiteHypergraph, cert: SubstructureCertificate,
     if proj.index.m != len(h.edges):
         raise PipelineError(
             "joint projection merges source edges; witnesses cannot transfer")
-    result = ReductionResult(proj, cert, False, proj.index.n, proj.index.m)
+    result = ReductionResult(proj, False, proj.index.n, proj.index.m)
     if witness_fn is None:
         return result
     # no edge merges, so the target edges are the projections in source order
@@ -222,12 +222,8 @@ def apply_reduction(h: PartiteHypergraph, cert: SubstructureCertificate,
 
 @dataclass
 class ReductionRun:
-    certificate: SubstructureCertificate
     entries: list            # dicts: q, n, m, verified
     fit: FitReport
-
-    def to_dict(self):
-        return {"entries": list(self.entries), "fit": self.fit.to_dict()}
 
 
 def reduction_family(cert: SubstructureCertificate, instances,
@@ -243,7 +239,7 @@ def reduction_family(cert: SubstructureCertificate, instances,
         entries.append({"q": inst.q, "n": res.n_vertices, "m": res.n_edges,
                         "verified": res.verified})
     fit = fit_exponent([(e["n"], e["m"]) for e in entries])
-    return ReductionRun(cert, entries, fit)
+    return ReductionRun(entries, fit)
 
 
 # --- conditional-to-plain lifting ------------------------------------
@@ -468,12 +464,16 @@ def paper_verify(only=None, deep=True) -> AuditReport:
             return out
         run("instances", "girth-6 generation", girth_gen)
 
+        # each (family, q) is built once per call, on first use; the map is
+        # made here so that the builders are looked up when the audit runs
+        builders = {"R1S1": build_R1S1_instance, "R2S2": build_R2S2_instance}
+        instance = functools.cache(lambda family, q: builders[family](q))
+
         def instances_ok():
             out = {}
-            for builder, name in ((build_R1S1_instance, "R1S1"),
-                                  (build_R2S2_instance, "R2S2")):
+            for name in builders:
                 for q in (2, 3):
-                    inst = builder(q)
+                    inst = instance(name, q)
                     res = inst.verify("check-given")
                     _expect(isinstance(res, NrdCertificate), f"{name} q={q}")
                     rep = shrinking_report(inst.hypergraph)
@@ -485,12 +485,10 @@ def paper_verify(only=None, deep=True) -> AuditReport:
 
         def shrink_fit():
             out = {}
-            for builder, name, eps0, tol in (
-                    (build_R1S1_instance, "R1S1", 0.25, 0.10),
-                    (build_R2S2_instance, "R2S2", 1 / 6, 0.12)):
+            for name, eps0, tol in (("R1S1", 0.25, 0.10), ("R2S2", 1 / 6, 0.12)):
                 pts = []
                 for q in (2, 3, 5):
-                    inst = builder(q)
+                    inst = instance(name, q)
                     rep = shrinking_report(inst.hypergraph)
                     pts.append((inst.n_edges, rep.shrink_factor))
                 eps = fit_shrinkage(pts)
@@ -499,23 +497,17 @@ def paper_verify(only=None, deep=True) -> AuditReport:
             return out
         run("instances", "shrinkage exponents", shrink_fit)
 
-        def pipeline_j1():
-            insts = [build_R2S2_instance(q) for q in (2, 3, 5)]
-            run_ = reduction_family(tables.certificate("J1"), insts,
-                                    verify_flags=[True, True, False])
-            _expect(all(e["verified"] for e in run_.entries[:2]), "verification")
-            _expect(abs(run_.fit.exponent - 6 / 5) < 0.15, "exponent")
-            return {"fit": run_.fit.to_dict(),
-                    "entries": run_.entries}
-        run("pipelines", "product-to-8-ary pipeline", pipeline_j1)
-
-        def pipeline_p1q1():
-            insts = [build_R1S1_instance(q) for q in (2, 3, 5)]
-            run_ = reduction_family(tables.certificate("P1Q1"), insts,
-                                    verify_flags=[True, True, False])
-            _expect(all(e["verified"] for e in run_.entries[:2]), "verification")
-            _expect(abs(run_.fit.exponent - 4 / 3) < 0.15, "exponent")
-            return {"fit": run_.fit.to_dict(), "entries": run_.entries}
-        run("pipelines", "ternary-projection pipeline", pipeline_p1q1)
+        # witnesses transferred at q = 2, 3; counts only at q = 5
+        for title, cert_name, family, target in (
+                ("product-to-8-ary pipeline", "J1", "R2S2", 6 / 5),
+                ("ternary-projection pipeline", "P1Q1", "R1S1", 4 / 3)):
+            def pipeline_ok(cert_name=cert_name, family=family, target=target):
+                run_ = reduction_family(tables.certificate(cert_name),
+                                        [instance(family, q) for q in (2, 3, 5)],
+                                        verify_flags=[True, True, False])
+                _expect(all(e["verified"] for e in run_.entries[:2]), "verification")
+                _expect(abs(run_.fit.exponent - target) < 0.15, "exponent")
+                return {"fit": run_.fit.to_dict(), "entries": run_.entries}
+            run("pipelines", title, pipeline_ok)
 
     return AuditReport(items)

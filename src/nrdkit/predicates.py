@@ -108,7 +108,11 @@ class ConditionalPredicate:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(Predicate.from_dict(d["base"]), Predicate.from_dict(d["ambient"]))
+        try:
+            base, ambient = d["base"], d["ambient"]
+        except KeyError as exc:
+            raise PredicateError(f"malformed predicate: missing key {exc}") from None
+        return cls(Predicate.from_dict(base), Predicate.from_dict(ambient))
 
 
 @dataclass(frozen=True)
@@ -137,10 +141,6 @@ class IndexFamily:
 
     def to_list(self):
         return [list(s) for s in self.sets]
-
-    @classmethod
-    def from_list(cls, source_arity, sets):
-        return cls(source_arity, tuple(tuple(s) for s in sets))
 
 
 # --- operations -------------------------------------------------------

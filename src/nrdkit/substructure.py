@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .predicates import ConditionalPredicate, IndexFamily, PredicateError
+from .predicates import ConditionalPredicate, IndexFamily
 from .sat import CnfFormula, solve
 
 
@@ -48,7 +48,7 @@ class SubstructureCertificate:
         try:
             src = ConditionalPredicate.from_dict(d["source"])
             tgt = ConditionalPredicate.from_dict(d["target"])
-            fam = IndexFamily.from_list(src.arity, d["family"])
+            fam = IndexFamily(src.arity, d["family"])
             sigma = {tuple(k): tuple(v) for k, v in d["sigma"]}
             set(sigma.values())  # an image holding a list is unhashable
         except TypeError as exc:

@@ -632,13 +632,50 @@ def test_shrink_report_rejects_edges_of_different_lengths(tmp_path, capsys,
     (["verify-nrd", "--instance", "{}", "--predicate", "EQ"],
      {"parts": [["a"], ["b"]]}, "malformed instance: missing key 'edges'"),
     (["verify-nrd", "--instance", "{}", "--predicate", "EQ"],
-     {"edges": [["a", "b"]]}, "malformed instance: missing key 'vertices'")],
-    ids=["predicate", "partite-instance", "plain-instance"])
+     {"edges": [["a", "b"]]}, "malformed instance: missing key 'vertices'"),
+    (["project", "{}", "--coords", "1"],
+     {"base": {"domain": 2, "arity": 2, "tuples": [[0, 0]]}},
+     "malformed predicate: missing key 'ambient'")],
+    ids=["predicate", "partite-instance", "plain-instance", "pair"])
 def test_file_missing_a_key_exits_2(tmp_path, capsys, command, contents, err):
     f = tmp_path / "file.json"
     f.write_text(json.dumps(contents))
     argv = [str(f) if a == "{}" else a for a in command]
     assert usage_error(capsys, *argv) == f"nrd: {err}"
+
+
+def _edgeless_argv(tmp_path, mode, certificate):
+    """verify-nrd on the plain instance a, b, c with no edges, under EQ."""
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": []}))
+    argv = ["verify-nrd", "--instance", str(inst), "--predicate", "EQ",
+            "--mode", mode]
+    if mode == "check-given":
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(certificate))
+        argv += ["--certificate", str(cert)]
+    return argv
+
+
+@pytest.mark.parametrize("mode", ["find-witnesses", "check-given"])
+@pytest.mark.parametrize("fmt, out", [([], "non-redundant\n"),
+                                      (["--json"], '{"non_redundant": true}\n')],
+                         ids=["text", "json"])
+def test_verify_nrd_edgeless_plain_instance_is_non_redundant(
+        tmp_path, capsys, mode, fmt, out):
+    argv = _edgeless_argv(tmp_path, mode, {})
+    assert run(capsys, *fmt, *argv) == (0, out)
+
+
+def test_edgeless_instance_rejects_a_non_empty_certificate(tmp_path, capsys):
+    argv = _edgeless_argv(tmp_path, "check-given", {"0": {"a": 0}})
+    assert usage_error(capsys, *argv) == (
+        "nrd: the instance has no edges, so its certificate must be empty")
+
+
+def test_build_instance_n3_is_for_r1s1_only(capsys):
+    assert usage_error(capsys, "build-instance", "R2S2", "-q", "2",
+                       "--n3", "4") == "nrd build-instance: --n3 applies to R1S1 only"
 
 
 def test_verify_nrd_rejects_a_vertex_listed_twice(tmp_path, capsys):

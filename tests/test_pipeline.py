@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from nrdkit import hypergraph, tables
+from nrdkit import hypergraph, pipeline, tables
 from nrdkit.catalog import C6_COND, catalog
 from nrdkit.generators import build_R1S1_instance, build_R2S2_instance
 from nrdkit.hypergraph import (Hypergraph, InstanceError, NrdCertificate,
@@ -316,6 +316,21 @@ def test_paper_verify_shallow():
     assert any(i.status == "anomaly" for i in rep.items)
     d = rep.to_dict()
     assert d["failures"] == 0 and d["anomalies"] == 1
+
+
+def test_paper_verify_builds_each_instance_once_per_call(monkeypatch):
+    builds = []
+    for family in ("R1S1", "R2S2"):
+        name = f"build_{family}_instance"
+        def counted(q, build=getattr(pipeline, name), family=family):
+            builds.append((family, q))
+            return build(q)
+        monkeypatch.setattr(pipeline, name, counted)
+    pairs = [(family, q) for family in ("R1S1", "R2S2") for q in (2, 3, 5)]
+    for _ in range(2):  # every call rebuilds from scratch
+        builds.clear()
+        assert paper_verify().exit_code == 0
+        assert sorted(builds) == pairs
 
 
 def test_paper_verify_only_filter():
