@@ -4,8 +4,8 @@ A substructure certificate maps ambient tuples of a source pair into a
 target pair, preserving base membership, with each output coordinate reading
 only a declared subset of input coordinates.  We re-discover the classic
 pairwise family for OR3 -> punctured 3LIN via backtracking plus a CNF
-encoding handed to the bundled CDCL solver, then audit the larger bundled
-tables.
+encoding handed to the bundled CDCL solver, search a whole stratum of J1
+families that has no map, then audit the larger bundled tables.
 """
 
 import time
@@ -31,6 +31,17 @@ cert = res.certificates[0]
 print("sample map rows:")
 for q in list(cert.sigma)[:4]:
     print(f"  {''.join(map(str, q))} -> {''.join(map(str, cert.sigma[q]))}")
+print()
+
+# A negative stratum: no J1 map reads only two source coordinates per output
+# coordinate.  Relaxations that fix two output coordinates and leave the rest
+# unrestricted rule out whole subtrees of the 6^8 families unsearched.
+j1 = tables.certificate("J1")
+t0 = time.monotonic()
+res = search_families(j1.source, j1.target, sizes=(2,) * 8, max_results=1)
+dt = time.monotonic() - t0
+print(f"J1, 2-sets: {len(res.certificates)} found over {res.families_tried} "
+      f"families in {dt:.2f}s (exhausted={res.exhausted})")
 print()
 
 print("Bundled construction tables:")

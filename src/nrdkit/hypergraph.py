@@ -801,28 +801,29 @@ _EXHAUSTIVE_SUBSETS = 1 << 18
 def nrd_exact_exhaustive(pq, n, part_sizes=None):
     """Independent oracle: enumerate every candidate edge subset, over the
     same candidates as `nrd_exact` and without its pruning, up to
-    _EXHAUSTIVE_SUBSETS subsets."""
+    _EXHAUSTIVE_SUBSETS subsets.  Each subset larger than the best so far
+    is numbered as `nrd_exact` numbers it and searched on every edge."""
     pq = as_conditional(pq)
     cands = _exact_space(pq.arity, n, part_sizes)[0]
-    vs = tuple(range(n))
-    if 2 ** len(cands) > _EXHAUSTIVE_SUBSETS:
+    cand_cols = np.array(cands, dtype=np.intp).reshape(len(cands), pq.arity).T
+
+    def non_redundant(subset):
+        search = WitnessSearch(InstanceIndex(n, cand_cols[:, subset]), pq,
+                               range(n))
+        return all(search.values(k) is not None for k in range(len(subset)))
+
+    keep = range(len(cands))
+    if 2 ** len(keep) > _EXHAUSTIVE_SUBSETS:
         # Drop edges that can never appear in a non-redundant instance.
-        keep = []
-        for e in cands:
-            res = verify_nrd(Hypergraph(vs, (e,)), pq)
-            if isinstance(res, NrdCertificate):
-                keep.append(e)
-        cands = keep
-    if 2 ** len(cands) > _EXHAUSTIVE_SUBSETS:
+        keep = [i for i in keep if non_redundant([i])]
+    if 2 ** len(keep) > _EXHAUSTIVE_SUBSETS:
         raise BudgetExceeded("exhaustive oracle limited to small searches")
     best = 0
-    for bits in range(1 << len(cands)):
-        es = [cands[i] for i in range(len(cands)) if (bits >> i) & 1]
-        if len(es) <= best:
+    for bits in range(1 << len(keep)):
+        if bits.bit_count() <= best:
             continue
-        res = verify_nrd(Hypergraph(vs, es), pq)
-        if isinstance(res, NrdCertificate):
-            best = len(es)
+        if non_redundant([c for k, c in enumerate(keep) if (bits >> k) & 1]):
+            best = bits.bit_count()
     return best
 
 

@@ -468,6 +468,8 @@ def paper_verify(only=None, deep=True) -> AuditReport:
         # made here so that the builders are looked up when the audit runs
         builders = {"R1S1": build_R1S1_instance, "R2S2": build_R2S2_instance}
         instance = functools.cache(lambda family, q: builders[family](q))
+        report = functools.cache(
+            lambda family, q: shrinking_report(instance(family, q).hypergraph))
 
         def instances_ok():
             out = {}
@@ -476,7 +478,7 @@ def paper_verify(only=None, deep=True) -> AuditReport:
                     inst = instance(name, q)
                     res = inst.verify("check-given")
                     _expect(isinstance(res, NrdCertificate), f"{name} q={q}")
-                    rep = shrinking_report(inst.hypergraph)
+                    rep = report(name, q)
                     out[f"{name} q={q}"] = {"m": inst.n_edges,
                                             "shrink": rep.shrink_factor}
                     _expect(abs(rep.shrink_factor - (q + 1)) < 1e-9, "factor q+1")
@@ -488,9 +490,8 @@ def paper_verify(only=None, deep=True) -> AuditReport:
             for name, eps0, tol in (("R1S1", 0.25, 0.10), ("R2S2", 1 / 6, 0.12)):
                 pts = []
                 for q in (2, 3, 5):
-                    inst = instance(name, q)
-                    rep = shrinking_report(inst.hypergraph)
-                    pts.append((inst.n_edges, rep.shrink_factor))
+                    pts.append((instance(name, q).n_edges,
+                                report(name, q).shrink_factor))
                 eps = fit_shrinkage(pts)
                 _expect(abs(eps - eps0) < tol, f"{name} eps {eps}")
                 out[name] = {"epsilon": eps, "target": eps0}

@@ -14,13 +14,20 @@ as a fast prefilter and confirms every hit through the SAT route.  The
 direct search's family-independent tables (DirectSearchTables) are built
 once per (source, target) pair; encode and verify_certificate keep their
 own class computation, so the two routes share no search code.
+
+search_families also rules out whole subtrees of families unsearched: a map
+for a family is a map for every family whose index sets contain its sets,
+since a larger index set only drops locality constraints, so a relaxation
+(two target coordinates fixed, full sets elsewhere) with no map rules out
+every family below it.  Such a negative rests on the direct search of the
+relaxation alone; SAT cores, an open item in ROADMAP.md, would certify it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from .predicates import ConditionalPredicate, IndexFamily
 from .sat import CnfFormula, solve
@@ -362,54 +369,112 @@ def search_families(source: ConditionalPredicate, target: ConditionalPredicate,
     Families are products of subsets of the source coordinates, one subset
     per target coordinate.  With sizes=(s_1, ..., s_r2) only subsets of those
     exact sizes are tried; by default, uniform-size strata are scanned from
-    largest proper size downwards, then all mixed-size families.  The direct
-    backtracking search filters each family; positives are re-derived through
-    the SAT encoding, which verifies the certificate it reports.  The direct
-    search's tables are built once for the pair and shared by every family.
+    largest proper size downwards, then all mixed-size families.
+
+    The families are walked depth first over the target coordinates, in that
+    order.  Before the walk puts set A at coordinate j, it checks, for each
+    i < j, the relaxation that keeps only the set F_i already chosen at i and
+    A at j, with the full set {1..r1} everywhere else.  A map for a family is
+    a map for every family whose sets contain its sets, since a larger index
+    set only drops locality constraints; so a relaxation with no map rules
+    out every family below A, and those families are counted in
+    families_tried without being searched (max_families may cut inside such
+    a subtree).  Each relaxation is decided once per call by the direct
+    search, so a negative decided by pruning rests on the direct search of a
+    relaxation and carries no certificate of its own; SAT cores (ROADMAP.md)
+    would certify it.  Every other family goes through the direct search;
+    its hits are re-derived through the SAT encoding, which verifies the
+    certificate it reports.  The direct search's tables are built once for
+    the pair and shared by every family and relaxation.
     """
     if max_results < 1:
         raise SubstructureError("max_results must be at least 1")
     r1, r2 = source.arity, target.arity
-    subsets = [()] + [s for k in range(1, r1 + 1)
-                      for s in combinations(range(1, r1 + 1), k)]
+    full = tuple(range(1, r1 + 1))
+    subsets = [()] + [s for k in range(1, r1 + 1) for s in combinations(full, k)]
     by_size = {}
     for s in subsets:
         by_size.setdefault(len(s), []).append(s)
-
-    def families():
-        if sizes is not None:
-            if len(sizes) != r2:
-                raise SubstructureError("sizes must give one entry per target coordinate")
-            yield from product(*(by_size.get(s, []) for s in sizes))
-            return
-        for s in range(r1 - 1, -1, -1):
-            yield from product(by_size[s], repeat=r2)
-        for fam in product(subsets, repeat=r2):
-            if len(set(len(I) for I in fam)) > 1:
-                yield fam
+    # (choices per target coordinate, skip families whose sets share one size)
+    if sizes is not None:
+        if len(sizes) != r2:
+            raise SubstructureError("sizes must give one entry per target coordinate")
+        walks = [([by_size.get(s, []) for s in sizes], False)]
+    else:
+        walks = [([by_size[s]] * r2, False) for s in range(r1 - 1, -1, -1)]
+        walks.append(([subsets] * r2, True))
 
     tables = DirectSearchTables(source, target)
+    relaxed = {}  # (i, F_i, j, A) -> does that relaxation have a map?
+
+    def relaxation_has_map(i, I, j, A):
+        key = (i, I, j, A)
+        hit = relaxed.get(key)
+        if hit is None:
+            sets = [full] * r2
+            sets[i], sets[j] = I, A
+            hit = relaxed[key] = direct_search(
+                source, target, IndexFamily(r1, sets), tables=tables) is not None
+        return hit
+
     start = time.monotonic()
     found = []
     tried = 0
     exhausted = True
-    for sets in families():
-        if max_families is not None and tried >= max_families:
-            exhausted = False
-            break
-        if time_budget is not None and time.monotonic() - start > time_budget:
-            exhausted = False
-            break
-        tried += 1
-        fam = IndexFamily(r1, sets)
-        if direct_search(source, target, fam, tables=tables) is None:
-            continue
-        cert = find_substructure(source, target, fam)
-        if cert is None:
-            raise SubstructureError(
-                f"direct search and SAT disagree on family {fam.to_list()}")
-        found.append(cert)
-        if len(found) >= max_results:
-            exhausted = False
+    sets = [None] * r2
+
+    def walk(choices, skip_uniform):
+        # below[j] families in a subtree whose sets 0..j-1 are fixed
+        below = [1] * (r2 + 1)
+        for j in range(r2 - 1, -1, -1):
+            below[j] = below[j + 1] * len(choices[j])
+
+        def descend(j, common):
+            """Walk coordinate j; common is the one size of sets[:j], or -1.
+            True when the search stops."""
+            nonlocal tried, exhausted
+            for A in choices[j]:
+                size = len(A) if j == 0 or common == len(A) else -1
+                n = below[j + 1]
+                if skip_uniform and size >= 0:
+                    n -= len(by_size[size]) ** (r2 - 1 - j)
+                if n == 0:
+                    continue
+                if (max_families is not None and tried >= max_families) or (
+                        time_budget is not None
+                        and time.monotonic() - start > time_budget):
+                    exhausted = False
+                    return True
+                if not all(relaxation_has_map(i, sets[i], j, A) for i in range(j)):
+                    # none of the n families below A has a map
+                    if max_families is not None and tried + n > max_families:
+                        tried = max_families
+                        exhausted = False
+                        return True
+                    tried += n
+                    continue
+                sets[j] = A
+                if j + 1 < r2:
+                    if descend(j + 1, size):
+                        return True
+                    continue
+                tried += 1
+                fam = IndexFamily(r1, sets)
+                if direct_search(source, target, fam, tables=tables) is None:
+                    continue
+                cert = find_substructure(source, target, fam)
+                if cert is None:
+                    raise SubstructureError(
+                        f"direct search and SAT disagree on family {fam.to_list()}")
+                found.append(cert)
+                if len(found) >= max_results:
+                    exhausted = False
+                    return True
+            return False
+
+        return descend(0, -1)
+
+    for choices, skip_uniform in walks:
+        if walk(choices, skip_uniform):
             break
     return FamilySearchResult(found, tried, exhausted)

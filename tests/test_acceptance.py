@@ -118,6 +118,19 @@ def test_05b_size3_families_for_products(name):
     assert verify_certificate(res.certificates[0])[0]
 
 
+def test_05c_exhaustive_negative_stratum():
+    # no map reads only two source coordinates per J1 output coordinate;
+    # nearly all of the 6^8 families are ruled out through relaxations
+    cert = tables.certificate("J1")
+    start = time.monotonic()
+    res = search_families(cert.source, cert.target, sizes=(2,) * 8,
+                          max_results=1)
+    assert time.monotonic() - start < 5
+    assert res.certificates == []
+    assert res.families_tried == 6 ** 8
+    assert res.exhausted is True
+
+
 @pytest.mark.parametrize("builder,eps0,tol",
                          [(build_R1S1_instance, 0.25, 0.10),
                           (build_R2S2_instance, 1 / 6, 0.12)])

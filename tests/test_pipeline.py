@@ -319,18 +319,25 @@ def test_paper_verify_shallow():
 
 
 def test_paper_verify_builds_each_instance_once_per_call(monkeypatch):
-    builds = []
+    builds, reports = [], []
     for family in ("R1S1", "R2S2"):
         name = f"build_{family}_instance"
         def counted(q, build=getattr(pipeline, name), family=family):
             builds.append((family, q))
             return build(q)
         monkeypatch.setattr(pipeline, name, counted)
+
+    def counted_report(h, report=pipeline.shrinking_report):
+        reports.append(h)
+        return report(h)
+    monkeypatch.setattr(pipeline, "shrinking_report", counted_report)
     pairs = [(family, q) for family in ("R1S1", "R2S2") for q in (2, 3, 5)]
-    for _ in range(2):  # every call rebuilds from scratch
+    for _ in range(2):  # every call rebuilds and re-measures from scratch
         builds.clear()
+        reports.clear()
         assert paper_verify().exit_code == 0
         assert sorted(builds) == pairs
+        assert len(reports) == len(pairs)  # one shrink report per (family, q)
 
 
 def test_paper_verify_only_filter():

@@ -1,6 +1,7 @@
 import hashlib
 import json
-from itertools import combinations, product
+import math
+from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from nrdkit.substructure import (DirectSearchTables, SubstructureCertificate,
                                  find_substructure, search_families,
                                  verify_certificate)
 from nrdkit.sat import solve
-from nrdkit import tables
+from nrdkit import substructure, tables
 
 
 THREELIN = catalog("3LIN*")
@@ -293,6 +294,84 @@ def test_direct_search_results_are_pinned(name, sizes, max_results, tried,
     direct = [direct_search(cert.source, cert.target, c.family, tables=shared)
               for c in res.certificates]
     assert _sigma_digest(direct) == digest
+
+
+def _reference_search(src, tgt, sizes, max_results, max_families, hits):
+    """search_families without pruning: a plain loop over the same family
+    order, each family decided by the direct search; `hits` memoises the
+    direct search per family across calls."""
+    r1, r2 = src.arity, tgt.arity
+    subsets = [I for k in range(r1 + 1) for I in combinations(range(1, r1 + 1), k)]
+
+    def of_size(s):
+        return [I for I in subsets if len(I) == s]
+
+    if sizes is not None:
+        order = product(*map(of_size, sizes))
+    else:
+        mixed = (f for f in product(subsets, repeat=r2)
+                 if len({len(I) for I in f}) > 1)
+        order = chain(*(product(of_size(s), repeat=r2)
+                        for s in range(r1 - 1, -1, -1)), mixed)
+    shared = DirectSearchTables(src, tgt)
+    found, tried = [], 0
+    for sets in order:
+        if max_families is not None and tried >= max_families:
+            return found, tried, False
+        tried += 1
+        if sets not in hits:
+            hits[sets] = direct_search(src, tgt, IndexFamily(r1, sets),
+                                       tables=shared) is not None
+        if hits[sets]:
+            found.append([list(I) for I in sets])
+            if len(found) >= max_results:
+                return found, tried, False
+    return found, tried, True
+
+
+# every bundled pair, in the default order (uniform strata, then mixed), in
+# the stratum of its own family and in the singleton stratum; a walk is cut
+# at its last family or run to its end only where it has at most 4096
+DIFFERENTIAL = [(name, sizes) for name in tables.CERTIFICATE_NAMES
+                for sizes in (None, "family", "ones")]
+
+
+@pytest.mark.parametrize("name, sizes", DIFFERENTIAL)
+def test_pruned_walk_matches_the_plain_loop(name, sizes):
+    cert = tables.certificate(name)
+    src, tgt = cert.source, cert.target
+    r1, r2 = src.arity, tgt.arity
+    sizes = {None: None, "family": tuple(len(I) for I in cert.family.sets),
+             "ones": (1,) * r2}[sizes]
+    # by default every family but the one of full sets is walked
+    total = (2 ** r1) ** r2 - 1 if sizes is None else \
+        math.prod(math.comb(r1, s) for s in sizes)
+    hits = {}
+    for max_results in (1, 3, 1000):
+        for max_families in (1, 2, 5, 17, 40, 100, 300, total, None):
+            if max_families in (total, None) and total > 4096:
+                continue
+            res = search_families(src, tgt, sizes=sizes, max_results=max_results,
+                                  max_families=max_families)
+            want = _reference_search(src, tgt, sizes, max_results,
+                                     max_families, hits)
+            got = ([c.family.to_list() for c in res.certificates],
+                   res.families_tried, res.exhausted)
+            assert got == want, (max_results, max_families)
+
+
+def test_relaxations_decide_the_or3_singleton_stratum(monkeypatch):
+    searched = []
+
+    def counted(src, tgt, fam, **kwargs):
+        searched.append(fam.sets)
+        return direct_search(src, tgt, fam, **kwargs)
+    monkeypatch.setattr(substructure, "direct_search", counted)
+    res = search_families(OR3_COND, THREELIN, sizes=(1, 1, 1), max_results=10)
+    assert (res.certificates, res.families_tried, res.exhausted) == ([], 27, True)
+    # only relaxations are searched: one full set and two singletons each
+    assert len(searched) == 9
+    assert all(sum(map(len, sets)) == 5 for sets in searched)
 
 
 # --- bundled construction tables --------------------------------------
