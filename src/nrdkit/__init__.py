@@ -3,10 +3,7 @@
 from .predicates import (ConditionalPredicate, IndexFamily, Predicate,
                          PredicateError, box_product, permute,
                          permute_conditional, project, project_conditional)
-from . import catalog as _catalog
 from .catalog import catalog_names
-
-lookup = _catalog.catalog  # catalog() the function lives on the catalog module
 from .balance import BalanceReport, is_balanced_bounded, is_balanced_lattice
 from .cancellation import cancel, catalan_matrix_check, catalan_search
 from .hypergraph import (Hypergraph, NrdCertificate, NrdFailure,

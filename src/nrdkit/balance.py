@@ -67,8 +67,8 @@ class IntLattice:
             if lead is None:
                 return
             if lead < col:
+                # Rows after k have pivots above col > lead: still echelon.
                 self.rows.insert(k, (lead, vec, combo))
-                self._renormalize(k)
                 return
             if lead == col:
                 a, b = row[col], vec[col]
@@ -82,13 +82,6 @@ class IntLattice:
         lead = next((j for j, v in enumerate(vec) if v != 0), None)
         if lead is not None:
             self.rows.append((lead, vec, combo))
-
-    def _renormalize(self, start):
-        # Newly inserted row may break the echelon property of later rows.
-        tail = self.rows[start + 1:]
-        self.rows = self.rows[:start + 1]
-        for _, vec, combo in tail:
-            self._insert(vec, combo)
 
     def member(self, vec):
         """Return combination coefficients over the generators, or None."""
@@ -132,19 +125,28 @@ def _require_boolean(p: Predicate):
         raise UnsupportedDomainError("balance is defined for Boolean predicates only")
 
 
-def affine_coefficients(p: Predicate, target):
-    """Integer coefficients over p.tuples summing to 1 that produce target,
-    or None if target is outside the affine lattice of p."""
+def _affine_solver(p: Predicate):
+    """affine_coefficients for p, as a function of target alone: the lattice
+    of differences from p.tuples[0] is built once."""
     base = p.tuples[0]
     lat = IntLattice(p.arity)
     for t in p.tuples[1:]:
         lat.add([a - b for a, b in zip(t, base)])
-    coeffs = lat.member([a - b for a, b in zip(target, base)])
-    if coeffs is None:
-        return None
-    lam = [1 - sum(coeffs)] + coeffs
-    assert sum(lam) == 1
-    return lam
+
+    def solve(target):
+        coeffs = lat.member([a - b for a, b in zip(target, base)])
+        if coeffs is None:
+            return None
+        lam = [1 - sum(coeffs)] + coeffs
+        assert sum(lam) == 1
+        return lam
+    return solve
+
+
+def affine_coefficients(p: Predicate, target):
+    """Integer coefficients over p.tuples summing to 1 that produce target,
+    or None if target is outside the affine lattice of p."""
+    return _affine_solver(p)(target)
 
 
 def expand_alternating(p: Predicate, lam):
@@ -179,10 +181,11 @@ def is_balanced_lattice(p: Predicate) -> BalanceReport:
     only inside p."""
     _require_boolean(p)
     in_p = set(p.tuples)
+    solve = _affine_solver(p)
     for u in product((0, 1), repeat=p.arity):
         if u in in_p:
             continue
-        lam = affine_coefficients(p, u)
+        lam = solve(u)
         if lam is not None:
             seq = expand_alternating(p, lam)
             assert alternating_sum(seq) == u

@@ -71,12 +71,9 @@ def catalan_search(p_plus: Predicate, max_len: int):
     if max_len % 2 == 0:
         raise PredicateError("max_len must be odd")
     violations = []
-    seen = set()
     for length in range(3, max_len + 1, 2):
         for cols in product(p_plus.tuples, repeat=length):
             residual, member = catalan_matrix_check(p_plus, cols)
             if residual is not None and not member:
-                if (cols, residual) not in seen:
-                    seen.add((cols, residual))
-                    violations.append(CatalanViolation(list(cols), residual))
+                violations.append(CatalanViolation(list(cols), residual))
     return violations

@@ -28,7 +28,10 @@ class UsageError(Exception):
 
 def _env_int(name, default):
     val = os.environ.get(name)
-    return int(val) if val else default
+    try:
+        return int(val) if val else default
+    except ValueError:
+        raise UsageError(f"nrd: {name} must be an integer, got {val!r}") from None
 
 
 def load_predicate(spec):
@@ -480,12 +483,11 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    logging.basicConfig(stream=sys.stderr,
-                        level=logging.DEBUG if args.verbose else logging.INFO,
-                        format="%(levelname)s %(name)s: %(message)s")
     try:
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(stream=sys.stderr,
+                            level=logging.DEBUG if args.verbose else logging.INFO,
+                            format="%(levelname)s %(name)s: %(message)s")
         for flag in ("search_budget", "conflict_budget"):
             if (getattr(args, flag) or 0) < 0:
                 raise UsageError(f"nrd: --{flag.replace('_', '-')} must not "
@@ -494,9 +496,7 @@ def main(argv=None):
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 2
-    except (predicates.PredicateError, hypergraph.InstanceError,
-            substructure.SubstructureError, generators.GeneratorError,
-            ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"nrd: {exc}", file=sys.stderr)
         return 2
     except (hypergraph.BudgetExceeded, sat.ConflictBudgetExceeded) as exc:

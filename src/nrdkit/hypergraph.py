@@ -36,6 +36,13 @@ def _check_distinct(vertices, what):
         raise InstanceError(f"vertex {dup!r} {what}")
 
 
+def _array(x):
+    """tuple(x) for a JSON array; a string in its place is a TypeError."""
+    if isinstance(x, str):
+        raise TypeError(f"{x!r} is a string, not a list")
+    return tuple(x)
+
+
 @dataclass(frozen=True)
 class PartiteHypergraph:
     """Parts V_1..V_r of string labels, edges in V_1 x ... x V_r."""
@@ -77,8 +84,8 @@ class PartiteHypergraph:
     @classmethod
     def from_dict(cls, d):
         try:
-            return cls(tuple(tuple(p) for p in d["parts"]),
-                       tuple(tuple(e) for e in d["edges"]))
+            return cls(tuple(map(_array, _array(d["parts"]))),
+                       tuple(map(_array, _array(d["edges"]))))
         except TypeError as exc:
             raise InstanceError(f"malformed instance: {exc}") from None
         except KeyError as exc:
@@ -119,7 +126,7 @@ class Hypergraph:
     @classmethod
     def from_dict(cls, d):
         try:
-            return cls(tuple(d["vertices"]), tuple(tuple(e) for e in d["edges"]))
+            return cls(_array(d["vertices"]), tuple(map(_array, _array(d["edges"]))))
         except TypeError as exc:
             raise InstanceError(f"malformed instance: {exc}") from None
         except KeyError as exc:

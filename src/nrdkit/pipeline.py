@@ -10,7 +10,6 @@ instance pipelines in one run.
 from __future__ import annotations
 
 import functools
-import logging
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
@@ -25,11 +24,10 @@ from .hypergraph import (Hypergraph, InstanceError, MalformedWitness,
                          NrdCertificate, PartiteHypergraph, Projection,
                          RadixTable, WitnessKernel, instance_index, nrd_exact,
                          projection_map, shrinking_report)
-from .predicates import ConditionalPredicate, Predicate, box_product
+from .predicates import ConditionalPredicate, Predicate, PredicateError, \
+    box_product
 from .substructure import SubstructureCertificate, dependency_analysis, \
     family_supports, verify_certificate
-
-log = logging.getLogger(__name__)
 
 
 class PipelineError(RuntimeError):
@@ -247,7 +245,7 @@ def reduction_family(cert: SubstructureCertificate, instances,
 
 def _or_pair(domain_size: int, r: int) -> ConditionalPredicate:
     if domain_size < 2:
-        raise PipelineError("lifting needs both 0 and 1 in the domain")
+        raise PredicateError("lifting needs both 0 and 1 in the domain")
     ors = [t for t in product((0, 1), repeat=r) if any(t)]
     cube = list(product((0, 1), repeat=r))
     return ConditionalPredicate(Predicate(domain_size, r, ors),

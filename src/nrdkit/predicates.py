@@ -165,14 +165,9 @@ def project_conditional(pq: ConditionalPredicate, J) -> ConditionalPredicate:
 def permute(p: Predicate, sigma) -> Predicate:
     """Rearrange coordinates: output position k takes value x_{sigma(k)}.
 
-    sigma is a bijection on [1, r], given as a sequence (sigma(1), ..., sigma(r))
-    or a dict.
+    sigma is a bijection on [1, r], given as a sequence (sigma(1), ..., sigma(r)).
     """
     r = p.arity
-    if isinstance(sigma, dict):
-        sigma = [sigma[k] for k in range(1, r + 1)] if len(sigma) == r else None
-        if sigma is None:
-            raise PredicateError("permutation dict must cover [1, r]")
     sigma = list(sigma)
     if sorted(sigma) != list(range(1, r + 1)):
         raise PredicateError(f"{sigma} is not a bijection on [1, {r}]")

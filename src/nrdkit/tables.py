@@ -134,11 +134,6 @@ SIGMA_3LIN = _sigma([
     ("000", "000"), ("001", "012"), ("010", "102"), ("011", "111"),
     ("100", "210"), ("101", "222"), ("110", "012"), ("111", "021"),
 ])
-G_3LIN = (
-    {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 0},
-    {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2},
-    {(0, 0): 0, (0, 1): 2, (1, 0): 2, (1, 1): 1},
-)
 
 # CAT5 | CAT5+ into the permutation-matrix pair (no coordinate locality).
 SIGMA_CAT5_BOOLBCK = _sigma([
@@ -220,7 +215,7 @@ SYM_ROWS = {
 SYM_TARGET = {3: 2, 4: 2, 5: 1, 6: 2, 7: 2, 8: 2, 9: 1}
 
 
-def apply_sym_row(p: Predicate, i: int, target: int, row: dict) -> Predicate:
+def apply_sym_row(p: Predicate, i: int, row: dict) -> Predicate:
     """Reindex pi_{J_target} p through the row: coordinate j of the output
     (j running over sorted J_i) reads coordinate row[j] of pi_{J_target} p."""
     J_i = [j for j in range(1, 10) if j != i]
@@ -247,7 +242,7 @@ def verify_sym_row(i: int, target: int = None, row: dict = None):
         problems.append(f"row values are not a bijection onto J_{target}")
     for p in (BOOLBCK, BOOLBCK_PLUS):
         want = project(p, J_i)
-        got = apply_sym_row(p, i, target, row)
+        got = apply_sym_row(p, i, row)
         if want.tuples != got.tuples:
             problems.append(f"row does not carry the {len(p)}-tuple predicate")
     return not problems, problems

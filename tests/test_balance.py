@@ -1,3 +1,6 @@
+import hashlib
+import json
+import random
 from itertools import product
 
 import pytest
@@ -7,6 +10,7 @@ from nrdkit.balance import (IntLattice, UnsupportedDomainError,
                             affine_coefficients, alternating_sum,
                             expand_alternating, is_balanced_bounded,
                             is_balanced_lattice)
+from nrdkit.cancellation import catalan_search
 from nrdkit.catalog import EQ, ONE_IN_THREE, or_k
 from nrdkit.predicates import Predicate
 
@@ -112,3 +116,23 @@ def test_imbalance_witness_is_valid(p):
 def test_full_cube_balanced():
     cube = Predicate(2, 3, list(product((0, 1), repeat=3)))
     assert is_balanced_lattice(cube).balanced
+
+
+def test_balance_outputs_are_pinned():
+    """Lattice reports, affine coefficients at every cube point and Catalan
+    violations (arity <= 4) of 100 seeded random Boolean predicates of arity
+    2-6, pinned by digest: the witness sequences, not just the verdicts."""
+    rng = random.Random(14)
+    records = []
+    for k in range(100):
+        r = 2 + k % 5
+        cube = list(product((0, 1), repeat=r))
+        p = Predicate(2, r, rng.sample(cube, rng.randint(1, len(cube))))
+        records.append({
+            "lattice": is_balanced_lattice(p).to_dict(),
+            "affine": [affine_coefficients(p, u) for u in cube],
+            "catalan": [v.to_dict() for v in catalan_search(p, 3)]
+            if r <= 4 else None})
+    text = json.dumps(records, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "99f17b9d26c798d501d5d4ff1ff172b50f6faf1c1c453f94cfba60fe010e980d")

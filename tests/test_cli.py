@@ -453,12 +453,25 @@ def test_malformed_witness_json_exits_2(tmp_path, capsys, command, witnesses,
     assert usage_error(capsys, command, *argv) == f"nrd: {err}"
 
 
+_NOT_A_LIST = "'{}' is a string, not a list"
+
+
 @pytest.mark.parametrize("instance, err", [
     ({"parts": [["a"], ["b"]], "edges": [1, 2]}, "'int' object is not iterable"),
     ({"vertices": ["a", "b"], "edges": [1, 2]}, "'int' object is not iterable"),
     ([1], "list indices must be integers or slices, not str"),
-    (5, "'int' object is not subscriptable")],
-    ids=["partite", "plain", "top-level-list", "top-level-int"])
+    (5, "'int' object is not subscriptable"),
+    ({"vertices": ["a", "b"], "edges": ["ab"]}, _NOT_A_LIST.format("ab")),
+    ({"vertices": "ab", "edges": [["a", "b"]]}, _NOT_A_LIST.format("ab")),
+    ({"vertices": ["a", "b"], "edges": "ab"}, _NOT_A_LIST.format("ab")),
+    ({"parts": ["ab", "cd"], "edges": [["a", "c"], "bd"]},
+     _NOT_A_LIST.format("ab")),
+    ({"parts": [["a", "b"], ["c", "d"]], "edges": [["a", "c"], "bd"]},
+     _NOT_A_LIST.format("bd")),
+    ({"parts": "ab", "edges": [["a", "b"]]}, _NOT_A_LIST.format("ab"))],
+    ids=["partite", "plain", "top-level-list", "top-level-int",
+         "plain-edge-string", "plain-vertices-string", "plain-edges-string",
+         "partite-part-string", "partite-edge-string", "partite-parts-string"])
 def test_malformed_instance_json_exits_2(tmp_path, capsys, instance, err):
     f = tmp_path / "inst.json"
     f.write_text(json.dumps(instance))
@@ -684,6 +697,24 @@ def test_verify_nrd_rejects_a_vertex_listed_twice(tmp_path, capsys):
                              "edges": [["a", "b"]]}))
     assert usage_error(capsys, "verify-nrd", "--instance", str(f),
                        "--predicate", "EQ") == "nrd: vertex 'a' is listed twice"
+
+
+def test_cond2plain_on_a_domain_one_pair_exits_2(tmp_path, capsys):
+    f = tmp_path / "pair.json"
+    f.write_text(json.dumps({
+        "base": {"domain": 1, "arity": 1, "tuples": []},
+        "ambient": {"domain": 1, "arity": 1, "tuples": [[0]]}}))
+    assert usage_error(capsys, "cond2plain", str(f)) == (
+        "nrd: lifting needs both 0 and 1 in the domain")
+
+
+@pytest.mark.parametrize("variable", ["NRD_SEARCH_BUDGET",
+                                      "NRD_CONFLICT_BUDGET"])
+def test_non_integer_budget_from_environment_exits_2(monkeypatch, capsys,
+                                                     variable):
+    monkeypatch.setenv(variable, "abc")
+    assert usage_error(capsys, "nrd-exact", "EQ", "-n", "3") == (
+        f"nrd: {variable} must be an integer, got 'abc'")
 
 
 @pytest.mark.parametrize("argv, digest", [
