@@ -158,6 +158,11 @@ def cmd_catalan_search(args):
 
 
 def cmd_verify_nrd(args):
+    if args.mode == "find-witnesses" and args.certificate is not None:
+        raise UsageError("nrd verify-nrd: --certificate needs --mode check-given")
+    if args.mode == "check-given" and args.max_assignments is not None:
+        raise UsageError(
+            "nrd verify-nrd: --max-assignments needs --mode find-witnesses")
     h = load_instance(args.instance)
     pq = load_predicate(args.predicate)
     cert = None

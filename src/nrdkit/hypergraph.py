@@ -261,13 +261,18 @@ class WitnessSearch:
     of P on every edge but the excluded one, those of Q \\ P on it alone
     (the bitset table propagation of Compact-Table, Demeulenaere et al.,
     CP 2016, sliced across edges, since every edge checks the same
-    relation).  Assigning v := x clears v's edges out of the tuples that
-    disagree with x at each position of v.  A sweep over the tuples that
-    agree then finds v's edges left with no tuple (a conflict) or with one
-    (unit: its tuple forces the edge's unassigned vertices).  Per-position
-    bitsets of edges with an unassigned vertex keep fully assigned edges
-    out of the unit step.  A decision level is undone by restoring a
-    snapshot of the |T| + r bitsets.
+    relation).  Assigning v := x sweeps, at each position p of v, the
+    tuples that agree with x at p: v's edges there left with no tuple are a
+    conflict, those left with one are unit (the tuple forces the edge's
+    unassigned vertices).  Only then are v's edges at p cleared out of the
+    tuples that disagree, so a conflict costs no kill.  An edge that holds v
+    twice is swept again, in full, at the later position, where a unit read
+    too early ends in a conflict before its values propagate.  Per-position
+    bitsets of edges with an unassigned vertex keep fully assigned edges out
+    of the unit step.  A decision level is undone by restoring a snapshot of
+    the |T| + r bitsets; a decision value that leaves one of v's edges at
+    its first position (all of them in a partite instance) with no agreeing
+    tuple is rejected before anything is written, so it needs no restore.
 
     Vertices are decided in a fixed order, the excluded edge's first, then
     by decreasing degree and by label; values in `_value_order`.  Pruning is
@@ -275,11 +280,13 @@ class WitnessSearch:
     lexicographic order.  Vertices on no edge take the first value of the
     first tuple of P.
 
-    `trials` counts value trials at decision points (forced values are not
-    counted); a search raises BudgetExceeded once it passes `budget`.  Edges
-    that are unit from the start, such as the excluded edge when Q \\ P has
-    one tuple, are propagated before the first decision, so their vertices
-    cost no trials (292 032 trials for all 2704 edges of R2S2 q=3).
+    `trials` counts value trials at decision points, rejected values
+    included (forced values are not counted); a search raises
+    BudgetExceeded once it passes `budget`.  Edges that are unit from the
+    start, such as the excluded edge when Q \\ P has one tuple, are
+    propagated before the first decision, so their vertices cost no trials
+    (292 032 trials for all 2704 edges of R2S2 q=3, half of them rejected
+    before anything is written).
 
     Set up from an InstanceIndex and the labels of its vertices, which
     break degree ties and key the dicts of `witness`.
@@ -373,11 +380,9 @@ class WitnessSearch:
             x = val[v]
             occ_v = occ[v]
             for p, _, rest in occ_v:
-                for t in kill[p][x]:
-                    alive[t] &= rest
                 unassigned[p] &= rest
             pending = None
-            for p, scope, _ in occ_v:
+            for p, scope, rest in occ_v:
                 ids = keep[p][x]
                 ones = twos = 0
                 for t in ids:
@@ -386,6 +391,8 @@ class WitnessSearch:
                     ones |= a
                 if ones != scope:
                     return False
+                for t in kill[p][x]:
+                    alive[t] &= rest
                 unit = ones ^ twos
                 if unit:
                     if pending is None:
@@ -404,19 +411,26 @@ class WitnessSearch:
         if depth == len(order):
             return True
         v = order[depth]
-        alive, unassigned = self.alive[:], self.unassigned[:]
+        alive, unassigned = self.alive, self.unassigned
+        saved = alive[:], unassigned[:]
         trail = self.trail
         mark = len(trail)
+        p, scope, _ = self.occ[v][0]
+        agree = self.tab.keep[p]
         for x in self.tab.values:
             self.trials += 1
             if self.budget is not None and self.trials > self.budget:
                 raise BudgetExceeded("assignment budget exceeded")
+            ones = 0
+            for t in agree[x]:
+                ones |= alive[t]
+            if ones & scope != scope:
+                continue  # rejected before anything is written
             val[v] = x
             trail.append(v)
             if self._run([v]) and self._solve(order, depth + 1):
                 return True
-            self.alive[:] = alive
-            self.unassigned[:] = unassigned
+            alive[:], unassigned[:] = saved
             while len(trail) > mark:
                 val[trail.pop()] = -1
         return False

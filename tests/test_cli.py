@@ -176,6 +176,22 @@ def test_verify_nrd_negative_budget_exits_2(tmp_path, capsys):
     assert code == 2 and out == "" and "budget" in err
 
 
+def test_verify_nrd_flag_of_the_other_mode_exits_2(tmp_path, capsys):
+    # a flag that the chosen mode would ignore is an error, not a no-op
+    inst = build_R1S1_instance(2)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(inst.certificate().to_dict(inst.hypergraph)))
+    find = ["verify-nrd", "--instance", _r1s1_file(tmp_path), "--predicate",
+            "R1|S1"]
+    given = find + ["--mode", "check-given", "--certificate", str(cert)]
+    assert run(capsys, *find) == (0, "non-redundant\n")
+    assert run(capsys, *given) == (0, "non-redundant\n")
+    assert usage_error(capsys, *find, "--certificate", str(cert)) == (
+        "nrd verify-nrd: --certificate needs --mode check-given")
+    assert usage_error(capsys, *given, "--max-assignments", "10") == (
+        "nrd verify-nrd: --max-assignments needs --mode find-witnesses")
+
+
 def test_nrd_exact_budget_exhausted_exits_1(capsys):
     code = main(["--search-budget", "5", "nrd-exact", "EQ", "-n", "4"])
     out, err = capsys.readouterr()

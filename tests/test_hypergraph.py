@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import json
 import random
 from itertools import combinations, product
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nrdkit.catalog import C6, C6_COND, C6_STAR, EQ, ONE_IN_THREE, or_k
-from nrdkit.generators import build_R1S1_instance
+from nrdkit.generators import build_R1S1_instance, build_R2S2_instance
 from nrdkit.hypergraph import (BudgetExceeded, Hypergraph, InstanceError,
                                NrdCertificate, NrdFailure, PartiteHypergraph,
                                RadixTable, WitnessKernel, WitnessSearch,
@@ -212,6 +214,52 @@ def test_trial_count_is_pinned():
     for i in range(len(h.edges)):
         search.values(i)
     assert search.trials == 5292
+
+
+def _search_digest(h, pq):
+    """sha256 of every edge's witness values and value trials, and the
+    trials in all."""
+    search = WitnessSearch(instance_index(h, pq.arity), pq, h.vertices())
+    runs = []
+    for i in range(len(h.edges)):
+        before = search.trials
+        runs.append([search.values(i), search.trials - before])
+    return hashlib.sha256(json.dumps(runs).encode()).hexdigest(), search.trials
+
+
+def test_r2s2_witnesses_and_trials_are_pinned():
+    # partite: no edge holds a vertex twice
+    inst = build_R2S2_instance(2)
+    assert _search_digest(inst.hypergraph, inst.predicate) == (
+        "930202476db9d968704c76b8443f521f93f0fafe955d3798233fb9346bcd3ca3",
+        21168)
+
+
+def _plain_case(k):
+    """A small plain instance with at least one edge that holds a vertex
+    twice, under a random predicate pair."""
+    rng = random.Random(k)
+    d = rng.choice((2, 3))
+    r = rng.randint(2, 3 if d == 2 else 2)
+    cube = list(product(range(d), repeat=r))
+    ambient = (rng.sample(cube, rng.randint(1, len(cube)))
+               if rng.random() < 0.5 else cube)
+    base = rng.sample(ambient, rng.randint(0, len(ambient) - 1))
+    pq = ConditionalPredicate(Predicate(d, r, base), Predicate(d, r, ambient))
+    vs = tuple(f"v{i}" for i in range(rng.randint(1, 6 if r < 3 else 4)))
+    cands = list(product(vs, repeat=r))
+    edges = rng.sample(cands, rng.randint(1, min(8, len(cands))))
+    if all(len(set(e)) == r for e in edges):
+        edges[rng.randrange(len(edges))] = rng.choice(
+            [e for e in cands if len(set(e)) < r])
+    return Hypergraph(vs, tuple(dict.fromkeys(edges))), pq
+
+
+def test_repeated_vertex_witnesses_and_trials_are_pinned():
+    digests, trials = zip(*(_search_digest(*_plain_case(k)) for k in range(200)))
+    assert (hashlib.sha256("".join(digests).encode()).hexdigest(),
+            sum(trials)) == (
+        "a465f16411472358f02d76d699687aec348d16c1cf24b71024aed8104c21473a", 997)
 
 
 @settings(max_examples=300, deadline=None)
