@@ -3,7 +3,9 @@
 Closure under all odd alternating integer sums (with repetition) of tuples is
 equivalent to closure of the integer affine lattice spanned by the tuples,
 intersected with the 0/1 cube.  The lattice route decides the property
-exactly; the bounded enumerator exists as an independent cross-check.
+exactly: `affine_solver` builds the lattice once and `is_balanced_lattice`
+queries it at every cube point outside the predicate.  The bounded
+enumerator exists as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -125,9 +127,10 @@ def _require_boolean(p: Predicate):
         raise UnsupportedDomainError("balance is defined for Boolean predicates only")
 
 
-def _affine_solver(p: Predicate):
-    """affine_coefficients for p, as a function of target alone: the lattice
-    of differences from p.tuples[0] is built once."""
+def affine_solver(p: Predicate):
+    """target -> integer coefficients over p.tuples that sum to 1 and give
+    target, or None outside p's affine lattice; the lattice of differences
+    from p.tuples[0] is built once."""
     base = p.tuples[0]
     lat = IntLattice(p.arity)
     for t in p.tuples[1:]:
@@ -141,12 +144,6 @@ def _affine_solver(p: Predicate):
         assert sum(lam) == 1
         return lam
     return solve
-
-
-def affine_coefficients(p: Predicate, target):
-    """Integer coefficients over p.tuples summing to 1 that produce target,
-    or None if target is outside the affine lattice of p."""
-    return _affine_solver(p)(target)
 
 
 def expand_alternating(p: Predicate, lam):
@@ -181,7 +178,7 @@ def is_balanced_lattice(p: Predicate) -> BalanceReport:
     only inside p."""
     _require_boolean(p)
     in_p = set(p.tuples)
-    solve = _affine_solver(p)
+    solve = affine_solver(p)
     for u in product((0, 1), repeat=p.arity):
         if u in in_p:
             continue

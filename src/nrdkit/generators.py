@@ -163,12 +163,6 @@ def _c6_factor(graph: PartiteHypergraph):
         lambda edge: girth6_witness(graph, edge, adj=adj))
 
 
-def c6_certificate(graph: PartiteHypergraph) -> NrdCertificate:
-    """Non-redundancy certificate of a girth >= 6 incidence graph for C6*|C6."""
-    witness = _c6_factor(graph)[1]
-    return NrdCertificate({e: witness(e) for e in graph.edges})
-
-
 def box_product_instance(a, b):
     """Box product of two (instance, witness function) pairs: edges e + f,
     a's edges outer, and the witness for e + f joins those for e and f.

@@ -929,19 +929,14 @@ class ShrinkReport:
                 "shrink_factor": self.shrink_factor}
 
 
-def shrinking_report(h: PartiteHypergraph, families=None) -> ShrinkReport:
-    """Projected edge counts |pi_I E| and factors |E| / |pi_I E|.
-
-    families defaults to every nonempty proper subset of [r].
-    """
+def shrinking_report(h: PartiteHypergraph) -> ShrinkReport:
+    """Projected edge counts |pi_I E| and factors |E| / |pi_I E| for every
+    nonempty proper subset I of [r], by size and then lexicographically."""
     r = h.arity
-    if families is None:
-        families = [I for size in range(1, r)
-                    for I in combinations(range(1, r + 1), size)]
     index = instance_index(h, r)
     rep = ShrinkReport(index.m)
-    for I in families:
-        I = tuple(sorted(set(I)))
-        count = len(_first_use(index.cols[[i - 1 for i in I]], index.n)[1])
-        rep.factors[I] = (count, index.m / count if count else float("inf"))
+    for size in range(1, r):
+        for I in combinations(range(1, r + 1), size):
+            count = len(_first_use(index.cols[[i - 1 for i in I]], index.n)[1])
+            rep.factors[I] = (count, index.m / count if count else float("inf"))
     return rep

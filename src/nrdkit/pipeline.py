@@ -20,9 +20,9 @@ from .balance import is_balanced_bounded, is_balanced_lattice
 from .cancellation import cancel, catalan_matrix_check, catalan_search
 from .generators import (box_product_instance, build_R1S1_instance,
                          build_R2S2_instance, gen_girth6, girth)
-from .hypergraph import (Hypergraph, InstanceError, MalformedWitness,
-                         NrdCertificate, PartiteHypergraph, Projection,
-                         RadixTable, WitnessKernel, instance_index, nrd_exact,
+from .hypergraph import (Hypergraph, MalformedWitness, NrdCertificate,
+                         PartiteHypergraph, Projection, RadixTable,
+                         WitnessKernel, instance_index, nrd_exact,
                          projection_map, shrinking_report)
 from .predicates import ConditionalPredicate, Predicate, PredicateError, \
     box_product
@@ -279,25 +279,6 @@ def build_plain_lb_instance(h: PartiteHypergraph, pq: ConditionalPredicate,
     inst, witness = box_product_instance((h, witness_fn), (
         subsets, lambda w: {v: 0 if v in w else 1 for v in fresh}))
     return inst, NrdCertificate({e: witness(e) for e in inst.edges})
-
-
-def slice_by_projection(h, coords, s=None):
-    """Edges whose projection to coords (1-based) equals s; s=None picks the
-    most common projection value (the pigeonhole slice)."""
-    coords = sorted(set(coords))
-    arity = h.arity
-    if not coords or coords[0] < 1 or coords[-1] > arity:
-        raise InstanceError(f"coords must lie in [1, {arity}]")
-    idx = [c - 1 for c in coords]
-    groups = {}
-    for e in h.edges:
-        groups.setdefault(tuple(e[i] for i in idx), []).append(e)
-    if s is None:
-        s = max(groups, key=lambda k: (len(groups[k]), k))
-    kept = tuple(groups.get(tuple(s), ()))
-    if isinstance(h, PartiteHypergraph):
-        return PartiteHypergraph(h.parts, kept), tuple(s)
-    return Hypergraph(h.vertex_set, kept), tuple(s)
 
 
 # --- the audit --------------------------------------------------------

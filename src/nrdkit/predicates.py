@@ -3,13 +3,17 @@
 A predicate is a set of r-tuples over the domain {0, ..., d-1}, stored in
 canonical (sorted, deduplicated) form.  Coordinate indices in the public API
 are 1-based, matching the usual mathematical convention [r] = {1, ..., r};
-domain values are 0-based.
+domain values are 0-based.  Domain sizes, arities and values are ints, not
+bools, and a domain holds at most MAX_DOMAIN values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+
+
+MAX_DOMAIN = 256
 
 
 class PredicateError(ValueError):
@@ -22,7 +26,7 @@ def _canonical_tuples(tuples, arity, domain_size):
         if len(t) != arity:
             raise PredicateError(f"tuple {t} does not have arity {arity}")
         for v in t:
-            if not (isinstance(v, int) and 0 <= v < domain_size):
+            if not (type(v) is int and 0 <= v < domain_size):
                 raise PredicateError(f"value {v!r} outside domain [0, {domain_size})")
     return tuple(out)
 
@@ -38,6 +42,10 @@ class Predicate:
     def __post_init__(self):
         if self.domain_size < 1 or self.arity < 1:
             raise PredicateError("domain size and arity must be positive")
+        if type(self.domain_size) is not int or type(self.arity) is not int:
+            raise PredicateError("domain size and arity must be integers")
+        if self.domain_size > MAX_DOMAIN:
+            raise PredicateError(f"domain size must be at most {MAX_DOMAIN}")
         object.__setattr__(
             self, "tuples", _canonical_tuples(self.tuples, self.arity, self.domain_size)
         )

@@ -359,7 +359,3 @@ def brute_force_satisfiable(formula: CnfFormula):
         if ok:
             return {v: bool((bits >> (v - 1)) & 1) for v in range(1, n + 1)}
     return None
-
-
-def check_model(formula: CnfFormula, model):
-    return all(any(model[abs(l)] == (l > 0) for l in cl) for cl in formula.clauses)

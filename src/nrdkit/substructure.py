@@ -55,6 +55,9 @@ class SubstructureCertificate:
         try:
             src = ConditionalPredicate.from_dict(d["source"])
             tgt = ConditionalPredicate.from_dict(d["target"])
+            if any(type(i) is not int for s in d["family"] for i in s):
+                raise SubstructureError(
+                    "malformed certificate: family indices must be integers")
             fam = IndexFamily(src.arity, d["family"])
             sigma = {tuple(k): tuple(v) for k, v in d["sigma"]}
             set(sigma.values())  # an image holding a list is unhashable

@@ -248,10 +248,9 @@ def verify_sym_row(i: int, target: int = None, row: dict = None):
     return not problems, problems
 
 
-def repair_sym_row(i: int, target: int = None):
+def repair_sym_row(i: int):
     """Single-entry repairs that turn a defective row into a verified one."""
-    if target is None:
-        target = SYM_TARGET[i]
+    target = SYM_TARGET[i]
     row = SYM_ROWS[i]
     J_t = [j for j in range(1, 10) if j != target]
     fixes = []

@@ -20,8 +20,7 @@ from nrdkit.hypergraph import (Hypergraph, NrdCertificate, PartiteHypergraph,
                                nrd_exact, nrd_exact_exhaustive,
                                shrinking_report, verify_nrd)
 from nrdkit.pipeline import (build_plain_lb_instance, conditional_to_plain_pair,
-                             fit_shrinkage, paper_verify, reduction_family,
-                             slice_by_projection)
+                             fit_shrinkage, paper_verify, reduction_family)
 from nrdkit.predicates import ConditionalPredicate, Predicate
 from nrdkit.substructure import (SubstructureCertificate, search_families,
                                  verify_certificate)
@@ -173,14 +172,6 @@ def test_08_plain_lifting_toy():
     out = verify_nrd(lifted, plain_pair.base, mode="check-given",
                      certificate=cert)
     assert isinstance(out, NrdCertificate)
-    # pigeonhole slice: the default slice is the largest group, whose size
-    # meets the m / |pi_I E| bound exactly
-    sliced, s = slice_by_projection(lifted, [1, 2])
-    groups = {}
-    for e in lifted.edges:
-        groups.setdefault(e[:2], []).append(e)
-    assert len(sliced.edges) == max(len(v) for v in groups.values())
-    assert len(sliced.edges) >= len(lifted.edges) / len(groups)
 
 
 def test_09_cancellation_suite():

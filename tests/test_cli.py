@@ -520,6 +520,42 @@ def test_malformed_certificate_json_exits_2(tmp_path, capsys, command,
     assert usage_error(capsys, *argv) == f"nrd: {err}"
 
 
+@pytest.mark.parametrize("command", ["verify-substructure", "deps", "reduce"])
+@pytest.mark.parametrize("index", [1.5, True], ids=["float", "bool"])
+def test_certificate_family_index_not_an_integer_exits_2(tmp_path, capsys,
+                                                         command, index):
+    cert = tables.certificate("3LIN*").to_dict()
+    assert cert["family"][0][0] == 1  # so True would have read as 1
+    cert["family"][0][0] = index
+    f = tmp_path / "cert.json"
+    f.write_text(json.dumps(cert))
+    argv = [command, str(f)]
+    if command == "reduce":
+        argv = [command, "--instance", _r1s1_file(tmp_path),
+                "--certificate", str(f)]
+    assert usage_error(capsys, *argv) == (
+        "nrd: malformed certificate: family indices must be integers")
+
+
+def _plain(domain, tuples=((0, 1),)):
+    return {"domain": domain, "arity": 2, "tuples": [list(t) for t in tuples]}
+
+
+@pytest.mark.parametrize("predicate, n, err", [
+    (_plain(1.5), 3, "domain size and arity must be integers"),
+    (_plain(10 ** 20), 3, "domain size must be at most 256"),
+    ({"base": _plain(10 ** 20), "ambient": _plain(10 ** 20, [(0, 1), (1, 1)])},
+     2, "domain size must be at most 256"),
+    (_plain(2, [(0, True)]), 3, "value True outside domain [0, 2)")],
+    ids=["domain-float", "domain-huge", "pair-domain-huge", "value-bool"])
+def test_nrd_exact_rejects_malformed_predicate_file(tmp_path, capsys,
+                                                    predicate, n, err):
+    f = tmp_path / "pred.json"
+    f.write_text(json.dumps(predicate))
+    assert usage_error(capsys, "nrd-exact", str(f), "-n", str(n)) == \
+        f"nrd: {err}"
+
+
 @pytest.mark.parametrize("predicate, err", [
     (5, "a predicate file must hold an object"),
     ([[0, 1]], "a predicate file must hold an object"),

@@ -9,8 +9,8 @@ from nrdkit import catalog
 from nrdkit.catalog import C6_COND, EQ, ONE_TWO_COND, or_k
 from nrdkit.generators import (GeneratorError, ShrinkingInstance, adjacency,
                                box_product_instance, build_R1S1_instance,
-                               build_R2S2_instance, c6_certificate,
-                               gen_girth6, girth, girth6_witness)
+                               build_R2S2_instance, gen_girth6, girth,
+                               girth6_witness)
 from nrdkit.hypergraph import (Hypergraph, InstanceError, NrdCertificate,
                                PartiteHypergraph, as_conditional, nrd_exact,
                                shrinking_report, verify_nrd)
@@ -64,6 +64,12 @@ def test_girth6_witness_refuses_short_cycles():
                            (("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")))
     with pytest.raises(Exception):
         girth6_witness(c4, ("a", "c"))
+
+
+def c6_certificate(g):
+    """The constructed C6*|C6 certificate of a girth >= 6 incidence graph."""
+    adj = adjacency(g)
+    return NrdCertificate({e: girth6_witness(g, e, adj=adj) for e in g.edges})
 
 
 def test_c6_certificate_passes_independent_check():

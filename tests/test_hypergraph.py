@@ -594,10 +594,9 @@ def test_projection_map_matches_reference_loop():
         proj = proj.instance
         assert (proj.parts, proj.edges) == (parts, proj_edges)
         default = [I for k in range(1, r) for I in combinations(range(1, r + 1), k)]
-        for families, given in ((sets + [()], sets + [()]), (default, None)):
-            assert shrinking_report(h, given).factors == {
-                I: (c, len(edges) / c if c else float("inf"))
-                for I, c in reference_shrink_counts(h, families).items()}
+        assert shrinking_report(h).factors == {
+            I: (c, len(edges) / c if c else float("inf"))
+            for I, c in reference_shrink_counts(h, default).items()}
 
 
 def test_partite_validation_matches_reference_loop():

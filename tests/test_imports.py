@@ -1,5 +1,5 @@
 """Every name a module imports is used in that module, every module-level
-definition is read somewhere in the project, and every parameter is read."""
+definition is read by the program itself, and every parameter is read."""
 
 import ast
 import functools
@@ -8,10 +8,16 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).parent.parent
-MODULES = sorted(p for p in (ROOT / "src" / "nrdkit").glob("*.py")
-                 if p.name != "__init__.py")
-READERS = sorted(p for d in ("src", "tests", "demos", "bench")
-                 for p in (ROOT / d).rglob("*.py"))
+SOURCES = sorted((ROOT / "src" / "nrdkit").glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+
+# The only module-level definitions that no src module reads: the second
+# routes that the tests check the main routes against, and the plain lift
+# of the acceptance gate, which the audit does not run yet.
+UNREAD_BY_SRC = {"cancellation": ["cancel_random_order"],
+                 "hypergraph": ["nrd_exact_exhaustive"],
+                 "pipeline": ["build_plain_lb_instance"],
+                 "sat": ["brute_force_satisfiable"]}
 
 
 def unused_imports(source):
@@ -41,7 +47,8 @@ def test_unused_import_is_found():
 
 
 def names_read(source):
-    """Names the source loads, and attribute names it reads."""
+    """Names the source loads, and attribute names it reads; a name that
+    is only imported (a re-export) is not read."""
     nodes = list(ast.walk(ast.parse(source)))
     return ({n.id for n in nodes
              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
@@ -49,8 +56,8 @@ def names_read(source):
 
 
 @functools.cache
-def project_reads():
-    return set().union(*(names_read(p.read_text()) for p in READERS))
+def src_reads():
+    return set().union(*(names_read(p.read_text()) for p in SOURCES))
 
 
 def unread_definitions(source, read):
@@ -89,7 +96,13 @@ def unread_parameters(source):
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unread_definitions(path):
-    assert unread_definitions(path.read_text(), project_reads()) == []
+    """Code that only tests, demos or the benchmark read is not part of the
+    program; the allow-list must name exactly what is still unread."""
+    allowed = UNREAD_BY_SRC.get(path.stem, [])
+    unread = [name for _, name in unread_definitions(path.read_text(),
+                                                     src_reads())]
+    assert [name for name in unread if name not in allowed] == []
+    assert unread == allowed
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -103,3 +116,9 @@ def test_unread_definition_and_parameter_are_found():
               "class C:\n    def m(self, z):\n        return lambda w: 0\n")
     assert unread_definitions(source, names_read("f(A.B)")) == [(8, "C")]
     assert unread_parameters(source) == [(5, "f", "y"), (9, "m", "z")]
+
+
+def test_re_export_is_not_a_read():
+    source = "A = 1\nB = 2\nC = 3\n"
+    read = names_read("from .m import A, B as D\nfrom . import m\nm.C\n")
+    assert unread_definitions(source, read) == [(1, "A"), (2, "B")]

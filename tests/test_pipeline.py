@@ -13,8 +13,7 @@ from nrdkit.hypergraph import (Hypergraph, InstanceError, NrdCertificate,
 from nrdkit.pipeline import (PipelineError, TransferPlan, apply_reduction,
                              build_plain_lb_instance, conditional_to_plain,
                              conditional_to_plain_pair, fit_exponent,
-                             fit_shrinkage, paper_verify, reduction_family,
-                             slice_by_projection)
+                             fit_shrinkage, paper_verify, reduction_family)
 from nrdkit.predicates import ConditionalPredicate, IndexFamily, Predicate
 from nrdkit.substructure import SubstructureCertificate
 
@@ -293,19 +292,6 @@ def test_build_plain_lb_instance_rejects_a_fresh_vertex_name():
     with pytest.raises(InstanceError, match="vertex 'w0' is listed twice"):
         build_plain_lb_instance(g, C6_COND, lambda e: res.witnesses[e],
                                 v_prime_size=3)
-
-
-def test_slice_by_projection():
-    h = PartiteHypergraph((("a", "b"), ("c", "d")),
-                          (("a", "c"), ("a", "d"), ("b", "c")))
-    sliced, s = slice_by_projection(h, [1])
-    assert s == ("a",)
-    assert set(sliced.edges) == {("a", "c"), ("a", "d")}
-    sliced2, s2 = slice_by_projection(h, [1], s=("b",))
-    assert sliced2.edges == (("b", "c"),)
-    plain = Hypergraph(("a", "b", "c"), (("a", "b"), ("a", "c")))
-    sliced3, s3 = slice_by_projection(plain, [1])
-    assert s3 == ("a",) and len(sliced3.edges) == 2
 
 
 def test_paper_verify_shallow():

@@ -3,8 +3,9 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from nrdkit.predicates import (ConditionalPredicate, IndexFamily, Predicate,
-                               PredicateError, box_product, parse_tuple,
+from nrdkit.predicates import (MAX_DOMAIN, ConditionalPredicate, IndexFamily,
+                               Predicate, PredicateError, box_product,
+                               parse_tuple,
                                permute, permute_conditional, project,
                                project_conditional)
 
@@ -37,6 +38,25 @@ def test_validation():
     with pytest.raises(PredicateError):
         ConditionalPredicate(Predicate(2, 1, [(0,), (1,)]),
                              Predicate(2, 1, [(0,), (1,)]))  # not strict
+
+
+@pytest.mark.parametrize("domain, arity, tuples, err", [
+    (1.5, 2, [], "domain size and arity must be integers"),
+    (True, 2, [], "domain size and arity must be integers"),
+    (2, 2.0, [], "domain size and arity must be integers"),
+    (MAX_DOMAIN + 1, 1, [], f"domain size must be at most {MAX_DOMAIN}"),
+    (2, 2, [(0, True)], r"value True outside domain \[0, 2\)"),
+    (2, 2, [(0, 1.0)], r"value 1.0 outside domain \[0, 2\)")],
+    ids=["domain-float", "domain-bool", "arity-float", "domain-too-large",
+         "value-bool", "value-float"])
+def test_non_int_or_oversized_fields_are_rejected(domain, arity, tuples, err):
+    with pytest.raises(PredicateError, match=err):
+        Predicate(domain, arity, tuples)
+
+
+def test_largest_domain_is_accepted():
+    p = Predicate(MAX_DOMAIN, 1, [(MAX_DOMAIN - 1,)])
+    assert p.tuples == ((MAX_DOMAIN - 1,),)
 
 
 def test_parse_tuple():

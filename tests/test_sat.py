@@ -6,8 +6,13 @@ import pytest
 
 from nrdkit import tables
 from nrdkit.sat import (CnfFormula, ConflictBudgetExceeded, _Solver,
-                        brute_force_satisfiable, check_model, solve)
+                        brute_force_satisfiable, solve)
 from nrdkit.substructure import encode
+
+
+def check_model(formula, model):
+    return all(any(model[abs(l)] == (l > 0) for l in cl)
+               for cl in formula.clauses)
 
 
 def truth_table_satisfiable(formula):
