@@ -3,7 +3,8 @@
 Conventions: results go to stdout (text, or JSON with --json); logging goes
 to stderr.  Predicates are read from the catalog by name or from JSON files.
 Exit codes: 0 success, 1 failed check or exhausted budget (one line on
-stderr names the budget and the progress made), 2 usage error.  Environment
+stderr names the budget and the progress made) or an output pipe that the
+reader closed (no traceback), 2 usage error.  Environment
 variables NRD_CONFLICT_BUDGET and NRD_SEARCH_BUDGET mirror the corresponding
 flags; explicit flags win.
 """
@@ -497,7 +498,13 @@ def main(argv=None):
             if (getattr(args, flag) or 0) < 0:
                 raise UsageError(f"nrd: --{flag.replace('_', '-')} must not "
                                  "be negative")
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: the flush at exit writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -227,25 +227,30 @@ def _value_order(pq):
 
 
 class _TupleTables:
-    """What the witness search needs of a predicate pair alone.
+    """What the witness search and check kernel need of one predicate pair.
 
     The tuples T are those of P followed by those of Q \\ P.  For each
     (position p, value x), `keep[p][x]` lists the tuples with t[p] == x and
-    `kill[p][x]` the others.
+    `kill[p][x]` the others.  `table`, built on first read, numbers a tuple
+    by its position in T, and a tuple outside Q by len(T).
     """
 
     def __init__(self, pq: ConditionalPredicate):
-        self.r, d = pq.arity, pq.domain_size
+        self.r, self.d = pq.arity, pq.domain_size
         self.tuples = tuple(pq.base.tuples) + pq.outside()
         self.n_base = len(pq.base.tuples)
         self.keep = tuple(
             tuple(tuple(i for i, t in enumerate(self.tuples) if t[p] == x)
-                  for x in range(d)) for p in range(self.r))
+                  for x in range(self.d)) for p in range(self.r))
         self.kill = tuple(
             tuple(tuple(i for i, t in enumerate(self.tuples) if t[p] != x)
-                  for x in range(d)) for p in range(self.r))
+                  for x in range(self.d)) for p in range(self.r))
         self.values = tuple(_value_order(pq))
         self.default_value = pq.base.tuples[0][0] if pq.base.tuples else 0
+
+    @functools.cached_property
+    def table(self):
+        return RadixTable(self.tuples, self.d, self.r)
 
 
 @functools.lru_cache(maxsize=32)
@@ -509,27 +514,27 @@ class MalformedWitness(InstanceError):
 
 
 class RadixTable:
-    """Integer labels of tuples over [0, d)^r; a tuple not given reads
-    `missing`.
+    """The position of a tuple over [0, d)^r in a list of distinct tuples;
+    a tuple not in the list reads the list's length.
 
     The r positions are split into consecutive strides.  Level l maps a
-    state (a live prefix: the values of some given tuple on the strides
+    state (a live prefix: the values of some listed tuple on the strides
     before l) and the values on stride l to the next state, or at the last
-    level to a label, through one dense array of states x d**k entries.
+    level to a position, through one dense array of states x d**k entries.
     Each stride is as long as keeps its array within 2**16 entries, and at
-    least one position.  A prefix that no given tuple has falls into the
-    dead state 0, whose row leads to `missing`.  For d**r <= 2**16 there is
-    one level, so a lookup is one gather; a larger d**r takes more levels,
-    each of at most max(2**16, (tuples given + 1) x d) entries.
+    least one position.  A prefix that no listed tuple has falls into the
+    dead state 0, whose row leads to the list's length.  For d**r <= 2**16
+    there is one level, so a lookup is one gather; a larger d**r takes more
+    levels, each of at most max(2**16, (tuples listed + 1) x d) entries.
     """
 
-    def __init__(self, tuples, labels, d, r, missing=-1):
-        labels = np.asarray(labels, dtype=np.intp)
-        tuples = np.asarray(tuples, dtype=np.intp).reshape(len(labels), r)
-        self.d, self.r, self.missing = d, r, missing
+    def __init__(self, tuples, d, r):
+        n = len(tuples)
+        tuples = np.asarray(tuples, dtype=np.intp).reshape(n, r)
+        self.d, self.r = d, r
         self.strides, self.tables = [], []
         # level 0 has one state, the root
-        state, states, start = np.zeros(len(labels), dtype=np.intp), 1, 0
+        state, states, start = np.zeros(n, dtype=np.intp), 1, 0
         while True:
             k = min(1, r - start)
             while start + k < r and states * d ** (k + 1) <= _TABLE_LIMIT:
@@ -539,8 +544,8 @@ class RadixTable:
             self.strides.append((start, k))
             start += k
             if start == r:
-                table = np.full(states * d ** k, missing, dtype=np.intp)
-                table[code] = labels
+                table = np.full(states * d ** k, n, dtype=np.intp)
+                table[code] = np.arange(n)
                 self.tables.append(table)
                 return
             live, state = np.unique(code, return_inverse=True)
@@ -550,23 +555,23 @@ class RadixTable:
             state, states = state + 1, len(live) + 1
 
     def lookup(self, values, cols):
-        """Labels of the tuples (values[b, cols[0, e]], ..., values[b,
+        """Positions of the tuples (values[b, cols[0, e]], ..., values[b,
         cols[r-1, e]]), as an array indexed [b, e]; every value must lie in
         [0, d)."""
-        d, labels = self.d, None
+        d, state = self.d, None
         for (start, k), table in zip(self.strides, self.tables):
-            code = None if labels is None else labels * d ** k
+            code = None if state is None else state * d ** k
             for j in range(k):
                 col = np.take(values if j == 0 else values * d ** j,
                               cols[start + j], axis=1)
                 code = col if code is None else np.add(code, col, out=code)
             if code is None:  # r = 0
                 code = np.zeros((len(values), cols.shape[1]), dtype=np.intp)
-            labels = np.take(table, code)
-        return labels
+            state = np.take(table, code)
+        return state
 
     def __getitem__(self, tuples):
-        """Labels of the rows of an (n x r) array of tuples."""
+        """Positions of the rows of an (n x r) array of tuples."""
         tuples = np.asarray(tuples, dtype=np.intp)
         tuples = tuples.reshape(len(tuples), self.r)
         return self.lookup(tuples, np.arange(self.r).reshape(self.r, 1))[:, 0]
@@ -581,9 +586,6 @@ def _getter(keys):
     return itemgetter(*keys) if keys else lambda psi: ()
 
 
-_IN_BASE, _OUTSIDE = 1, 2
-
-
 class WitnessKernel:
     """Witness checks on one instance for one predicate pair, a block of
     witnesses at a time.
@@ -591,10 +593,11 @@ class WitnessKernel:
     Set up once from an InstanceIndex, whose r x m array `cols` holds the
     vertex at each position of each edge, and the labels of its vertices
     (None for the target of a transfer, which validates no witnesses of
-    its own), plus a RadixTable marking the tuples of P and Q \\ P.  Per
-    block: validate the witnesses into one array, look up every edge's
-    tuple under every witness with one column gather per position, and
-    compare with the label each must have.  A block holds at most
+    its own).  Tuples are numbered by the pair's `_TupleTables.table`: P
+    below n_base, then Q \\ P, then len(tuples) outside Q.  Per block:
+    validate the witnesses into one array, number every edge's tuple under
+    every witness with one column gather per position, and compare with
+    the range each must lie in.  A block holds at most
     2**15 / max(m, n) witnesses, so no temporary array exceeds 2**15
     elements.
     """
@@ -604,11 +607,7 @@ class WitnessKernel:
         self.vertices, self.n, self.m = vertices, index.n, index.m
         self.d, self.r = pq.domain_size, pq.arity
         self.cols = index.cols
-        base, outside = pq.base.tuples, pq.outside()
-        self.table = RadixTable(
-            list(base) + list(outside),
-            [_IN_BASE] * len(base) + [_OUTSIDE] * len(outside),
-            self.d, self.r, missing=0)
+        self.tab = _tuple_tables(pq)
         self.block = max(1, _BLOCK_LIMIT // max(self.m, self.n, 1))
         self._get = None if vertices is None else _getter(vertices)
 
@@ -662,14 +661,16 @@ class WitnessKernel:
                                         f"is not an integer in [0, {d})")
         return None
 
-    def first_failure(self, labels, start):
-        """(k, j) for the first witness k whose edge j has the wrong label
-        (Q \\ P for its excluded edge start + k, P for every other), j the
-        first such edge; None when every witness passes.  labels is a
-        RadixTable lookup indexed [witness, edge]."""
-        ok = labels == _IN_BASE
-        k = np.arange(len(labels))
-        ok[k, start + k] = labels[k, start + k] == _OUTSIDE
+    def first_failure(self, numbers, start):
+        """(k, j) for the first witness k whose edge j has a tuple of the
+        wrong kind (Q \\ P for its excluded edge start + k, P for every
+        other), j the first such edge; None when every witness passes.
+        numbers is a lookup in `tab.table` indexed [witness, edge]."""
+        n_base = self.tab.n_base
+        ok = numbers < n_base
+        k = np.arange(len(numbers))
+        x = numbers[k, start + k]
+        ok[k, start + k] = (n_base <= x) & (x < len(self.tab.tuples))
         if ok.all():
             return None
         k = int(ok.all(axis=1).argmin())
@@ -684,7 +685,7 @@ class WitnessKernel:
             vals = self.values(psis)
         except MalformedWitness as exc:
             return str(exc)
-        bad = self.first_failure(self.table.lookup(vals, self.cols), start)
+        bad = self.first_failure(self.tab.table.lookup(vals, self.cols), start)
         if bad is None:
             return None
         k, j = bad

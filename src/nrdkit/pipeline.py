@@ -21,9 +21,9 @@ from .cancellation import cancel, catalan_matrix_check, catalan_search
 from .generators import (box_product_instance, build_R1S1_instance,
                          build_R2S2_instance, gen_girth6, girth)
 from .hypergraph import (Hypergraph, MalformedWitness, NrdCertificate,
-                         PartiteHypergraph, Projection, RadixTable,
-                         WitnessKernel, instance_index, nrd_exact,
-                         projection_map, shrinking_report)
+                         PartiteHypergraph, Projection, WitnessKernel,
+                         instance_index, nrd_exact, projection_map,
+                         shrinking_report)
 from .predicates import ConditionalPredicate, Predicate, PredicateError, \
     box_product
 from .substructure import SubstructureCertificate, dependency_analysis, \
@@ -104,35 +104,25 @@ class TransferPlan:
     """Witness transfer through one certificate map on one instance, a
     block of source witnesses at a time.
 
-    The source kernel validates the witnesses; sigma is a RadixTable from
-    source tuple to a row of target values, so one lookup gives the sigma
-    row of every source edge under every witness.  A transfer gathers each
-    row's images, position by position, and sets each target vertex in
-    one phi row per witness from the first edge that has it (in
-    position-major order), then gathers phi back at every edge, so two
-    edges that disagree on a shared target vertex show as a mismatch.  The
-    target label of each sigma row is looked up once, here.
+    sigma must be a valid certificate map (`verify_certificate`): defined
+    on the source ambient, into the target ambient.  The source kernel
+    validates the witnesses and numbers each source edge's tuple under
+    each witness (P, then Q \\ P); `image` lists sigma in that order.  A
+    transfer gathers the images, position by position, and sets each
+    target vertex in one phi row per witness from the first edge that has
+    it (in position-major order), then gathers phi back at every edge, so
+    two edges that disagree on a shared target vertex show as a mismatch.
+    The target number of each image is looked up once, here.
     """
 
     def __init__(self, source: WitnessKernel, target: WitnessKernel, sigma):
         if source.m != target.m:
             raise PipelineError("every source edge needs one projected edge")
-        keys = list(sigma)
-        bad = [x for x in keys if len(x) != source.r
-               or not all(0 <= v < source.d for v in x)]
-        if bad:
-            raise PipelineError(f"sigma is defined on {bad[0]}, "
-                                f"outside [0, {source.d})^{source.r}")
-        images = [sigma[x] for x in keys]
-        bad = [x for x, y in zip(keys, images) if len(y) != target.r
-               or not all(0 <= v < target.d for v in y)]
-        if bad:
-            raise PipelineError(f"sigma maps {bad[0]} to {sigma[bad[0]]}, "
-                                f"outside [0, {target.d})^{target.r}")
         self.source, self.target = source, target
-        self.rows = RadixTable(keys, range(len(keys)), source.d, source.r)
-        self.image = np.array(images, dtype=np.int64).reshape(len(keys), target.r)
-        self.labels = target.table[self.image]
+        tuples = source.tab.tuples
+        self.image = np.array([sigma[t] for t in tuples],
+                              dtype=np.int64).reshape(len(tuples), target.r)
+        self.numbers = target.tab.table[self.image]
         self.block = min(source.block, target.block)
         # each target vertex's first occurrence in position-major order: at
         # position i, (the vertices first seen there, the edges they are
@@ -143,19 +133,19 @@ class TransferPlan:
                       for i in range(target.r)]
 
     def transfer(self, psis):
-        """(rows, phi) for a block of source witnesses: the sigma row of
-        every source edge under each witness, indexed [witness, edge], and
-        the induced target values in target-vertex order, one row per
-        witness.  Raises PipelineError on the first malformed witness, then
-        on the first tuple outside sigma's domain, then on any mismatch."""
+        """(rows, phi) for a block of source witnesses: each source edge's
+        row in `image` under each witness, indexed [witness, edge], and the
+        induced target values in target-vertex order, one row per witness.
+        Raises PipelineError on the first malformed witness, then on the
+        first tuple outside sigma's domain, then on any mismatch."""
         src, tgt = self.source, self.target
         try:
             vals = src.values(psis)
         except MalformedWitness as exc:
             raise PipelineError(f"source witness rejected: {exc}") from None
-        rows = self.rows.lookup(vals, src.cols)
-        if rows.size and rows.min() < 0:
-            k, j = np.argwhere(rows < 0)[0]
+        rows = src.tab.table.lookup(vals, src.cols)
+        if rows.size and rows.max() == len(self.image):
+            k, j = np.argwhere(rows == len(self.image))[0]
             x = tuple(vals[k, src.cols[:, j]].tolist())
             raise PipelineError(f"witness value {x} outside the certificate domain")
         phi = np.zeros((len(psis), tgt.n), dtype=np.int64)
@@ -173,7 +163,7 @@ class TransferPlan:
         PipelineError if one fails; only for a block of one is the error
         sure to be that of the first failing witness."""
         rows, _ = self.transfer(psis)
-        bad = self.target.first_failure(np.take(self.labels, rows), start)
+        bad = self.target.first_failure(np.take(self.numbers, rows), start)
         if bad is not None:
             e = self.source.edge(start + bad[0])
             raise PipelineError(f"transferred witness failed for edge {e}")

@@ -40,10 +40,10 @@ class Predicate:
     tuples: tuple = ()
 
     def __post_init__(self):
-        if self.domain_size < 1 or self.arity < 1:
-            raise PredicateError("domain size and arity must be positive")
         if type(self.domain_size) is not int or type(self.arity) is not int:
             raise PredicateError("domain size and arity must be integers")
+        if self.domain_size < 1 or self.arity < 1:
+            raise PredicateError("domain size and arity must be positive")
         if self.domain_size > MAX_DOMAIN:
             raise PredicateError(f"domain size must be at most {MAX_DOMAIN}")
         object.__setattr__(

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import nrdkit
 from nrdkit import tables
 from nrdkit.cli import main
 from nrdkit.generators import build_R1S1_instance, build_R2S2_instance
@@ -564,8 +569,7 @@ def test_nrd_exact_rejects_malformed_predicate_file(tmp_path, capsys,
     ({"domain": 2, "arity": 2, "tuples": 5},
      "malformed predicate: 'int' object is not iterable"),
     ({"domain": "x", "arity": 2, "tuples": []},
-     "malformed predicate: '<' not supported between instances of 'str' "
-     "and 'int'")],
+     "domain size and arity must be integers")],
     ids=["int", "list", "base-int", "tuples-int", "domain-str"])
 def test_malformed_predicate_json_exits_2(tmp_path, capsys, predicate, err):
     f = tmp_path / "pred.json"
@@ -785,3 +789,31 @@ def test_non_integer_budget_from_environment_exits_2(monkeypatch, capsys,
     ids=["paper-verify", "R1S1-2", "R1S1-3", "R1S1-2-n3=4", "R2S2-2", "R2S2-3"])
 def test_constructed_outputs_are_pinned(capsys, argv, digest):
     assert _sha256_of_run(capsys, *argv) == digest
+
+
+def test_closed_output_pipe_exits_1_without_traceback(monkeypatch, capsys):
+    # stdout is a pipe whose reader is gone: writing raises BrokenPipeError
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    stdout = open(write_end, "w")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(["--json", "build-instance", "R2S2", "-q", "3"])
+    stdout.close()  # flushes what is left, now into devnull, without error
+    assert code == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_output_pipe_in_a_subprocess():
+    # the reader stops after 10 of the ~114 KB, as `| head -c 10` does
+    env = {**os.environ,
+           "PYTHONPATH": str(pathlib.Path(nrdkit.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nrdkit.cli", "--json", "build-instance",
+         "R2S2", "-q", "3"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=env)
+    assert proc.stdout.read(10) == b'{"instance'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

@@ -756,24 +756,24 @@ def test_check_given_arity_mismatch():
 
 
 def test_radix_table_lookup():
-    # the tuples over [0, 10)^2 whose codes x0 + 10 x1 are 5, 0 and 77
-    table = RadixTable([(5, 0), (0, 0), (7, 7)], [1, 2, 3], 10, 2)
+    # the tuples over [0, 10)^2 whose codes x0 + 10 x1 are 5, 0 and 77, at
+    # positions 0, 1 and 2; a tuple not listed reads 3
+    table = RadixTable([(5, 0), (0, 0), (7, 7)], 10, 2)
     assert len(table.strides) == 1
     query = [(0, 0), (1, 0), (5, 0), (6, 7), (7, 7), (8, 7), (9, 9)]
-    assert table[query].tolist() == [2, -1, 1, -1, 3, -1, -1]
-    assert table[[(7, 7)]].tolist() == [3]
-    assert RadixTable([], [], 10, 2)[[(0, 0), (9, 9)]].tolist() == [-1, -1]
-    assert RadixTable([], [], 3, 12, missing=7)[[(0,) * 12, (2,) * 12]].tolist() \
-        == [7, 7]
+    assert table[query].tolist() == [1, 3, 0, 3, 2, 3, 3]
+    assert table[[(7, 7)]].tolist() == [2]
+    assert RadixTable([], 10, 2)[[(0, 0), (9, 9)]].tolist() == [0, 0]
+    assert RadixTable([], 3, 12)[[(0,) * 12, (2,) * 12]].tolist() == [0, 0]
 
 
 @pytest.mark.parametrize("d, r, n", [(3, 12, 6), (3, 12, 400), (2, 40, 30),
                                      (5, 7, 50), (300, 3, 20)])
 def test_radix_table_multi_stride_matches_dict(d, r, n):
     rng = random.Random(d * 1000 + r * 10 + n)
-    given = {tuple(rng.randrange(d) for _ in range(r)): rng.randrange(1, 99)
-             for _ in range(n)}
-    table = RadixTable(list(given), list(given.values()), d, r)
+    given = {tuple(rng.randrange(d) for _ in range(r)): None for _ in range(n)}
+    given = {t: k for k, t in enumerate(given)}  # each tuple's position
+    table = RadixTable(list(given), d, r)
     assert len(table.strides) > 1
     assert sum(k for _, k in table.strides) == r
     assert all(t.size <= max(1 << 16, (len(given) + 1) * d) for t in table.tables)
@@ -784,7 +784,7 @@ def test_radix_table_multi_stride_matches_dict(d, r, n):
             u[p] = (u[p] + 1) % d
             query.append(tuple(u))
     query += [tuple(rng.randrange(d) for _ in range(r)) for _ in range(200)]
-    assert table[query].tolist() == [given.get(t, -1) for t in query]
+    assert table[query].tolist() == [given.get(t, len(given)) for t in query]
 
 
 def test_kernel_checks_tuples_beyond_64_bit_codes():

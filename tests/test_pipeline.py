@@ -47,9 +47,10 @@ def test_fit_shrinkage_exact():
     assert fit_shrinkage(pts) == pytest.approx(0.25, abs=1e-9)
 
 
-def _boolean_pair(r):
-    """A Boolean pair of arity r; a transfer uses only its domain and arity."""
-    return ConditionalPredicate(Predicate(2, r, [(0,) * r]), Predicate.full(2, r))
+def _boolean_pair(r, ambient):
+    """A Boolean pair of arity r with an empty base: a transfer numbers the
+    source pair's ambient and reads only the target's domain and arity."""
+    return ConditionalPredicate(Predicate(2, r), Predicate(2, r, ambient))
 
 
 # two edges sharing their first vertex, in the source and in the target
@@ -58,11 +59,14 @@ TARGET = PartiteHypergraph((("x",), ("y", "z")), (("x", "y"), ("x", "z")))
 
 
 def _plan(source, target, sigma):
+    """The transfer through sigma, whose keys are the source ambient."""
     return TransferPlan(
         WitnessKernel(instance_index(source, source.arity),
-                      _boolean_pair(source.arity), source.vertices()),
+                      _boolean_pair(source.arity, sigma), source.vertices()),
         WitnessKernel(instance_index(target, target.arity),
-                      _boolean_pair(target.arity), target.vertices()),
+                      _boolean_pair(target.arity,
+                                    Predicate.full(2, target.arity).tuples),
+                      target.vertices()),
         sigma)
 
 
@@ -73,9 +77,10 @@ def _transfer(plan, psi):
 
 
 def test_transfer_witness_consistency_check():
-    # sigma maps both source tuples to outputs that disagree on the shared
-    # projected vertex -> transfer must fail
-    plan = _plan(SOURCE, TARGET, {(0, 0): (0, 0), (0, 1): (1, 0)})
+    # sigma, defined on all of {0, 1}^2, maps both source tuples to outputs
+    # that disagree on the shared projected vertex -> transfer must fail
+    plan = _plan(SOURCE, TARGET, {(0, 0): (0, 0), (0, 1): (1, 0),
+                                  (1, 0): (1, 1), (1, 1): (0, 1)})
     with pytest.raises(PipelineError, match="coordinate locality"):
         _transfer(plan, {"a": 0, "b": 0, "c": 1})
     plan = _plan(PartiteHypergraph((("a",), ("b",)), (("a", "b"),)),
@@ -86,12 +91,15 @@ def test_transfer_witness_consistency_check():
 def test_transfer_witness_rejects_malformed_witness():
     plan = _plan(SOURCE, TARGET, {(0, 0): (0, 1), (0, 1): (0, 0), (1, 1): (1, 1)})
     assert _transfer(plan, {"a": 0, "b": 0, "c": 1}) == {"x": 0, "y": 1, "z": 0}
-    for bad in ({"a": 0, "b": 0},                     # missing vertex
-                {"a": 0, "b": 0, "c": 1, "d": 0},     # extra vertex
-                {"a": 0, "b": 0, "c": 2},             # outside the domain
-                {"a": 0, "b": 0, "c": -1},
-                {"a": 1, "b": 0, "c": 1}):            # (1, 0) not in sigma
-        with pytest.raises(PipelineError):
+    rejected = "source witness rejected"
+    for bad, err in (({"a": 0, "b": 0}, rejected),    # missing vertex
+                     ({"a": 0, "b": 0, "c": 1, "d": 0}, rejected),  # extra
+                     ({"a": 0, "b": 0, "c": 2}, rejected),  # outside [0, 2)
+                     ({"a": 0, "b": 0, "c": -1}, rejected),
+                     # (1, 0) is outside the ambient, so not in sigma
+                     ({"a": 1, "b": 0, "c": 1},
+                      r"witness value \(1, 0\) outside the certificate domain")):
+        with pytest.raises(PipelineError, match=err):
             _transfer(plan, bad)
 
 
@@ -162,6 +170,54 @@ def test_apply_reduction_rejects_malformed_source_witness(change):
 
     with pytest.raises(PipelineError, match="source witness rejected"):
         apply_reduction(inst.hypergraph, cert, witness_fn=witness_fn)
+
+
+def _p1q1_with(changes):
+    """P1Q1 with some images of sigma replaced, applied to R1S1 q=2 with
+    its constructed witnesses."""
+    inst = build_R1S1_instance(2)
+    cert = tables.certificate("P1Q1")
+    sigma = {**cert.sigma, **changes}
+    return apply_reduction(inst.hypergraph,
+                           SubstructureCertificate(cert.source, cert.target,
+                                                   cert.family, sigma),
+                           witness_fn=inst.witness)
+
+
+def test_apply_reduction_rejects_non_local_sigma():
+    # two tuples of P1 swap their images: sigma stays a membership-preserving
+    # map from Q1 into Q2, but no output coordinate is local any more
+    sigma = tables.certificate("P1Q1").sigma
+    with pytest.raises(PipelineError, match="invalid certificate") as err:
+        _p1q1_with({(0, 0, 1): sigma[(0, 1, 0)], (0, 1, 0): sigma[(0, 0, 1)]})
+    assert "outside" not in str(err.value)
+    assert "breaks membership" not in str(err.value)
+    assert "output coordinate 1 depends on more than I_1" in str(err.value)
+
+
+def test_apply_reduction_rejects_image_outside_target_ambient():
+    with pytest.raises(PipelineError, match=r"invalid certificate: .*"
+                       r"sigma\(\(0, 0, 0\)\) = \(0, 0, 2\) outside the "
+                       r"target ambient"):
+        _p1q1_with({(0, 0, 0): (0, 0, 2)})
+
+
+def test_apply_reduction_rejects_source_tuple_outside_q1():
+    # the value 2 is in the domain, but the last edge's tuple (2, 0, 1)
+    # under its own witness is not in Q1, the domain of sigma
+    inst = build_R1S1_instance(2)
+    last = inst.hypergraph.edges[-1]
+
+    def witness_fn(e):
+        psi = inst.witness(e)
+        if e == last:
+            psi[last[0]] = 2
+        return psi
+
+    with pytest.raises(PipelineError, match=r"witness value \(2, 0, 1\) "
+                       "outside the certificate domain"):
+        apply_reduction(inst.hypergraph, tables.certificate("P1Q1"),
+                        witness_fn=witness_fn)
 
 
 def test_apply_reduction_rejects_wrong_transferred_witness():
