@@ -4,9 +4,10 @@ Conventions: results go to stdout (text, or JSON with --json); logging goes
 to stderr.  Predicates are read from the catalog by name or from JSON files.
 Exit codes: 0 success, 1 failed check or exhausted budget (one line on
 stderr names the budget and the progress made) or an output pipe that the
-reader closed (no traceback), 2 usage error.  Environment
-variables NRD_CONFLICT_BUDGET and NRD_SEARCH_BUDGET mirror the corresponding
-flags; explicit flags win.
+reader closed (no traceback), 2 usage error or an input path that cannot
+be read (missing, or a directory).  Environment variables
+NRD_CONFLICT_BUDGET and NRD_SEARCH_BUDGET mirror the corresponding flags;
+explicit flags win.
 """
 
 from __future__ import annotations
@@ -508,7 +509,7 @@ def main(argv=None):
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 2
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"nrd: {exc}", file=sys.stderr)
         return 2
     except (hypergraph.BudgetExceeded, sat.ConflictBudgetExceeded) as exc:

@@ -591,15 +591,13 @@ class WitnessKernel:
     witnesses at a time.
 
     Set up once from an InstanceIndex, whose r x m array `cols` holds the
-    vertex at each position of each edge, and the labels of its vertices
-    (None for the target of a transfer, which validates no witnesses of
-    its own).  Tuples are numbered by the pair's `_TupleTables.table`: P
-    below n_base, then Q \\ P, then len(tuples) outside Q.  Per block:
-    validate the witnesses into one array, number every edge's tuple under
-    every witness with one column gather per position, and compare with
-    the range each must lie in.  A block holds at most
-    2**15 / max(m, n) witnesses, so no temporary array exceeds 2**15
-    elements.
+    vertex at each position of each edge, and the labels of its vertices.
+    Tuples are numbered by the pair's `_TupleTables.table`: P below n_base,
+    then Q \\ P, then len(tuples) outside Q.  Per block: validate the
+    witnesses into one array, number every edge's tuple under every
+    witness with one column gather per position, and compare with the
+    range each must lie in.  A block holds at most 2**15 / max(m, n)
+    witnesses, so no temporary array exceeds 2**15 elements.
     """
 
     def __init__(self, index, pq, vertices):
@@ -609,7 +607,7 @@ class WitnessKernel:
         self.cols = index.cols
         self.tab = _tuple_tables(pq)
         self.block = max(1, _BLOCK_LIMIT // max(self.m, self.n, 1))
-        self._get = None if vertices is None else _getter(vertices)
+        self._get = _getter(vertices)
 
     def edge(self, j):
         """Edge j as a tuple of vertex labels."""

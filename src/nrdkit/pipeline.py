@@ -2,9 +2,12 @@
 
 Reduction soundness: a non-redundant instance of the source pair plus a
 substructure certificate yields a non-redundant projection instance of the
-target pair, with witnesses transferred through the certificate map.  The
-audit (`paper_verify`) re-checks every bundled construction table and the
-instance pipelines in one run.
+target pair, with witnesses transferred through the certificate map.  A
+valid certificate makes the check of a transferred witness the check of
+its source witness, so the transfer runs the source pair's witness kernel
+and builds nothing on the target side.  The audit (`paper_verify`)
+re-checks every bundled construction table and the instance pipelines in
+one run.
 """
 
 from __future__ import annotations
@@ -100,73 +103,27 @@ class ReductionResult:
                 "verified": self.verified}
 
 
-class TransferPlan:
-    """Witness transfer through one certificate map on one instance, a
-    block of source witnesses at a time.
-
-    sigma must be a valid certificate map (`verify_certificate`): defined
-    on the source ambient, into the target ambient.  The source kernel
-    validates the witnesses and numbers each source edge's tuple under
-    each witness (P, then Q \\ P); `image` lists sigma in that order.  A
-    transfer gathers the images, position by position, and sets each
-    target vertex in one phi row per witness from the first edge that has
-    it (in position-major order), then gathers phi back at every edge, so
-    two edges that disagree on a shared target vertex show as a mismatch.
-    The target number of each image is looked up once, here.
-    """
-
-    def __init__(self, source: WitnessKernel, target: WitnessKernel, sigma):
-        if source.m != target.m:
-            raise PipelineError("every source edge needs one projected edge")
-        self.source, self.target = source, target
-        tuples = source.tab.tuples
-        self.image = np.array([sigma[t] for t in tuples],
-                              dtype=np.int64).reshape(len(tuples), target.r)
-        self.numbers = target.tab.table[self.image]
-        self.block = min(source.block, target.block)
-        # each target vertex's first occurrence in position-major order: at
-        # position i, (the vertices first seen there, the edges they are
-        # first seen on)
-        m = target.m
-        verts, first = np.unique(target.cols.ravel(), return_index=True)
-        self.first = [(verts[first // m == i], first[first // m == i] % m)
-                      for i in range(target.r)]
-
-    def transfer(self, psis):
-        """(rows, phi) for a block of source witnesses: each source edge's
-        row in `image` under each witness, indexed [witness, edge], and the
-        induced target values in target-vertex order, one row per witness.
-        Raises PipelineError on the first malformed witness, then on the
-        first tuple outside sigma's domain, then on any mismatch."""
-        src, tgt = self.source, self.target
-        try:
-            vals = src.values(psis)
-        except MalformedWitness as exc:
-            raise PipelineError(f"source witness rejected: {exc}") from None
-        rows = src.tab.table.lookup(vals, src.cols)
-        if rows.size and rows.max() == len(self.image):
-            k, j = np.argwhere(rows == len(self.image))[0]
-            x = tuple(vals[k, src.cols[:, j]].tolist())
-            raise PipelineError(f"witness value {x} outside the certificate domain")
-        phi = np.zeros((len(psis), tgt.n), dtype=np.int64)
-        for col, image, (verts, first) in zip(tgt.cols, self.image.T, self.first):
-            y = np.take(image, rows)
-            phi[:, verts] = np.take(y, first, axis=1)
-            if not (np.take(phi, col, axis=1) == y).all():
-                raise PipelineError("inconsistent transfer: certificate "
-                                    "violates coordinate locality")
-        return rows, phi
-
-    def check(self, psis, start):
-        """Transfer psis[k], the witness of source edge start + k, and check
-        that it is a witness for target edge start + k, for every k.  Raises
-        PipelineError if one fails; only for a block of one is the error
-        sure to be that of the first failing witness."""
-        rows, _ = self.transfer(psis)
-        bad = self.target.first_failure(np.take(self.numbers, rows), start)
-        if bad is not None:
-            e = self.source.edge(start + bad[0])
-            raise PipelineError(f"transferred witness failed for edge {e}")
+def _check_transfer(kernel: WitnessKernel, psis, start):
+    """Check that psis[k], the witness of source edge start + k, transfers
+    to a witness for that edge's projection, for every k.  Raises
+    PipelineError on the first malformed witness, then on the first tuple
+    outside sigma's domain, then on a failing witness; only for a block of
+    one is the last sure to be that of the first failing witness."""
+    try:
+        vals = kernel.values(psis)
+    except MalformedWitness as exc:
+        raise PipelineError(f"source witness rejected: {exc}") from None
+    numbers = kernel.tab.table.lookup(vals, kernel.cols)
+    outside = len(kernel.tab.tuples)
+    if numbers.max() == outside:
+        k, j = np.argwhere(numbers == outside)[0]
+        x = tuple(vals[k, kernel.cols[:, j]].tolist())
+        raise PipelineError(
+            f"witness value {x} outside the certificate domain")
+    bad = kernel.first_failure(numbers, start)
+    if bad is not None:
+        e = kernel.edge(start + bad[0])
+        raise PipelineError(f"transferred witness failed for edge {e}")
 
 
 def apply_reduction(h: PartiteHypergraph, cert: SubstructureCertificate,
@@ -176,9 +133,21 @@ def apply_reduction(h: PartiteHypergraph, cert: SubstructureCertificate,
     With witness_fn (edge -> violating assignment of the source instance),
     every transferred witness is verified against the target pair; failures
     raise since they would contradict reduction soundness.  Without it only
-    the projected instance and its counts are produced.  Witnesses are
-    transferred in blocks; a failing block is rerun one witness at a time,
-    so the error raised is that of the first failing witness.
+    the projected instance and its counts are produced.
+
+    The witness psi of source edge e transfers to phi, which sets vertex j
+    of each projected edge pi(e') to sigma(psi(e'))_j.  Three conditions,
+    checked here before any transfer, make phi's check that of psi:
+    `verify_certificate` makes output coordinate j of sigma read only I_j,
+    so phi is well defined once every tuple psi(e') lies in Q1, the domain
+    of sigma; it makes sigma map P1 into P2 and Q1 \\ P1 into Q2 \\ P2, so
+    phi's tuple on pi(e') lies in P2 exactly when psi(e') lies in P1; and
+    the projection merges no edges, so pi(e) is the one edge phi must put
+    in Q2 \\ P2.  So each psi is checked for its values, then for a tuple
+    outside Q1, then for e in Q1 \\ P1 and every other edge in P1, and no
+    target-side table is built.  Witnesses are checked in blocks; a failing
+    block is rerun one witness at a time, so the error raised is that of
+    the first failing witness.
     """
     ok, problems = verify_certificate(cert)
     if not ok:
@@ -190,19 +159,16 @@ def apply_reduction(h: PartiteHypergraph, cert: SubstructureCertificate,
     result = ReductionResult(proj, False, proj.index.n, proj.index.m)
     if witness_fn is None:
         return result
-    # no edge merges, so the target edges are the projections in source order
-    plan = TransferPlan(
-        WitnessKernel(instance_index(h, cert.source.arity), cert.source,
-                      h.vertices()),
-        WitnessKernel(proj.index, cert.target, None), cert.sigma)
-    edges, size = h.edges, plan.block
+    kernel = WitnessKernel(instance_index(h, cert.source.arity), cert.source,
+                           h.vertices())
+    edges, size = h.edges, kernel.block
     for lo in range(0, len(edges), size):
         psis = [witness_fn(e) for e in edges[lo:lo + size]]
         try:
-            plan.check(psis, lo)
+            _check_transfer(kernel, psis, lo)
         except PipelineError:
             for k, psi in enumerate(psis):
-                plan.check([psi], lo + k)
+                _check_transfer(kernel, [psi], lo + k)
             raise
     result.verified = True
     return result

@@ -578,6 +578,31 @@ def test_malformed_predicate_json_exits_2(tmp_path, capsys, predicate, err):
         f"nrd: {err}"
 
 
+@pytest.mark.parametrize("kind", ["directory", "missing"])
+@pytest.mark.parametrize("slot", ["instance", "certificate", "witnesses",
+                                  "check-given-certificate", "predicate"])
+def test_unreadable_input_path_exits_2(tmp_path, capsys, slot, kind):
+    # a directory or a missing file where an input file belongs is a usage
+    # error named on one line of stderr, not a traceback
+    bad = tmp_path / "input"
+    if kind == "directory":
+        bad.mkdir()
+    inst = build_R1S1_instance(2).truncated(1)
+    inst = _instance_file(tmp_path, inst)
+    argv = {
+        "instance": ["reduce", "--instance", bad, "--certificate", "P1Q1"],
+        "certificate": ["reduce", "--instance", inst, "--certificate", bad],
+        "witnesses": ["reduce", "--instance", inst, "--certificate", "P1Q1",
+                      "--witnesses", bad],
+        "check-given-certificate": ["verify-nrd", "--instance", inst,
+                                    "--predicate", "R1S1", "--mode",
+                                    "check-given", "--certificate", bad],
+        "predicate": ["verify-nrd", "--instance", inst, "--predicate", bad],
+    }[slot]
+    err = usage_error(capsys, *map(str, argv))
+    assert err.startswith("nrd: ") and repr(str(bad)) in err
+
+
 @pytest.mark.parametrize("resize", [lambda t: t[:2], lambda t: t + [0]],
                          ids=["short", "long"])
 def test_deps_image_of_wrong_length_exits_2(capsys, tmp_path, resize):

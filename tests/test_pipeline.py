@@ -9,8 +9,8 @@ from nrdkit.catalog import C6_COND, catalog
 from nrdkit.generators import build_R1S1_instance, build_R2S2_instance
 from nrdkit.hypergraph import (Hypergraph, InstanceError, NrdCertificate,
                                PartiteHypergraph, WitnessKernel,
-                               instance_index, projection_map, verify_nrd)
-from nrdkit.pipeline import (PipelineError, TransferPlan, apply_reduction,
+                               instance_index, verify_nrd)
+from nrdkit.pipeline import (PipelineError, apply_reduction,
                              build_plain_lb_instance, conditional_to_plain,
                              conditional_to_plain_pair, fit_exponent,
                              fit_shrinkage, paper_verify, reduction_family)
@@ -47,60 +47,59 @@ def test_fit_shrinkage_exact():
     assert fit_shrinkage(pts) == pytest.approx(0.25, abs=1e-9)
 
 
-def _boolean_pair(r, ambient):
-    """A Boolean pair of arity r with an empty base: a transfer numbers the
-    source pair's ambient and reads only the target's domain and arity."""
-    return ConditionalPredicate(Predicate(2, r), Predicate(2, r, ambient))
+def _reference_transfer(h, cert, target, psi):
+    """The witness that psi transfers to, built from labels: vertex j of
+    the projection of each source edge e' takes sigma(psi(e'))_j.  Asserts
+    that every projected vertex gets exactly one value."""
+    phi = {}
+    for e, t in zip(h.edges, target.edges):
+        for v, y in zip(t, cert.sigma[tuple(psi[u] for u in e)]):
+            assert phi.setdefault(v, y) == y, f"two values for {v}"
+    assert set(phi) == set(target.vertices())
+    return phi
 
 
-# two edges sharing their first vertex, in the source and in the target
-SOURCE = PartiteHypergraph((("a",), ("b", "c")), (("a", "b"), ("a", "c")))
-TARGET = PartiteHypergraph((("x",), ("y", "z")), (("x", "y"), ("x", "z")))
+def _reference_fails(cert, target, phi, k):
+    """Does phi fail as a witness for projected edge k, that is, put edge k
+    outside Q2 \\ P2 or another edge outside P2?  Checked tuple by tuple."""
+    p2, q2 = set(cert.target.base.tuples), set(cert.target.ambient.tuples)
+    for j, t in enumerate(target.edges):
+        x = tuple(phi[v] for v in t)
+        if not ((x in q2 and x not in p2) if j == k else x in p2):
+            return True
+    return False
 
 
-def _plan(source, target, sigma):
-    """The transfer through sigma, whose keys are the source ambient."""
-    return TransferPlan(
-        WitnessKernel(instance_index(source, source.arity),
-                      _boolean_pair(source.arity, sigma), source.vertices()),
-        WitnessKernel(instance_index(target, target.arity),
-                      _boolean_pair(target.arity,
-                                    Predicate.full(2, target.arity).tuples),
-                      target.vertices()),
-        sigma)
-
-
-def _transfer(plan, psi):
-    """The target assignment that one source witness psi induces."""
-    _, phi = plan.transfer([psi])
-    return dict(zip(plan.target.vertices, phi[0].tolist()))
-
-
-def test_transfer_witness_consistency_check():
-    # sigma, defined on all of {0, 1}^2, maps both source tuples to outputs
-    # that disagree on the shared projected vertex -> transfer must fail
-    plan = _plan(SOURCE, TARGET, {(0, 0): (0, 0), (0, 1): (1, 0),
-                                  (1, 0): (1, 1), (1, 1): (0, 1)})
-    with pytest.raises(PipelineError, match="coordinate locality"):
-        _transfer(plan, {"a": 0, "b": 0, "c": 1})
-    plan = _plan(PartiteHypergraph((("a",), ("b",)), (("a", "b"),)),
-                 PartiteHypergraph((("x",),), (("x",),)), {(0, 0): (1,)})
-    assert _transfer(plan, {"a": 0, "b": 0}) == {"x": 1}
-
-
-def test_transfer_witness_rejects_malformed_witness():
-    plan = _plan(SOURCE, TARGET, {(0, 0): (0, 1), (0, 1): (0, 0), (1, 1): (1, 1)})
-    assert _transfer(plan, {"a": 0, "b": 0, "c": 1}) == {"x": 0, "y": 1, "z": 0}
-    rejected = "source witness rejected"
-    for bad, err in (({"a": 0, "b": 0}, rejected),    # missing vertex
-                     ({"a": 0, "b": 0, "c": 1, "d": 0}, rejected),  # extra
-                     ({"a": 0, "b": 0, "c": 2}, rejected),  # outside [0, 2)
-                     ({"a": 0, "b": 0, "c": -1}, rejected),
-                     # (1, 0) is outside the ambient, so not in sigma
-                     ({"a": 1, "b": 0, "c": 1},
-                      r"witness value \(1, 0\) outside the certificate domain")):
-        with pytest.raises(PipelineError, match=err):
-            _transfer(plan, bad)
+@pytest.mark.parametrize("name, build", [
+    ("J1", build_R2S2_instance), ("J2", build_R2S2_instance),
+    ("P3Q3", build_R2S2_instance), ("P1Q1", build_R1S1_instance),
+    ("P2Q2", build_R1S1_instance)])
+def test_transfer_agrees_with_a_reference_route(name, build):
+    # apply_reduction checks the source witnesses only; here the witnesses
+    # are transferred through sigma and checked on the target by hand: all
+    # of them on R1S1 q=2, a sample fixed by a seed on R2S2 q=2
+    inst, cert = build(2), tables.certificate(name)
+    h, edges = inst.hypergraph, inst.hypergraph.edges
+    m = len(edges)
+    sample = (range(m) if m < 200
+              else sorted(random.Random(18).sample(range(m), 24)))
+    res = apply_reduction(h, cert, witness_fn=inst.witness)
+    assert res.verified
+    target = res.instance
+    for k in sample:
+        phi = _reference_transfer(h, cert, target, inst.witness(edges[k]))
+        assert not _reference_fails(cert, target, phi, k)
+    # two witnesses swapped: both routes fail first on the same edge
+    i = sample[len(sample) // 2]
+    pair = {edges[i]: edges[i + 1], edges[i + 1]: edges[i]}
+    swapped = lambda e: inst.witness(pair.get(e, e))
+    with pytest.raises(PipelineError) as exc:
+        apply_reduction(h, cert, witness_fn=swapped)
+    assert str(exc.value) == f"transferred witness failed for edge {edges[i]}"
+    first = next(k for k in sorted({*sample, i, i + 1}) if _reference_fails(
+        cert, target, _reference_transfer(h, cert, target, swapped(edges[k])),
+        k))
+    assert first == i
 
 
 def test_apply_reduction_rejects_merging_certificate():
@@ -235,11 +234,9 @@ def p1q1_block():
     """P1Q1 on R1S1 q=3: the instance, certificate and transfer block size."""
     inst = build_R1S1_instance(3)
     cert = tables.certificate("P1Q1")
-    proj = projection_map(inst.hypergraph, cert.family)
     h = inst.hypergraph
-    block = TransferPlan(
-        WitnessKernel(instance_index(h, h.arity), cert.source, h.vertices()),
-        WitnessKernel(proj.index, cert.target, None), cert.sigma).block
+    block = WitnessKernel(instance_index(h, h.arity), cert.source,
+                          h.vertices()).block
     assert 4 <= block and 3 * block < len(inst.hypergraph.edges)
     return inst, cert, block
 
