@@ -283,12 +283,12 @@ def cmd_build_instance(args):
         if not out["verified"]:
             emit(args, out, f"verification FAILED at {res.failed_edge}")
             return 1
+    if args.output:  # before stdout, so an unwritable path prints nothing
+        with open(args.output, "w") as fh:
+            json.dump(inst.hypergraph.to_dict(), fh)
     emit(args, out,
          f"{inst.name} q={inst.q}: {inst.n_vertices} vertices, "
          f"{inst.n_edges} edges" + (" (verified)" if args.verify else ""))
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(inst.hypergraph.to_dict(), fh)
     return 0
 
 
@@ -307,11 +307,11 @@ def cmd_reduce(args):
         return 1
     out = res.to_dict()
     out["instance"] = res.instance.to_dict()
+    if args.output:  # before stdout, so an unwritable path prints nothing
+        with open(args.output, "w") as fh:
+            json.dump(out["instance"], fh)
     emit(args, out, f"{res.n_edges} edges over {res.n_vertices} vertices"
          + (" (witnesses verified)" if res.verified else ""))
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(res.instance.to_dict(), fh)
     return 0
 
 

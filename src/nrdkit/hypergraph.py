@@ -294,27 +294,62 @@ class WitnessSearch:
     before anything is written).
 
     Set up from an InstanceIndex and the labels of its vertices, which
-    break degree ties and key the dicts of `witness`.
+    break degree ties and key the dicts of `witness`.  `push` adds an edge
+    after the others and `pop` removes the last one; both rebuild only the
+    per-vertex entries of the edge's vertices (of every vertex when `push`
+    outgrows `cap`).  Edge k keeps bit k, so a search grown and shrunk this
+    way finds the witnesses, in the same number of trials, that a search
+    set up afresh on the same edge list finds.
     """
 
     def __init__(self, index, pq, vertices, budget=None):
         tab = self.tab = _tuple_tables(as_conditional(pq))
-        r = tab.r
         self.vertices, self.n = vertices, index.n
         self.edges = index.cols.T.tolist()
-        self.full = full = (1 << len(self.edges)) - 1
-        bits = [[0] * r for _ in range(self.n)]
+        self.full = self.cap = (1 << len(self.edges)) - 1
+        self.bits = [[0] * tab.r for _ in range(self.n)]
+        self.degree = [0] * self.n
         for i, e in enumerate(self.edges):
-            for p, v in enumerate(e):
-                bits[v][p] |= 1 << i
-        # (position, edges of v there, every other edge) for each vertex
-        self.occ = [tuple((p, b, full ^ b) for p, b in enumerate(bv) if b)
-                    for bv in bits]
-        degree = [sum(b.bit_count() for b in bv) for bv in bits]
-        self.by_degree = sorted((i for i, k in enumerate(degree) if k),
-                                key=lambda i: (-degree[i], vertices[i]))
+            self._flip(e, 1 << i, 1)
+        self.occ = [None] * self.n
+        self._refresh(range(self.n))
         self.budget = budget
         self.trials = 0
+
+    def push(self, edge):
+        """Add edge, a sequence of vertex numbers, as the last edge."""
+        bit = 1 << len(self.edges)
+        self.edges.append(edge)
+        self.full |= bit
+        self._flip(edge, bit, 1)
+        if bit > self.cap:  # about twice the edges, so this is rare
+            self.cap = (bit << len(self.edges)) - 1
+            self._refresh(range(self.n))
+        else:
+            self._refresh(edge)
+
+    def pop(self):
+        """Remove the last edge."""
+        edge = self.edges.pop()
+        bit = 1 << len(self.edges)
+        self.full ^= bit
+        self._flip(edge, bit, -1)
+        self._refresh(edge)
+
+    def _flip(self, edge, bit, step):
+        bits, degree = self.bits, self.degree
+        for p, v in enumerate(edge):
+            bits[v][p] ^= bit
+            degree[v] += step
+        self.by_degree = None  # sorted again on the next search
+
+    def _refresh(self, vertices):
+        """Rebuild each vertex's (position, edges of v there, rest) entries,
+        rest clearing those edges from any bitset of edges within `cap`,
+        which every bitset of the search is (cap covers at least `full`)."""
+        bits, cap, occ = self.bits, self.cap, self.occ
+        for v in vertices:
+            occ[v] = tuple((p, b, cap ^ b) for p, b in enumerate(bits[v]) if b)
 
     def witness(self, excluded_idx):
         """The witness for one excluded edge as a dict over every vertex, or
@@ -326,6 +361,10 @@ class WitnessSearch:
         """The witness for one excluded edge as a list in vertex order, or
         None."""
         tab, full = self.tab, self.full
+        if self.by_degree is None:
+            degree, labels = self.degree, self.vertices
+            self.by_degree = sorted((v for v, k in enumerate(degree) if k),
+                                    key=lambda v: (-degree[v], labels[v]))
         first = list(dict.fromkeys(self.edges[excluded_idx]))
         seen = set(first)
         order = first + [v for v in self.by_degree if v not in seen]
@@ -389,16 +428,16 @@ class WitnessSearch:
             pending = None
             for p, scope, rest in occ_v:
                 ids = keep[p][x]
-                ones = twos = 0
+                ones = twos = 0  # masked to scope once, after the sweep
                 for t in ids:
-                    a = alive[t] & scope
+                    a = alive[t]
                     twos |= ones & a
                     ones |= a
-                if ones != scope:
+                if ones & scope != scope:
                     return False
                 for t in kill[p][x]:
                     alive[t] &= rest
-                unit = ones ^ twos
+                unit = (ones ^ twos) & scope
                 if unit:
                     if pending is None:
                         pending = 0
@@ -733,7 +772,9 @@ def nrd_exact(pq, n, part_sizes=None, max_checks=2_000_000):
     hereditary downward, so a redundant list prunes all its supersets.  A
     feasible edge list keeps its witnesses: extending it by an edge c
     re-searches only the witnesses whose tuple on c falls outside P, then
-    searches c itself.
+    searches c itself.  One `WitnessSearch` serves the whole call: the
+    branch-and-bound pushes c before the check and pops it when the branch
+    returns, so the search always holds the current list, in order.
 
     Symmetry breaking: a candidate is tried only if each vertex that it
     brings in for the first time is the lowest unused vertex of its part,
@@ -762,23 +803,22 @@ def nrd_exact(pq, n, part_sizes=None, max_checks=2_000_000):
     """
     pq = as_conditional(pq)
     cands, start, part_of, make = _exact_space(pq.arity, n, part_sizes)
-    cand_cols = np.array(cands, dtype=np.intp).reshape(len(cands), pq.arity).T
     base = frozenset(pq.base.tuples)
     checks = [0]
     best = {"size": 0, "edges": ()}
+    # labelled by number: the tie-break moves witnesses, not the answer
+    search = WitnessSearch(InstanceIndex(n, np.empty((pq.arity, 0), np.intp)),
+                           pq, range(n))
 
-    def feasible(edge_list, witnesses):
-        """Witness values for the candidates edge_list, given those of all
-        but its last edge, or None when it is redundant."""
+    def feasible(witnesses):
+        """Witness values for the search's edges, given those of all but its
+        last edge, or None when they are redundant."""
         checks[0] += 1
         if max_checks is not None and checks[0] > max_checks:
             raise BudgetExceeded(
                 f"search budget of {max_checks} feasibility checks exceeded; "
                 f"best size so far {best['size']}", partial=best["size"])
-        # labelled by number: the tie-break moves witnesses, not the answer
-        search = WitnessSearch(InstanceIndex(n, cand_cols[:, edge_list]), pq,
-                               range(n))
-        c = cands[edge_list[-1]]
+        c = search.edges[-1]
         out = []
         for k, w in enumerate(witnesses):
             if tuple(w[j] for j in c) not in base:
@@ -792,12 +832,13 @@ def nrd_exact(pq, n, part_sizes=None, max_checks=2_000_000):
         out.append(w)
         return out
 
-    def extend(edge_list, witnesses, start, used):
-        if len(edge_list) > best["size"]:
-            best["size"] = len(edge_list)
-            best["edges"] = tuple(edge_list)
+    def extend(witnesses, start, used):
+        size = len(search.edges)
+        if size > best["size"]:
+            best["size"] = size
+            best["edges"] = tuple(search.edges)
         for i in range(start, len(cands)):
-            if len(edge_list) + (len(cands) - i) <= best["size"]:
+            if size + (len(cands) - i) <= best["size"]:
                 break
             now = list(used)
             for p, v in zip(part_of, cands[i]):
@@ -806,13 +847,14 @@ def nrd_exact(pq, n, part_sizes=None, max_checks=2_000_000):
                 if v == now[p]:
                     now[p] += 1
             else:
-                nxt = edge_list + [i]
-                ws = feasible(nxt, witnesses)
+                search.push(cands[i])
+                ws = feasible(witnesses)
                 if ws is not None:
-                    extend(nxt, ws, i + 1, now)
+                    extend(ws, i + 1, now)
+                search.pop()
 
-    extend([], [], 0, start)  # the lowest unused vertex of each part
-    return best["size"], make(cands[i] for i in best["edges"])
+    extend([], 0, start)  # the lowest unused vertex of each part
+    return best["size"], make(best["edges"])
 
 
 _EXHAUSTIVE_SUBSETS = 1 << 18

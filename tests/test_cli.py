@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import nrdkit
-from nrdkit import tables
+from nrdkit import hypergraph, tables
 from nrdkit.cli import main
 from nrdkit.generators import build_R1S1_instance, build_R2S2_instance
 
@@ -601,6 +601,28 @@ def test_unreadable_input_path_exits_2(tmp_path, capsys, slot, kind):
     }[slot]
     err = usage_error(capsys, *map(str, argv))
     assert err.startswith("nrd: ") and repr(str(bad)) in err
+
+
+def test_output_is_written_before_stdout(tmp_path, capsys, monkeypatch):
+    # an unwritable --output prints no result; a failed run writes no file
+    inst = build_R1S1_instance(2).truncated(12)
+    f = _instance_file(tmp_path, inst)
+    reduce = ["reduce", "--instance", f, "--certificate", "P1Q1"]
+    for argv in (["build-instance", "R1S1", "-q", "2"], reduce):
+        err = usage_error(capsys, *argv, "--output", str(tmp_path))
+        assert err.startswith("nrd: ") and repr(str(tmp_path)) in err
+    out = tmp_path / "out.json"
+    witnesses = inst.certificate().to_dict(inst.hypergraph)
+    witnesses["4"]["p010"] = 3
+    wf = tmp_path / "wit.json"
+    wf.write_text(json.dumps(witnesses))
+    assert main([*reduce, "--witnesses", str(wf), "--output", str(out)]) == 1
+    monkeypatch.setattr("nrdkit.generators.ShrinkingInstance.verify",
+                        lambda self, mode: hypergraph.NrdFailure(("a",)))
+    code, d = run_json(capsys, "build-instance", "R1S1", "-q", "2",
+                       "--verify", "--output", str(out))
+    assert code == 1 and d["verified"] is False
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("resize", [lambda t: t[:2], lambda t: t + [0]],

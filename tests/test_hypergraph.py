@@ -8,14 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nrdkit import hypergraph
 from nrdkit.catalog import C6, C6_COND, C6_STAR, EQ, ONE_IN_THREE, or_k
 from nrdkit.generators import build_R1S1_instance, build_R2S2_instance
 from nrdkit.hypergraph import (BudgetExceeded, Hypergraph, InstanceError,
-                               NrdCertificate, NrdFailure, PartiteHypergraph,
-                               RadixTable, WitnessKernel, WitnessSearch,
-                               as_conditional, instance_index, nrd_exact,
-                               nrd_exact_exhaustive, projection_label,
-                               projection_map, shrinking_report, verify_nrd)
+                               InstanceIndex, NrdCertificate, NrdFailure,
+                               PartiteHypergraph, RadixTable, WitnessKernel,
+                               WitnessSearch, as_conditional, instance_index,
+                               nrd_exact, nrd_exact_exhaustive,
+                               projection_label, projection_map,
+                               shrinking_report, verify_nrd)
 from nrdkit.predicates import ConditionalPredicate, IndexFamily, Predicate
 
 
@@ -235,17 +237,23 @@ def test_r2s2_witnesses_and_trials_are_pinned():
         21168)
 
 
-def _plain_case(k):
-    """A small plain instance with at least one edge that holds a vertex
-    twice, under a random predicate pair."""
-    rng = random.Random(k)
+def _random_pair(rng):
+    """A random pair P | Q of arity 2 or 3, plain (Q full) half the time."""
     d = rng.choice((2, 3))
     r = rng.randint(2, 3 if d == 2 else 2)
     cube = list(product(range(d), repeat=r))
     ambient = (rng.sample(cube, rng.randint(1, len(cube)))
                if rng.random() < 0.5 else cube)
     base = rng.sample(ambient, rng.randint(0, len(ambient) - 1))
-    pq = ConditionalPredicate(Predicate(d, r, base), Predicate(d, r, ambient))
+    return ConditionalPredicate(Predicate(d, r, base), Predicate(d, r, ambient))
+
+
+def _plain_case(k):
+    """A small plain instance with at least one edge that holds a vertex
+    twice, under a random predicate pair."""
+    rng = random.Random(k)
+    pq = _random_pair(rng)
+    r = pq.arity
     vs = tuple(f"v{i}" for i in range(rng.randint(1, 6 if r < 3 else 4)))
     cands = list(product(vs, repeat=r))
     edges = rng.sample(cands, rng.randint(1, min(8, len(cands))))
@@ -260,6 +268,40 @@ def test_repeated_vertex_witnesses_and_trials_are_pinned():
     assert (hashlib.sha256("".join(digests).encode()).hexdigest(),
             sum(trials)) == (
         "a465f16411472358f02d76d699687aec348d16c1cf24b71024aed8104c21473a", 997)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_grown_search_matches_a_fresh_one(seed):
+    # edges pushed and popped one at a time leave the state that a fresh
+    # search on the same edge list builds: the same witnesses and trials
+    rng = random.Random(seed)
+    pq = _random_pair(rng)
+    r = pq.arity
+    if seed % 2:  # partite
+        sizes = [rng.randint(1, 3) for _ in range(r)]
+        n = sum(sizes)
+        cands = list(product(*(range(sum(sizes[:p]), sum(sizes[:p + 1]))
+                               for p in range(r))))
+    else:  # one part, so some edges hold a vertex twice
+        n = rng.randint(1, 5 if r < 3 else 3)
+        cands = list(product(range(n), repeat=r))
+    labels = [f"v{k}" for k in rng.sample(range(n), n)]  # ties not by number
+    grown = WitnessSearch(InstanceIndex(n, np.empty((r, 0), np.intp)), pq,
+                          labels)
+    edges = []
+    for _ in range(30):
+        if edges and (len(edges) == len(cands) or rng.random() < 0.4):
+            grown.pop()
+            edges.pop()
+        else:
+            edges.append(rng.choice([c for c in cands if c not in edges]))
+            grown.push(edges[-1])
+        cols = np.array(edges, dtype=np.intp).reshape(len(edges), r).T
+        fresh = WitnessSearch(InstanceIndex(n, cols), pq, labels)
+        before = grown.trials
+        assert [grown.values(k) for k in range(len(edges))] == \
+            [fresh.values(k) for k in range(len(edges))]
+        assert grown.trials - before == fresh.trials
 
 
 @settings(max_examples=300, deadline=None)
@@ -353,6 +395,22 @@ def test_nrd_exact_skips_relabelled_copies():
     # 6574 feasibility checks with symmetry breaking, 340 689 without
     assert nrd_exact(EQ, 6, max_checks=6574)[0] == 5
     assert nrd_exact(or_k(2), 5, max_checks=5231)[0] == 10
+
+
+def test_nrd_exact_builds_one_search(monkeypatch):
+    built = []
+
+    class Counted(WitnessSearch):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(hypergraph, "WitnessSearch", Counted)
+    for pq, n, parts, size in ((EQ, 5, None, 4), (or_k(2), 5, (2, 3), 6)):
+        built.clear()
+        assert nrd_exact(pq, n, part_sizes=parts)[0] == size
+        assert len(built) == 1
+
 
 def _edges(spec):
     """'12 13' -> (('v1', 'v2'), ('v1', 'v3'))."""
