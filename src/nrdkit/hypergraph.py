@@ -43,6 +43,17 @@ def _array(x):
     return tuple(x)
 
 
+def _labels(x):
+    """_array(x) for a JSON array of vertex labels, each of which must be a
+    string (a witness file keys its values by label, and JSON keys are
+    strings); anything else is a TypeError."""
+    labels = _array(x)
+    for v in labels:
+        if not isinstance(v, str):
+            raise TypeError(f"vertex label {v!r} is not a string")
+    return labels
+
+
 @dataclass(frozen=True)
 class PartiteHypergraph:
     """Parts V_1..V_r of string labels, edges in V_1 x ... x V_r."""
@@ -84,7 +95,7 @@ class PartiteHypergraph:
     @classmethod
     def from_dict(cls, d):
         try:
-            return cls(tuple(map(_array, _array(d["parts"]))),
+            return cls(tuple(map(_labels, _array(d["parts"]))),
                        tuple(map(_array, _array(d["edges"]))))
         except TypeError as exc:
             raise InstanceError(f"malformed instance: {exc}") from None
@@ -126,7 +137,7 @@ class Hypergraph:
     @classmethod
     def from_dict(cls, d):
         try:
-            return cls(_array(d["vertices"]), tuple(map(_array, _array(d["edges"]))))
+            return cls(_labels(d["vertices"]), tuple(map(_array, _array(d["edges"]))))
         except TypeError as exc:
             raise InstanceError(f"malformed instance: {exc}") from None
         except KeyError as exc:
@@ -519,23 +530,19 @@ def verify_nrd(h, pq, mode="find-witnesses", certificate=None,
 
 
 def _check_certificate(h, pq: ConditionalPredicate, certificate):
-    """Check the witnesses in blocks; a block with any failure is checked
-    again one witness at a time, so the failure reported is the first in
-    edge order."""
     edges = h.edges
     if set(certificate.witnesses) != set(edges):
         raise InstanceError("certificate must cover exactly the instance edges")
-    kernel = WitnessKernel(instance_index(h, pq.arity), pq, h.vertices())
-    psis = [certificate.witnesses[e] for e in edges]
-    size = kernel.block
-    for lo in range(0, len(edges), size):
-        if kernel.failure(psis[lo:lo + size], lo) is None:
-            continue
-        for i in range(lo, min(lo + size, len(edges))):
-            reason = kernel.failure(psis[i:i + 1], i)
-            if reason is not None:
-                return NrdFailure(edges[i], reason)
-    return NrdCertificate(dict(certificate.witnesses))
+    bad = WitnessKernel(h, pq).check(lambda i: certificate.witnesses[edges[i]])
+    if bad is None:
+        return NrdCertificate(dict(certificate.witnesses))
+    if bad.malformed is not None:
+        reason = str(bad.malformed)
+    elif bad.wrong == bad.edge:
+        reason = "witness does not (Q\\P)-satisfy its edge"
+    else:
+        reason = f"witness fails to P-satisfy {edges[bad.wrong]}"
+    return NrdFailure(edges[bad.edge], reason)
 
 
 # --- the witness kernel ----------------------------------------------
@@ -625,34 +632,78 @@ def _getter(keys):
     return itemgetter(*keys) if keys else lambda psi: ()
 
 
-class WitnessKernel:
-    """Witness checks on one instance for one predicate pair, a block of
-    witnesses at a time.
+class WitnessFailure(NamedTuple):
+    """Why the witness of edge `edge` fails: `malformed` (a
+    MalformedWitness), or else `wrong`, the first edge whose tuple is of the
+    wrong kind, and `outside`, the first (edge, tuple) outside Q or None."""
 
-    Set up once from an InstanceIndex, whose r x m array `cols` holds the
-    vertex at each position of each edge, and the labels of its vertices.
-    Tuples are numbered by the pair's `_TupleTables.table`: P below n_base,
-    then Q \\ P, then len(tuples) outside Q.  Per block: validate the
-    witnesses into one array, number every edge's tuple under every
-    witness with one column gather per position, and compare with the
-    range each must lie in.  A block holds at most 2**15 / max(m, n)
-    witnesses, so no temporary array exceeds 2**15 elements.
+    edge: int
+    malformed: MalformedWitness | None = None
+    wrong: int | None = None
+    outside: tuple | None = None
+
+
+class WitnessKernel:
+    """The witness check of one instance for one predicate pair.
+
+    `check` reads the witnesses a block at a time, in edge order.  A block
+    is validated into one array (vertex order, values in [0, d)), and every
+    edge's tuple under every witness is numbered with one column gather per
+    position of the instance's index, by the pair's `_TupleTables.table`:
+    P below n_base, then Q \\ P, then len(tuples) outside Q.  A block holds
+    at most 2**15 / max(m, n) witnesses, so no temporary array exceeds 2**15
+    elements.
     """
 
-    def __init__(self, index, pq, vertices):
+    def __init__(self, h, pq):
         pq = as_conditional(pq)
-        self.vertices, self.n, self.m = vertices, index.n, index.m
-        self.d, self.r = pq.domain_size, pq.arity
-        self.cols = index.cols
+        index = instance_index(h, pq.arity)
+        self.vertices, self.n, self.m = h.vertices(), index.n, index.m
+        self.d, self.cols = pq.domain_size, index.cols
         self.tab = _tuple_tables(pq)
         self.block = max(1, _BLOCK_LIMIT // max(self.m, self.n, 1))
-        self._get = _getter(vertices)
+        self._get = _getter(self.vertices)
 
-    def edge(self, j):
-        """Edge j as a tuple of vertex labels."""
-        return tuple(self.vertices[v] for v in self.cols[:, j].tolist())
+    def check(self, witness):
+        """None if witness(i) is a witness for edge i, for every edge i; else
+        the WitnessFailure of the first i in edge order for which it is not.
+        witness is called once per edge, in edge order, and never past the
+        first failing block, which is checked again one witness at a time:
+        a malformed witness anywhere in a block fails the block as a
+        whole."""
+        for lo in range(0, self.m, self.block):
+            psis = [witness(i) for i in range(lo, min(lo + self.block, self.m))]
+            if self._failure(psis, lo) is not None:
+                return next(filter(None, (self._failure([psi], lo + k)
+                                          for k, psi in enumerate(psis))))
+        return None
 
-    def values(self, psis):
+    def _failure(self, psis, start):
+        """The WitnessFailure of the first psis[k] that is not a witness for
+        edge start + k, or None; a block with a malformed witness fails as
+        the witness of edge start."""
+        try:
+            vals = self._values(psis)
+        except MalformedWitness as exc:
+            return WitnessFailure(start, exc)
+        numbers = self.tab.table.lookup(vals, self.cols)
+        n_base, outside = self.tab.n_base, len(self.tab.tuples)
+        ok = numbers < n_base
+        k = np.arange(len(numbers))
+        x = numbers[k, start + k]
+        ok[k, start + k] = (n_base <= x) & (x < outside)
+        if ok.all():
+            return None
+        k = int(ok.all(axis=1).argmin())
+        failure = WitnessFailure(start + k, None, int(ok[k].argmin()))
+        out = np.flatnonzero(numbers[k] == outside)
+        if not len(out):
+            return failure
+        j = int(out[0])
+        return failure._replace(
+            outside=(j, tuple(vals[k, self.cols[:, j]].tolist())))
+
+    def _values(self, psis):
         """The witnesses as a (len(psis) x n) array in vertex order, after
         checking that each assigns exactly the instance's vertices, each an
         integer in [0, d) (numpy integers too).  Raises MalformedWitness
@@ -697,38 +748,6 @@ class WitnessKernel:
                 return MalformedWitness(f"witness value {x!r} for vertex {v!r} "
                                         f"is not an integer in [0, {d})")
         return None
-
-    def first_failure(self, numbers, start):
-        """(k, j) for the first witness k whose edge j has a tuple of the
-        wrong kind (Q \\ P for its excluded edge start + k, P for every
-        other), j the first such edge; None when every witness passes.
-        numbers is a lookup in `tab.table` indexed [witness, edge]."""
-        n_base = self.tab.n_base
-        ok = numbers < n_base
-        k = np.arange(len(numbers))
-        x = numbers[k, start + k]
-        ok[k, start + k] = (n_base <= x) & (x < len(self.tab.tuples))
-        if ok.all():
-            return None
-        k = int(ok.all(axis=1).argmin())
-        return k, int(ok[k].argmin())
-
-    def failure(self, psis, start):
-        """None if psis[k] is a witness for edge start + k, for every k;
-        else why one is not.  A malformed witness is reported before any
-        edge is looked at, so only a block of one is sure to get the reason
-        of its first failure in edge order."""
-        try:
-            vals = self.values(psis)
-        except MalformedWitness as exc:
-            return str(exc)
-        bad = self.first_failure(self.tab.table.lookup(vals, self.cols), start)
-        if bad is None:
-            return None
-        k, j = bad
-        if j == start + k:
-            return "witness does not (Q\\P)-satisfy its edge"
-        return f"witness fails to P-satisfy {self.edge(j)}"
 
 
 # --- exact NRD at toy scale ------------------------------------------

@@ -4,7 +4,8 @@ Reduction soundness: a non-redundant instance of the source pair plus a
 substructure certificate yields a non-redundant projection instance of the
 target pair, with witnesses transferred through the certificate map.  A
 valid certificate makes the check of a transferred witness the check of
-its source witness, so the transfer runs the source pair's witness kernel
+its source witness, so the transfer is the source pair's
+`WitnessKernel.check`, the one witness check that check-given also runs,
 and builds nothing on the target side.  The audit (`paper_verify`)
 re-checks every bundled construction table and the instance pipelines in
 one run.
@@ -23,9 +24,8 @@ from .balance import is_balanced_bounded, is_balanced_lattice
 from .cancellation import cancel, catalan_matrix_check, catalan_search
 from .generators import (box_product_instance, build_R1S1_instance,
                          build_R2S2_instance, gen_girth6, girth)
-from .hypergraph import (Hypergraph, MalformedWitness, NrdCertificate,
-                         PartiteHypergraph, Projection, WitnessKernel,
-                         instance_index, nrd_exact, projection_map,
+from .hypergraph import (Hypergraph, NrdCertificate, PartiteHypergraph,
+                         Projection, WitnessKernel, nrd_exact, projection_map,
                          shrinking_report)
 from .predicates import ConditionalPredicate, Predicate, PredicateError, \
     box_product
@@ -103,29 +103,6 @@ class ReductionResult:
                 "verified": self.verified}
 
 
-def _check_transfer(kernel: WitnessKernel, psis, start):
-    """Check that psis[k], the witness of source edge start + k, transfers
-    to a witness for that edge's projection, for every k.  Raises
-    PipelineError on the first malformed witness, then on the first tuple
-    outside sigma's domain, then on a failing witness; only for a block of
-    one is the last sure to be that of the first failing witness."""
-    try:
-        vals = kernel.values(psis)
-    except MalformedWitness as exc:
-        raise PipelineError(f"source witness rejected: {exc}") from None
-    numbers = kernel.tab.table.lookup(vals, kernel.cols)
-    outside = len(kernel.tab.tuples)
-    if numbers.max() == outside:
-        k, j = np.argwhere(numbers == outside)[0]
-        x = tuple(vals[k, kernel.cols[:, j]].tolist())
-        raise PipelineError(
-            f"witness value {x} outside the certificate domain")
-    bad = kernel.first_failure(numbers, start)
-    if bad is not None:
-        e = kernel.edge(start + bad[0])
-        raise PipelineError(f"transferred witness failed for edge {e}")
-
-
 def apply_reduction(h: PartiteHypergraph, cert: SubstructureCertificate,
                     witness_fn=None) -> ReductionResult:
     """Project a source instance through a substructure certificate.
@@ -143,11 +120,12 @@ def apply_reduction(h: PartiteHypergraph, cert: SubstructureCertificate,
     of sigma; it makes sigma map P1 into P2 and Q1 \\ P1 into Q2 \\ P2, so
     phi's tuple on pi(e') lies in P2 exactly when psi(e') lies in P1; and
     the projection merges no edges, so pi(e) is the one edge phi must put
-    in Q2 \\ P2.  So each psi is checked for its values, then for a tuple
-    outside Q1, then for e in Q1 \\ P1 and every other edge in P1, and no
-    target-side table is built.  Witnesses are checked in blocks; a failing
-    block is rerun one witness at a time, so the error raised is that of
-    the first failing witness.
+    in Q2 \\ P2.  So the transfer is the source pair's `WitnessKernel.check`,
+    the check that `verify_nrd`'s check-given runs, and no target-side
+    table is built.  witness_fn is called once per edge, in edge order, up
+    to the block of the first failing witness, and the error raised is
+    that witness's: a malformed witness, else its first tuple outside Q1,
+    else the edge itself.
     """
     ok, problems = verify_certificate(cert)
     if not ok:
@@ -159,17 +137,16 @@ def apply_reduction(h: PartiteHypergraph, cert: SubstructureCertificate,
     result = ReductionResult(proj, False, proj.index.n, proj.index.m)
     if witness_fn is None:
         return result
-    kernel = WitnessKernel(instance_index(h, cert.source.arity), cert.source,
-                           h.vertices())
-    edges, size = h.edges, kernel.block
-    for lo in range(0, len(edges), size):
-        psis = [witness_fn(e) for e in edges[lo:lo + size]]
-        try:
-            _check_transfer(kernel, psis, lo)
-        except PipelineError:
-            for k, psi in enumerate(psis):
-                _check_transfer(kernel, [psi], lo + k)
-            raise
+    edges = h.edges
+    bad = WitnessKernel(h, cert.source).check(lambda i: witness_fn(edges[i]))
+    if bad is not None:
+        if bad.malformed is not None:
+            raise PipelineError(f"source witness rejected: {bad.malformed}")
+        if bad.outside is not None:
+            raise PipelineError(f"witness value {bad.outside[1]} outside the "
+                                "certificate domain")
+        raise PipelineError(
+            f"transferred witness failed for edge {edges[bad.edge]}")
     result.verified = True
     return result
 

@@ -278,20 +278,15 @@ class DirectSearchTables:
         return part
 
 
-def direct_search(source: ConditionalPredicate, target: ConditionalPredicate,
-                  family: IndexFamily, *, tables: DirectSearchTables | None = None):
-    """Backtracking over images sigma(q), propagating per-class coordinate
-    values through tuple bitmasks.  Complete for the given family.
-
-    `tables` are the pair's DirectSearchTables; they are built for this call
-    when not given.  search_families passes one set for all its families.
+def direct_search(tables: DirectSearchTables, family: IndexFamily):
+    """Backtracking over images sigma(q) from tables.source into
+    tables.target, propagating per-class coordinate values through tuple
+    bitmasks.  Complete for the given family.  search_families passes one
+    set of tables for all its families.
     """
+    source, target = tables.source, tables.target
     if family.source_arity != source.arity or len(family.sets) != target.arity:
         raise SubstructureError("family shape does not fit source/target")
-    if tables is None:
-        tables = DirectSearchTables(source, target)
-    elif tables.source is not source or tables.target is not target:
-        raise SubstructureError("direct search tables belong to another pair")
     if not tables.feasible:
         return None
     q1, t2, coord_mask = tables.q1, tables.t2, tables.coord_mask
@@ -417,7 +412,7 @@ def search_families(source: ConditionalPredicate, target: ConditionalPredicate,
             sets = [full] * r2
             sets[i], sets[j] = I, A
             hit = relaxed[key] = direct_search(
-                source, target, IndexFamily(r1, sets), tables=tables) is not None
+                tables, IndexFamily(r1, sets)) is not None
         return hit
 
     start = time.monotonic()
@@ -463,7 +458,7 @@ def search_families(source: ConditionalPredicate, target: ConditionalPredicate,
                     continue
                 tried += 1
                 fam = IndexFamily(r1, sets)
-                if direct_search(source, target, fam, tables=tables) is None:
+                if direct_search(tables, fam) is None:
                     continue
                 cert = find_substructure(source, target, fam)
                 if cert is None:

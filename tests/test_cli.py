@@ -500,6 +500,40 @@ def test_malformed_instance_json_exits_2(tmp_path, capsys, instance, err):
                        "--predicate", "EQ") == f"nrd: malformed instance: {err}"
 
 
+_INT_LABELS = {"parts": [[0, 1], [2, 3]], "edges": [[0, 2], [1, 3], [0, 3]]}
+# what find-witnesses emitted for _INT_LABELS when it accepted integer labels
+_INT_LABEL_WITNESSES = {"0": {"0": 0, "1": 0, "2": 0, "3": 1},
+                        "1": {"0": 1, "1": 0, "2": 0, "3": 0},
+                        "2": {"0": 0, "1": 1, "2": 1, "3": 0}}
+
+
+@pytest.mark.parametrize("instance, argv, label", [
+    (_INT_LABELS, ["verify-nrd", "--predicate", "C6*|C6", "--emit-witnesses"],
+     0),
+    (_INT_LABELS, ["verify-nrd", "--predicate", "C6*|C6", "--mode",
+                   "check-given", "--certificate", "WITNESSES"], 0),
+    ({"parts": [[0], [1], [2]], "edges": [[0, 1, 2]]},
+     ["reduce", "--certificate", "P1Q1"], 0),
+    ({"vertices": ["a", None], "edges": [["a", None]]},
+     ["verify-nrd", "--predicate", "EQ"], None),
+    ({"parts": [[True, "b"], ["c", 1.5]], "edges": [[True, "c"], ["b", 1.5]]},
+     ["verify-nrd", "--predicate", "C6*|C6"], True)],
+    ids=["find-witnesses", "check-given", "reduce", "plain-null",
+         "partite-bool-float"])
+def test_non_string_vertex_label_exits_2(tmp_path, capsys, instance, argv,
+                                         label):
+    # witness files key values by label and JSON keys are strings, so an
+    # integer label made check-given reject the witnesses find-witnesses
+    # had emitted; other labels failed as tracebacks
+    f = tmp_path / "inst.json"
+    f.write_text(json.dumps(instance))
+    w = tmp_path / "witnesses.json"
+    w.write_text(json.dumps(_INT_LABEL_WITNESSES))
+    argv = [str(w) if a == "WITNESSES" else a for a in argv]
+    assert usage_error(capsys, *argv, "--instance", str(f)) == (
+        f"nrd: malformed instance: vertex label {label!r} is not a string")
+
+
 def _nested_image(cert):
     cert["sigma"][1][1] = [[0], 0, 1]
     return cert

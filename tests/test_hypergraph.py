@@ -898,8 +898,7 @@ def r1s1_block():
     """The check-given block size on R1S1 q=3, and its witnesses."""
     inst = r1s1(3)
     h = inst.hypergraph
-    block = WitnessKernel(instance_index(h, h.arity), inst.predicate,
-                          h.vertices()).block
+    block = WitnessKernel(h, inst.predicate).block
     assert 4 <= block and 3 * block < len(inst.hypergraph.edges)
     return block, inst.witness, inst.hypergraph.edges
 

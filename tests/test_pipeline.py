@@ -8,8 +8,7 @@ from nrdkit import hypergraph, pipeline, tables
 from nrdkit.catalog import C6_COND, catalog
 from nrdkit.generators import build_R1S1_instance, build_R2S2_instance
 from nrdkit.hypergraph import (Hypergraph, InstanceError, NrdCertificate,
-                               PartiteHypergraph, WitnessKernel,
-                               instance_index, verify_nrd)
+                               PartiteHypergraph, WitnessKernel, verify_nrd)
 from nrdkit.pipeline import (PipelineError, apply_reduction,
                              build_plain_lb_instance, conditional_to_plain,
                              conditional_to_plain_pair, fit_exponent,
@@ -100,6 +99,89 @@ def test_transfer_agrees_with_a_reference_route(name, build):
         cert, target, _reference_transfer(h, cert, target, swapped(edges[k])),
         k))
     assert first == i
+
+
+def _changed(rng, psi, touching, q1, d):
+    """psi with one value changed, to a value in [0, d): half the time one
+    that takes some edge's tuple out of q1, else one that keeps every tuple
+    in q1, where such changes exist.  touching maps each vertex to its
+    edges."""
+    stay, leave = [], []
+    for v in sorted(psi):
+        for x in range(d):
+            if x != psi[v]:
+                moved = (tuple(x if u == v else psi[u] for u in e)
+                         for e in touching[v])
+                (stay if all(t in q1 for t in moved) else leave).append((v, x))
+    v, x = rng.choice(leave if leave and (not stay or rng.random() < 0.5)
+                      else stay)
+    return {**psi, v: x}
+
+
+@pytest.mark.parametrize("name, build, q", [
+    ("P1Q1", build_R1S1_instance, 3), ("J1", build_R2S2_instance, 2)])
+def test_transfer_and_check_given_reject_the_same_witness(name, build, q):
+    # seeded changes to up to three witnesses, each one value or, a quarter
+    # of the time, the witness of the edge before (on J1 every one-value
+    # change takes a tuple out of Q1): the transfer fails exactly when
+    # check-given does, and both name the first failing witness in edge
+    # order, as found here by set lookups; the transfer reads each witness
+    # once, in edge order, up to the end of the failing block
+    rng = random.Random(20)
+    inst, cert = build(q), tables.certificate(name)
+    h, pq, edges = inst.hypergraph, cert.source, inst.hypergraph.edges
+    block = WitnessKernel(h, pq).block
+    base, q1 = set(pq.base.tuples), set(pq.ambient.tuples)
+    good = inst.certificate().witnesses
+    touching = {v: [e for e in edges if v in e] for v in h.vertices()}
+    seen = set()
+    for _ in range(30):
+        witnesses = dict(good)
+        changed = sorted(rng.sample(range(len(edges)), rng.randint(0, 3)))
+        for i in changed:
+            if rng.random() < 0.25:  # keeps every tuple in Q1 on J1 too
+                witnesses[edges[i]] = good[edges[i - 1]]
+            else:
+                witnesses[edges[i]] = _changed(rng, good[edges[i]], touching,
+                                               q1, pq.domain_size)
+        ref = None
+        for i in changed:
+            psi = witnesses[edges[i]]
+            tuples = [tuple(psi[v] for v in e) for e in edges]
+            wrong = [j for j, t in enumerate(tuples)
+                     if t not in (q1 - base if j == i else base)]
+            if wrong:
+                out = next(((j, t) for j, t in enumerate(tuples)
+                            if t not in q1), None)
+                ref = i, wrong[0], out
+                break
+        res = verify_nrd(h, pq, "check-given", NrdCertificate(witnesses))
+        calls = []
+
+        def witness_fn(e):
+            calls.append(e)
+            return witnesses[e]
+        try:
+            apply_reduction(h, cert, witness_fn=witness_fn)
+            raised = None
+        except PipelineError as exc:
+            raised = str(exc)
+        read = len(edges) if ref is None else (ref[0] // block + 1) * block
+        assert calls == list(edges[:read])
+        if ref is None:
+            assert isinstance(res, NrdCertificate) and raised is None
+            seen.add("valid")
+            continue
+        i, j, out = ref
+        assert res.failed_edge == edges[i]
+        assert res.reason == ("witness does not (Q\\P)-satisfy its edge"
+                              if j == i else
+                              f"witness fails to P-satisfy {edges[j]}")
+        assert raised == (
+            f"transferred witness failed for edge {edges[i]}" if out is None
+            else f"witness value {out[1]} outside the certificate domain")
+        seen.add("failing edge" if out is None else "outside Q1")
+    assert seen == {"valid", "failing edge", "outside Q1"}
 
 
 def test_apply_reduction_rejects_merging_certificate():
@@ -235,8 +317,7 @@ def p1q1_block():
     inst = build_R1S1_instance(3)
     cert = tables.certificate("P1Q1")
     h = inst.hypergraph
-    block = WitnessKernel(instance_index(h, h.arity), cert.source,
-                          h.vertices()).block
+    block = WitnessKernel(h, cert.source).block
     assert 4 <= block and 3 * block < len(inst.hypergraph.edges)
     return inst, cert, block
 

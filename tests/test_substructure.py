@@ -104,7 +104,7 @@ def test_direct_search_agrees_with_sat():
                  ((1, 2, 3),) * 3,
                  ((1,), (1,), (1,))]:
         fam = IndexFamily(3, sets)
-        d = direct_search(src, tgt, fam)
+        d = direct_search(DirectSearchTables(src, tgt), fam)
         s = find_substructure(src, tgt, fam)
         assert (d is None) == (s is None), sets
         if d is not None:
@@ -115,7 +115,8 @@ def test_no_map_for_too_small_family():
     # single-coordinate reads cannot separate OR3's 7+1 tuples into 3LIN*
     fam = IndexFamily(3, ((1,), (2,), (3,)))
     assert find_substructure(OR3_COND, THREELIN, fam) is None
-    assert direct_search(OR3_COND, THREELIN, fam) is None
+    tables_ = DirectSearchTables(OR3_COND, THREELIN)
+    assert direct_search(tables_, fam) is None
 
 
 def test_empty_index_set_map():
@@ -165,7 +166,7 @@ def test_shape_mismatch_rejected():
         with pytest.raises(SubstructureError, match="family shape does not fit"):
             encode(OR3_COND, THREELIN, fam)
         with pytest.raises(SubstructureError, match="family shape does not fit"):
-            direct_search(OR3_COND, THREELIN, fam)
+            direct_search(DirectSearchTables(OR3_COND, THREELIN), fam)
         # a certificate with a misfit family is reported, not raised on
         ok, problems = verify_certificate(
             SubstructureCertificate(OR3_COND, THREELIN, fam, sigma))
@@ -183,13 +184,6 @@ def test_verify_certificate_reports_images_of_the_wrong_length(resize):
         cert.source, cert.target, cert.family, sigma))
     assert not ok
     assert problems == [f"sigma({q}) = {sigma[q]} outside the target ambient"]
-
-
-def test_direct_search_tables_belong_to_their_pair():
-    tables_ = DirectSearchTables(OR3_COND, OR3_COND)
-    fam = IndexFamily(3, ((1, 2), (1, 3), (2, 3)))
-    with pytest.raises(SubstructureError, match="another pair"):
-        direct_search(OR3_COND, THREELIN, fam, tables=tables_)
 
 
 def test_partition_numbers_classes_in_order_of_first_appearance():
@@ -210,7 +204,7 @@ def test_search_families_rejects_max_results_below_one(n):
 
 
 def _routes_agree(src, tgt, fam):
-    d = direct_search(src, tgt, fam)
+    d = direct_search(DirectSearchTables(src, tgt), fam)
     s = find_substructure(src, tgt, fam)
     assert (d is None) == (s is None), fam.sets
     for cert in (d, s):
@@ -291,8 +285,7 @@ def test_direct_search_results_are_pinned(name, sizes, max_results, tried,
     assert res.exhausted == exhausted
     assert [c.family.to_list() for c in res.certificates] == families
     shared = DirectSearchTables(cert.source, cert.target)
-    direct = [direct_search(cert.source, cert.target, c.family, tables=shared)
-              for c in res.certificates]
+    direct = [direct_search(shared, c.family) for c in res.certificates]
     assert _sigma_digest(direct) == digest
 
 
@@ -320,8 +313,7 @@ def _reference_search(src, tgt, sizes, max_results, max_families, hits):
             return found, tried, False
         tried += 1
         if sets not in hits:
-            hits[sets] = direct_search(src, tgt, IndexFamily(r1, sets),
-                                       tables=shared) is not None
+            hits[sets] = direct_search(shared, IndexFamily(r1, sets)) is not None
         if hits[sets]:
             found.append([list(I) for I in sets])
             if len(found) >= max_results:
@@ -363,9 +355,9 @@ def test_pruned_walk_matches_the_plain_loop(name, sizes):
 def test_relaxations_decide_the_or3_singleton_stratum(monkeypatch):
     searched = []
 
-    def counted(src, tgt, fam, **kwargs):
+    def counted(shared, fam):
         searched.append(fam.sets)
-        return direct_search(src, tgt, fam, **kwargs)
+        return direct_search(shared, fam)
     monkeypatch.setattr(substructure, "direct_search", counted)
     res = search_families(OR3_COND, THREELIN, sizes=(1, 1, 1), max_results=10)
     assert (res.certificates, res.families_tried, res.exhausted) == ([], 27, True)
