@@ -10,8 +10,8 @@ from .hypergraph import (Hypergraph, NrdCertificate, NrdFailure,
                          PartiteHypergraph, nrd_exact, shrinking_report,
                          verify_nrd)
 from .substructure import (SubstructureCertificate, dependency_analysis,
-                           family_supports, find_substructure,
-                           search_families, verify_certificate)
+                           find_substructure, search_families,
+                           verify_certificate)
 from .generators import (ShrinkingInstance, build_R1S1_instance,
                          build_R2S2_instance, gen_girth6, girth,
                          girth6_witness)

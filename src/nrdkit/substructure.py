@@ -9,18 +9,15 @@ P1 | Q1 into the ambient tuples of a target pair P2 | Q2 such that
 
 Existence for a fixed family is decided two independent ways: a direct
 backtracking search over per-class coordinate values, and a CNF encoding
-handed to the bundled SAT solver.  search_families runs the direct search
-as a fast prefilter and confirms every hit through the SAT route.  The
-direct search's family-independent tables (DirectSearchTables) are built
-once per (source, target) pair; encode and verify_certificate keep their
-own class computation, so the two routes share no search code.
+handed to the bundled SAT solver.  In search_families the direct search
+decides and SAT certifies: only the SAT route makes certificates.  The
+direct search's tables (DirectSearchTables) are built once per (source,
+target) pair; encode and verify_certificate keep their own class
+computation, so the two routes share no search code.
 
-search_families also rules out whole subtrees of families unsearched: a map
-for a family is a map for every family whose index sets contain its sets,
-since a larger index set only drops locality constraints, so a relaxation
-(two target coordinates fixed, full sets elsewhere) with no map rules out
-every family below it.  Such a negative rests on the direct search of the
-relaxation alone; SAT cores, an open item in ROADMAP.md, would certify it.
+search_families also rules out whole subtrees of families unsearched, by
+relaxations that the direct search alone decides (see its docstring); SAT
+cores, an open item in ROADMAP.md, would certify such a negative.
 """
 
 from __future__ import annotations
@@ -141,12 +138,6 @@ def dependency_analysis(cert: SubstructureCertificate):
     return out
 
 
-def family_supports(deps, family: IndexFamily) -> bool:
-    """Does each declared index set contain a minimal determining subset?"""
-    return all(any(set(m) <= set(I) for m in mins)
-               for mins, I in zip(deps, family.sets))
-
-
 # --- CNF encoding -----------------------------------------------------
 
 
@@ -240,32 +231,31 @@ class DirectSearchTables:
     mask of membership-preserving images.  The partition of q1 by its
     projection to a subset I of source coordinates (class id of each q,
     numbered in order of first appearance, and the members of each class)
-    is built on first use and kept for the lifetime of the tables.
+    is built on first use, once I is checked, and kept with the tables.
     """
 
     def __init__(self, source: ConditionalPredicate, target: ConditionalPredicate):
-        self.source, self.target = source, target
+        self.r1, self.r2 = source.arity, target.arity
         self.q1 = list(source.ambient.tuples)
         self.t2 = list(target.ambient.tuples)
         p1 = set(source.base.tuples)
         p2 = set(target.base.tuples)
-        r2 = target.arity
-        # mask of target tuples with coordinate j equal to d
-        self.coord_mask = [{} for _ in range(r2)]
-        for ti, t in enumerate(self.t2):
-            for j in range(r2):
-                self.coord_mask[j][t[j]] = self.coord_mask[j].get(t[j], 0) | (1 << ti)
+        # masks of target tuples by membership, and with coordinate j equal to d
         member_mask = {True: 0, False: 0}
+        self.coord_mask = [{} for _ in range(self.r2)]
         for ti, t in enumerate(self.t2):
             member_mask[t in p2] |= 1 << ti
+            for j in range(self.r2):
+                self.coord_mask[j][t[j]] = self.coord_mask[j].get(t[j], 0) | (1 << ti)
         self.masks = [member_mask[q in p1] for q in self.q1]
-        self.feasible = all(self.masks)
         self._partitions = {}
 
     def partition(self, I):
         """(class id per q, members per class) for the projection to I."""
         part = self._partitions.get(I)
         if part is None:
+            if any(type(i) is not int or not 1 <= i <= self.r1 for i in I):
+                raise SubstructureError("family shape does not fit source/target")
             ids, cls, peers = {}, [], []
             for qi, q in enumerate(self.q1):
                 key = tuple(q[i - 1] for i in I)
@@ -278,20 +268,18 @@ class DirectSearchTables:
         return part
 
 
-def direct_search(tables: DirectSearchTables, family: IndexFamily):
-    """Backtracking over images sigma(q) from tables.source into
-    tables.target, propagating per-class coordinate values through tuple
-    bitmasks.  Complete for the given family.  search_families passes one
-    set of tables for all its families.
+def direct_search(tables: DirectSearchTables, sets):
+    """Backtracking over images, propagating per-class coordinate values
+    through tuple bitmasks; complete for the family `sets`, one tuple of
+    source coordinates per target coordinate.  Returns the images sigma(q)
+    in tables.q1 order, or None when there is no map; it makes no
+    certificate, since search_families certifies every hit through SAT.
     """
-    source, target = tables.source, tables.target
-    if family.source_arity != source.arity or len(family.sets) != target.arity:
+    if len(sets) != tables.r2:
         raise SubstructureError("family shape does not fit source/target")
-    if not tables.feasible:
-        return None
     q1, t2, coord_mask = tables.q1, tables.t2, tables.coord_mask
-    r2 = target.arity
-    parts = [tables.partition(I) for I in family.sets]
+    r2 = tables.r2
+    parts = [tables.partition(I) for I in sets]
     cls = [cj for cj, _ in parts]
     peers = [pj for _, pj in parts]
     masks = list(tables.masks)
@@ -315,21 +303,20 @@ def direct_search(tables: DirectSearchTables, family: IndexFamily):
         while m:
             low = m & -m
             m ^= low
-            ti = low.bit_length() - 1
-            t = t2[ti]
-            undo = []
+            t = t2[low.bit_length() - 1]
+            undo = []  # (list, index, old value)
             ok = True
             assigned[qi] = t
             for j in range(r2):
-                c = cls[j][qi]
-                if values[j][c] is None:
-                    values[j][c] = t[j]
-                    undo.append((j, c))
+                vj, c = values[j], cls[j][qi]
+                if vj[c] is None:
+                    vj[c] = t[j]
+                    undo.append((vj, c, None))
                     cm = coord_mask[j][t[j]]
                     for pj in peers[j][c]:
                         new = masks[pj] & cm
                         if new != masks[pj]:
-                            undo.append((pj, masks[pj], None))
+                            undo.append((masks, pj, masks[pj]))
                             masks[pj] = new
                             if new == 0 and assigned[pj] is None:
                                 ok = False
@@ -339,17 +326,11 @@ def direct_search(tables: DirectSearchTables, family: IndexFamily):
             if ok and backtrack(done + 1):
                 return True
             assigned[qi] = None
-            for u in reversed(undo):
-                if len(u) == 2:
-                    values[u[0]][u[1]] = None
-                else:
-                    masks[u[0]] = u[1]
+            for seq, i, old in reversed(undo):
+                seq[i] = old
         return False
 
-    if backtrack(0):
-        sigma = {q: assigned[qi] for qi, q in enumerate(q1)}
-        return SubstructureCertificate(source, target, family, sigma)
-    return None
+    return assigned if backtrack(0) else None
 
 
 @dataclass
@@ -380,10 +361,11 @@ def search_families(source: ConditionalPredicate, target: ConditionalPredicate,
     a subtree).  Each relaxation is decided once per call by the direct
     search, so a negative decided by pruning rests on the direct search of a
     relaxation and carries no certificate of its own; SAT cores (ROADMAP.md)
-    would certify it.  Every other family goes through the direct search;
-    its hits are re-derived through the SAT encoding, which verifies the
-    certificate it reports.  The direct search's tables are built once for
-    the pair and shared by every family and relaxation.
+    would certify it.  Every other family is decided by the direct search
+    on its plain tuple of sets.  Only a hit becomes an IndexFamily, checked
+    once there, and goes through the SAT encoding, which makes and verifies
+    the certificate reported.  The direct search's tables are built once
+    for the pair and shared by every family and relaxation.
     """
     if max_results < 1:
         raise SubstructureError("max_results must be at least 1")
@@ -411,8 +393,7 @@ def search_families(source: ConditionalPredicate, target: ConditionalPredicate,
         if hit is None:
             sets = [full] * r2
             sets[i], sets[j] = I, A
-            hit = relaxed[key] = direct_search(
-                tables, IndexFamily(r1, sets)) is not None
+            hit = relaxed[key] = direct_search(tables, sets) is not None
         return hit
 
     start = time.monotonic()
@@ -457,9 +438,9 @@ def search_families(source: ConditionalPredicate, target: ConditionalPredicate,
                         return True
                     continue
                 tried += 1
-                fam = IndexFamily(r1, sets)
-                if direct_search(tables, fam) is None:
+                if direct_search(tables, sets) is None:
                     continue
+                fam = IndexFamily(r1, sets)
                 cert = find_substructure(source, target, fam)
                 if cert is None:
                     raise SubstructureError(

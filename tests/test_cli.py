@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 
 import nrdkit
 from nrdkit import hypergraph, tables
+from nrdkit.catalog import catalog
 from nrdkit.cli import main
 from nrdkit.generators import build_R1S1_instance, build_R2S2_instance
 
@@ -703,6 +705,67 @@ def test_paper_verify_shallow(capsys):
     assert code == 0
     assert d["failures"] == 0
     assert d["anomalies"] == 1
+
+
+@pytest.mark.parametrize("argv, items", [((), 18), (("--shallow",), 13)],
+                         ids=["deep", "shallow"])
+def test_paper_verify_text(capsys, argv, items):
+    code, out = run(capsys, "paper-verify", *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == f"{items} items, 0 failures, 1 anomalies"
+    _, d = run_json(capsys, "paper-verify", *argv)
+    want = []
+    for item in d["items"]:
+        want.append(f"[{item['status'].upper():7}] {item['name']}")
+        if item["status"] != "pass":
+            want.append("          " + json.dumps(item["detail"], sort_keys=True))
+    assert lines[:-1] == want
+    anomaly = lines.index("[ANOMALY] coordinate-bijection audit")
+    assert json.loads(lines[anomaly + 1])["anomaly"] == (
+        "row 6 is not a bijection as printed")
+    assert sum(line.startswith("[PASS   ] ") for line in lines) == items - 1
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_gen_girth6_emit_graph(capsys, q):
+    code, out = run(capsys, "gen-girth6", "-q", str(q), "--emit-graph")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == (q + 1) * (q * q + q + 1)
+    assert all(re.fullmatch(r"p\d+ l\d+", line) for line in lines)
+    _, d = run_json(capsys, "gen-girth6", "-q", str(q))
+    assert lines == [" ".join(e) for e in d["edges"]]
+
+
+def test_reduce_output_file_holds_the_instance(tmp_path, capsys):
+    out = tmp_path / "projected.json"
+    code, d = run_json(capsys, "reduce", "--instance",
+                       _instance_file(tmp_path, build_R1S1_instance(2)),
+                       "--certificate", "P1Q1", "--output", str(out))
+    assert code == 0
+    assert json.loads(out.read_text()) == d["instance"]
+
+
+def test_project_and_permute_a_pair(capsys):
+    code, d = run_json(capsys, "project", "3LIN*", "--coords", "1,2")
+    assert code == 0
+    square = [[a, b] for a in range(3) for b in range(3)]
+    assert d["ambient"]["tuples"] == square
+    assert d["base"]["tuples"] == square[1:]
+    code, d = run_json(capsys, "permute", "3LIN*", "--sigma", "2,1,3")
+    assert code == 0
+    pair = catalog("3LIN*")
+    for key, p in (("base", pair.base), ("ambient", pair.ambient)):
+        assert d[key]["tuples"] == sorted([t[1], t[0], t[2]] for t in p.tuples)
+
+
+def test_catalan_search_reads_the_ambient_of_a_pair(capsys):
+    # 3LIN*R, the base of 3LIN*, has violations at the default length
+    assert run(capsys, "catalan-search", "3LIN*") == \
+        run(capsys, "catalan-search", "3LIN*S") == (0, "0 violation(s)\n")
+    code, out = run(capsys, "catalan-search", "3LIN*R")
+    assert code == 0 and not out.startswith("0 ")
 
 
 def test_unknown_predicate_exits(capsys):

@@ -66,6 +66,39 @@ def test_girth6_witness_refuses_short_cycles():
         girth6_witness(c4, ("a", "c"))
 
 
+def _incidence_graph(cycles, path=0):
+    """Disjoint even cycles of the given lengths (points p, lines l) and a
+    path of `path` edges, as a (point, line) incidence graph."""
+    points, lines, edges = [], [], []
+    for c, length in enumerate(cycles):
+        k = length // 2
+        points += [f"p{c}.{i}" for i in range(k)]
+        lines += [f"l{c}.{i}" for i in range(k)]
+        for i in range(k):
+            edges += [(f"p{c}.{i}", f"l{c}.{i}"),
+                      (f"p{c}.{(i + 1) % k}", f"l{c}.{i}")]
+    if path:
+        points += [f"pp{i}" for i in range(path // 2 + 1)]
+        lines += [f"pl{i}" for i in range((path + 1) // 2)]
+        edges += [(f"pp{(i + 1) // 2}", f"pl{i // 2}") for i in range(path)]
+    return PartiteHypergraph((tuple(points), tuple(lines)), tuple(edges))
+
+
+# vertices more than 3 steps from the excluded edge, on either side, fold
+# onto the far end of the 6-cycle; a vertex the edge cannot reach takes a
+# fixed value
+@pytest.mark.parametrize("graph", [
+    *(_incidence_graph([length]) for length in range(8, 17, 2)),
+    _incidence_graph([6, 6]),
+    _incidence_graph([], path=13),
+], ids=[*(f"C{length}" for length in range(8, 17, 2)), "2C6", "path"])
+def test_girth6_witness_far_and_unreachable_vertices(graph):
+    cert = c6_certificate(graph)
+    assert isinstance(verify_nrd(graph, C6_COND, mode="check-given",
+                                 certificate=cert), NrdCertificate)
+    assert isinstance(verify_nrd(graph, C6_COND), NrdCertificate)
+
+
 def c6_certificate(g):
     """The constructed C6*|C6 certificate of a girth >= 6 incidence graph."""
     adj = adjacency(g)

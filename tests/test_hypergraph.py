@@ -468,6 +468,25 @@ def test_nrd_exact_oracle_reads_part_sizes():
     assert nrd_exact_exhaustive(or_k(2), 2) == 2
 
 
+def test_nrd_exact_oracle_drops_single_redundant_edges(monkeypatch):
+    # 27 candidates are too many subsets, so the oracle first drops the 21
+    # edges with a repeated vertex, which can never take the tuple (0, 1, 2)
+    p = Predicate(3, 3, [t for t in product(range(3), repeat=3)
+                         if t != (0, 1, 2)])
+    assert nrd_exact_exhaustive(p, 3) == nrd_exact(p, 3)[0] == 6
+    monkeypatch.setattr(hypergraph, "_EXHAUSTIVE_SUBSETS", 1 << 6)
+    assert nrd_exact_exhaustive(p, 3) == 6
+    monkeypatch.setattr(hypergraph, "_EXHAUSTIVE_SUBSETS", 1 << 5)
+    with pytest.raises(BudgetExceeded, match="exhaustive oracle"):
+        nrd_exact_exhaustive(p, 3)
+
+
+def test_nrd_exact_oracle_budget_exceeded():
+    # EQ at n = 5 keeps the 20 edges (u, v) with u != v of its 25
+    with pytest.raises(BudgetExceeded, match="exhaustive oracle"):
+        nrd_exact_exhaustive(EQ, 5)
+
+
 @pytest.mark.parametrize("n, parts, match", [
     (-1, None, "negative"), (4, (2, 1), "sum"), (6, (2, 2, 2), "arity"),
     (1, (2, -1), "negative"),

@@ -179,7 +179,8 @@ def test_transfer_and_check_given_reject_the_same_witness(name, build, q):
                               f"witness fails to P-satisfy {edges[j]}")
         assert raised == (
             f"transferred witness failed for edge {edges[i]}" if out is None
-            else f"witness value {out[1]} outside the certificate domain")
+            else f"witness for edge {edges[i]} gives edge {edges[out[0]]} "
+            f"the tuple {out[1]}, outside the certificate domain")
         seen.add("failing edge" if out is None else "outside Q1")
     assert seen == {"valid", "failing edge", "outside Q1"}
 
@@ -284,8 +285,9 @@ def test_apply_reduction_rejects_image_outside_target_ambient():
 
 
 def test_apply_reduction_rejects_source_tuple_outside_q1():
-    # the value 2 is in the domain, but the last edge's tuple (2, 0, 1)
-    # under its own witness is not in Q1, the domain of sigma
+    # the value 2 is in the domain, but under the last edge's witness the
+    # tuple (2, 0, 1) of an earlier edge through the changed vertex is not
+    # in Q1, the domain of sigma; the error names both edges
     inst = build_R1S1_instance(2)
     last = inst.hypergraph.edges[-1]
 
@@ -295,8 +297,10 @@ def test_apply_reduction_rejects_source_tuple_outside_q1():
             psi[last[0]] = 2
         return psi
 
-    with pytest.raises(PipelineError, match=r"witness value \(2, 0, 1\) "
-                       "outside the certificate domain"):
+    with pytest.raises(PipelineError, match=(
+            r"^witness for edge \('p111', 'l110', 'z6'\) gives edge "
+            r"\('p111', 'l110', 'z0'\) the tuple \(2, 0, 1\), outside the "
+            r"certificate domain$")):
         apply_reduction(inst.hypergraph, tables.certificate("P1Q1"),
                         witness_fn=witness_fn)
 

@@ -10,15 +10,29 @@ from nrdkit.catalog import catalog, or_k
 from nrdkit.predicates import ConditionalPredicate, IndexFamily, Predicate
 from nrdkit.substructure import (DirectSearchTables, SubstructureCertificate,
                                  SubstructureError, dependency_analysis,
-                                 direct_search, encode, family_supports,
-                                 find_substructure, search_families,
-                                 verify_certificate)
+                                 direct_search, encode, find_substructure,
+                                 search_families, verify_certificate)
 from nrdkit.sat import solve
 from nrdkit import substructure, tables
 
 
 THREELIN = catalog("3LIN*")
 OR3_COND = ConditionalPredicate(or_k(3), Predicate.full(2, 3))
+
+
+def supports(deps, family):
+    """Does each declared index set contain a minimal determining subset?"""
+    return all(any(set(m) <= set(I) for m in mins)
+               for mins, I in zip(deps, family.sets))
+
+
+def direct_certificate(src, tgt, fam):
+    """The direct search's images for fam, as a certificate, or None."""
+    tables_ = DirectSearchTables(src, tgt)
+    images = direct_search(tables_, fam.sets)
+    if images is None:
+        return None
+    return SubstructureCertificate(src, tgt, fam, dict(zip(tables_.q1, images)))
 
 
 def identity_cert(pq):
@@ -37,7 +51,7 @@ def test_identity_certificate_verifies():
     assert deps[0] == [(1,), (2, 3)]
     assert deps[1] == [(2,), (1, 3)]
     assert deps[2] == [(3,), (1, 2)]
-    assert family_supports(deps, cert.family)
+    assert supports(deps, cert.family)
 
 
 def test_verify_rejects_membership_break():
@@ -94,7 +108,7 @@ def test_encode_solve_decode_round_trip():
     ok, problems = verify_certificate(cert)
     assert ok, problems
     # declared family is adequate: each set contains a minimal determining set
-    assert family_supports(dependency_analysis(cert), fam)
+    assert supports(dependency_analysis(cert), fam)
 
 
 def test_direct_search_agrees_with_sat():
@@ -104,7 +118,7 @@ def test_direct_search_agrees_with_sat():
                  ((1, 2, 3),) * 3,
                  ((1,), (1,), (1,))]:
         fam = IndexFamily(3, sets)
-        d = direct_search(DirectSearchTables(src, tgt), fam)
+        d = direct_certificate(src, tgt, fam)
         s = find_substructure(src, tgt, fam)
         assert (d is None) == (s is None), sets
         if d is not None:
@@ -116,7 +130,7 @@ def test_no_map_for_too_small_family():
     fam = IndexFamily(3, ((1,), (2,), (3,)))
     assert find_substructure(OR3_COND, THREELIN, fam) is None
     tables_ = DirectSearchTables(OR3_COND, THREELIN)
-    assert direct_search(tables_, fam) is None
+    assert direct_search(tables_, fam.sets) is None
 
 
 def test_empty_index_set_map():
@@ -165,13 +179,23 @@ def test_shape_mismatch_rejected():
                 IndexFamily(4, ((1,), (2,), (4,)))]:
         with pytest.raises(SubstructureError, match="family shape does not fit"):
             encode(OR3_COND, THREELIN, fam)
-        with pytest.raises(SubstructureError, match="family shape does not fit"):
-            direct_search(DirectSearchTables(OR3_COND, THREELIN), fam)
+        # a tuple of sets has no source arity of its own: only the family
+        # over four source coordinates whose indices all fit OR3 passes
+        if fam.sets != ((1,), (2,), (3,)):
+            with pytest.raises(SubstructureError, match="family shape does not fit"):
+                direct_search(DirectSearchTables(OR3_COND, THREELIN), fam.sets)
         # a certificate with a misfit family is reported, not raised on
         ok, problems = verify_certificate(
             SubstructureCertificate(OR3_COND, THREELIN, fam, sigma))
         assert not ok
         assert problems and all("index family" in p for p in problems), fam
+
+
+@pytest.mark.parametrize("index", [0, 4, 1.0, True, "1"])
+def test_direct_search_rejects_an_index_that_is_not_a_coordinate(index):
+    with pytest.raises(SubstructureError, match="family shape does not fit"):
+        direct_search(DirectSearchTables(OR3_COND, THREELIN),
+                      ((1,), (2, index), (3,)))
 
 
 @pytest.mark.parametrize("resize", [lambda t: t[:2], lambda t: t + (0,)])
@@ -204,7 +228,7 @@ def test_search_families_rejects_max_results_below_one(n):
 
 
 def _routes_agree(src, tgt, fam):
-    d = direct_search(DirectSearchTables(src, tgt), fam)
+    d = direct_certificate(src, tgt, fam)
     s = find_substructure(src, tgt, fam)
     assert (d is None) == (s is None), fam.sets
     for cert in (d, s):
@@ -248,9 +272,9 @@ def test_direct_search_agrees_with_sat_on_random_pairs(case):
     _routes_agree(src, tgt, fam)
 
 
-def _sigma_digest(certs):
-    sigmas = sorted(json.dumps(sorted([list(k), list(v)] for k, v in c.sigma.items()))
-                    for c in certs)
+def _sigma_digest(sigmas):
+    sigmas = sorted(json.dumps(sorted([list(k), list(v)] for k, v in s.items()))
+                    for s in sigmas)
     return hashlib.sha256("\n".join(sigmas).encode()).hexdigest()
 
 
@@ -285,8 +309,8 @@ def test_direct_search_results_are_pinned(name, sizes, max_results, tried,
     assert res.exhausted == exhausted
     assert [c.family.to_list() for c in res.certificates] == families
     shared = DirectSearchTables(cert.source, cert.target)
-    direct = [direct_search(shared, c.family) for c in res.certificates]
-    assert _sigma_digest(direct) == digest
+    images = [direct_search(shared, c.family.sets) for c in res.certificates]
+    assert _sigma_digest(dict(zip(shared.q1, im)) for im in images) == digest
 
 
 def _reference_search(src, tgt, sizes, max_results, max_families, hits):
@@ -313,7 +337,7 @@ def _reference_search(src, tgt, sizes, max_results, max_families, hits):
             return found, tried, False
         tried += 1
         if sets not in hits:
-            hits[sets] = direct_search(shared, IndexFamily(r1, sets)) is not None
+            hits[sets] = direct_search(shared, sets) is not None
         if hits[sets]:
             found.append([list(I) for I in sets])
             if len(found) >= max_results:
@@ -355,9 +379,9 @@ def test_pruned_walk_matches_the_plain_loop(name, sizes):
 def test_relaxations_decide_the_or3_singleton_stratum(monkeypatch):
     searched = []
 
-    def counted(shared, fam):
-        searched.append(fam.sets)
-        return direct_search(shared, fam)
+    def counted(shared, sets):
+        searched.append(tuple(sets))
+        return direct_search(shared, sets)
     monkeypatch.setattr(substructure, "direct_search", counted)
     res = search_families(OR3_COND, THREELIN, sizes=(1, 1, 1), max_results=10)
     assert (res.certificates, res.families_tried, res.exhausted) == ([], 27, True)
@@ -374,7 +398,7 @@ def test_bundled_certificates_verify(name):
     cert = tables.certificate(name)
     ok, problems = verify_certificate(cert)
     assert ok, (name, problems)
-    assert family_supports(dependency_analysis(cert), cert.family), name
+    assert supports(dependency_analysis(cert), cert.family), name
 
 
 def test_p2q2_published_family_fails():
