@@ -548,10 +548,12 @@ def _check_certificate(h, pq: ConditionalPredicate, certificate):
 # --- the witness kernel ----------------------------------------------
 
 # Entries in one level of a RadixTable; elements in the largest temporary
-# array of a block of witnesses (2**15 int64 arrays checked R2S2 q=3 in
-# about 25 ms against about 45 ms with 2**16).
+# array of a block of witnesses (with uint16 elements, 2**16 checked R2S2
+# q=3 at about 11 us a witness, against 14 us with 2**15 and 10 us with
+# 2**17, whose arrays take twice the memory; R1S1 q=3 took 4-5 us with
+# each).
 _TABLE_LIMIT = 1 << 16
-_BLOCK_LIMIT = 1 << 15
+_BLOCK_LIMIT = 1 << 16
 
 
 class MalformedWitness(InstanceError):
@@ -572,6 +574,19 @@ class RadixTable:
     dead state 0, whose row leads to the list's length.  For d**r <= 2**16
     there is one level, so a lookup is one gather; a larger d**r takes more
     levels, each of at most max(2**16, (tuples listed + 1) x d) entries.
+
+    `lookup` is laid out for blocks of witnesses: it takes their values
+    vertex-major, an (n x B) array, and returns the positions edge-major,
+    (m x B), so the gather of each tuple position copies whole rows of B
+    values.
+
+    `dtype`, fixed when the table is built, is uint16 when every level's
+    codes, the list's length (the largest entry) and every scale a lookup
+    multiplies by are below 2**16, as for every bundled pair, and intp
+    otherwise (a level of more than 2**16 entries).  Values, codes, states
+    and positions all take it, and the scales are numpy scalars of it, so
+    the arithmetic stays in it under numpy 1.x's value-based casting and
+    under NEP 50 alike.
     """
 
     def __init__(self, tuples, d, r):
@@ -593,26 +608,41 @@ class RadixTable:
                 table = np.full(states * d ** k, n, dtype=np.intp)
                 table[code] = np.arange(n)
                 self.tables.append(table)
-                return
+                break
             live, state = np.unique(code, return_inverse=True)
             table = np.zeros(states * d ** k, dtype=np.intp)
             table[live] = np.arange(1, len(live) + 1)
             self.tables.append(table)
             state, states = state + 1, len(live) + 1
+        # a level past the first scales its state by d**k, and the j-th
+        # position of a stride its values by d**j; no entry exceeds n
+        scales = [d ** k for _, k in self.strides[1:]]
+        top = max(n, *scales, *(t.size - 1 for t in self.tables))
+        self.dtype = np.dtype(np.uint16 if top < 1 << 16 else np.intp)
+        self.tables = [t.astype(self.dtype) for t in self.tables]
+        self._scales = [None] + [self.dtype.type(s) for s in scales]
+        self._powers = [self.dtype.type(d ** j)
+                        for j in range(max(k for _, k in self.strides))]
 
     def lookup(self, values, cols):
-        """Positions of the tuples (values[b, cols[0, e]], ..., values[b,
-        cols[r-1, e]]), as an array indexed [b, e]; every value must lie in
-        [0, d)."""
-        d, state = self.d, None
-        for (start, k), table in zip(self.strides, self.tables):
-            code = None if state is None else state * d ** k
+        """Positions of the tuples (values[cols[0, e], b], ...,
+        values[cols[r-1, e], b]), as an array indexed [e, b]; values holds
+        one row per vertex, of `dtype` and in [0, d).  The table gather
+        widens the codes to intp internally, the largest temporary array of
+        a lookup."""
+        state = None
+        for (start, k), scale, table in zip(self.strides, self._scales,
+                                            self.tables):
+            code = None if state is None else np.multiply(state, scale,
+                                                          out=state)
             for j in range(k):
-                col = np.take(values if j == 0 else values * d ** j,
-                              cols[start + j], axis=1)
+                col = np.take(values if j == 0 else values * self._powers[j],
+                              cols[start + j], axis=0)
                 code = col if code is None else np.add(code, col, out=code)
+                del col  # one block-sized array less during the table take
             if code is None:  # r = 0
-                code = np.zeros((len(values), cols.shape[1]), dtype=np.intp)
+                code = np.zeros((cols.shape[1], values.shape[1]),
+                                dtype=self.dtype)
             state = np.take(table, code)
         return state
 
@@ -620,7 +650,8 @@ class RadixTable:
         """Positions of the rows of an (n x r) array of tuples."""
         tuples = np.asarray(tuples, dtype=np.intp)
         tuples = tuples.reshape(len(tuples), self.r)
-        return self.lookup(tuples, np.arange(self.r).reshape(self.r, 1))[:, 0]
+        values = np.ascontiguousarray(tuples.T, dtype=self.dtype)
+        return self.lookup(values, np.arange(self.r).reshape(self.r, 1))[0]
 
 
 def _getter(keys):
@@ -647,12 +678,14 @@ class WitnessKernel:
     """The witness check of one instance for one predicate pair.
 
     `check` reads the witnesses a block at a time, in edge order.  A block
-    is validated into one array (vertex order, values in [0, d)), and every
-    edge's tuple under every witness is numbered with one column gather per
-    position of the instance's index, by the pair's `_TupleTables.table`:
-    P below n_base, then Q \\ P, then len(tuples) outside Q.  A block holds
-    at most 2**15 / max(m, n) witnesses, so no temporary array exceeds 2**15
-    elements.
+    of B witnesses is validated into one (n x B) array, a row per vertex,
+    of the table's dtype (values in [0, d)), and every edge's tuple under
+    every witness is numbered with one row gather per position of the
+    instance's index, by the pair's `_TupleTables.table`: an (m x B) array
+    of P below n_base, then Q \\ P, then len(tuples) outside Q.  `block`,
+    B, is at most 2**16 / max(m, n) witnesses and at least one, so no
+    temporary array of a block exceeds 2**16 elements unless one witness
+    does (m > 2**16 edges).
     """
 
     def __init__(self, h, pq):
@@ -689,45 +722,50 @@ class WitnessKernel:
         numbers = self.tab.table.lookup(vals, self.cols)
         n_base, outside = self.tab.n_base, len(self.tab.tuples)
         ok = numbers < n_base
-        k = np.arange(len(numbers))
-        x = numbers[k, start + k]
-        ok[k, start + k] = (n_base <= x) & (x < outside)
+        k = np.arange(len(psis))
+        x = numbers[start + k, k]
+        ok[start + k, k] = (n_base <= x) & (x < outside)
         if ok.all():
             return None
-        k = int(ok.all(axis=1).argmin())
-        failure = WitnessFailure(start + k, None, int(ok[k].argmin()))
-        out = np.flatnonzero(numbers[k] == outside)
+        k = int(ok.all(axis=0).argmin())
+        failure = WitnessFailure(start + k, None, int(ok[:, k].argmin()))
+        out = np.flatnonzero(numbers[:, k] == outside)
         if not len(out):
             return failure
         j = int(out[0])
         return failure._replace(
-            outside=(j, tuple(vals[k, self.cols[:, j]].tolist())))
+            outside=(j, tuple(vals[self.cols[:, j], k].tolist())))
 
     def _values(self, psis):
-        """The witnesses as a (len(psis) x n) array in vertex order, after
-        checking that each assigns exactly the instance's vertices, each an
-        integer in [0, d) (numpy integers too).  Raises MalformedWitness
-        naming the first problem of the first malformed witness."""
+        """The witnesses as an (n x len(psis)) array of the table's dtype, a
+        row per vertex in vertex order, after checking that each assigns
+        exactly the instance's vertices, each an integer in [0, d) (numpy
+        integers too).  Raises MalformedWitness naming the first problem of
+        the first malformed witness."""
         get, n = self._get, self.n
         rows = []
         for psi in psis:
             try:
-                vals = get(psi)
+                rows.append(get(psi))
             except KeyError:
                 raise self._malformed(psi) from None
-            if len(psi) != n or not set(map(type, vals)) <= {int}:
-                exc = self._malformed(psi)
-                if exc is not None:
-                    raise exc
-            rows.append(vals)
+            if len(psi) != n:
+                raise self._malformed(psi)
+        # one type check for the whole block; numpy integers pass _malformed
+        if not set(map(type, chain.from_iterable(rows))) <= {int}:
+            exc = next(filter(None, map(self._malformed, psis)), None)
+            if exc is not None:
+                raise exc
         try:
-            vals = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+            vals = np.fromiter(chain.from_iterable(rows), dtype=np.intp,
+                               count=len(rows) * n)
             ok = not vals.size or (vals.min() >= 0 and vals.max() < self.d)
         except OverflowError:
             ok = False
         if not ok:
             raise next(filter(None, map(self._malformed, psis)))
-        return vals
+        return np.ascontiguousarray(vals.reshape(len(rows), n).T,
+                                    dtype=self.tab.table.dtype)
 
     def _malformed(self, psi):
         """The MalformedWitness naming psi's first problem (a missing vertex,

@@ -842,18 +842,35 @@ def test_radix_table_lookup():
     assert table[[(7, 7)]].tolist() == [2]
     assert RadixTable([], 10, 2)[[(0, 0), (9, 9)]].tolist() == [0, 0]
     assert RadixTable([], 3, 12)[[(0,) * 12, (2,) * 12]].tolist() == [0, 0]
+    # d = 256, r = 2: one level of exactly 2**16 entries.  With one tuple
+    # left out, the list's length 2**16 - 1 still fits uint16; with every
+    # tuple listed it does not
+    every = list(product(range(256), repeat=2))
+    random.Random(256).shuffle(every)
+    table = RadixTable(every[1:], 256, 2)
+    assert table.dtype == np.uint16 and [t.size for t in table.tables] == [1 << 16]
+    assert table[every].tolist() == [(1 << 16) - 1, *range((1 << 16) - 1)]
+    table = RadixTable(every, 256, 2)
+    assert table.dtype == np.intp
+    assert table[every].tolist() == list(range(1 << 16))
 
 
 @pytest.mark.parametrize("d, r, n", [(3, 12, 6), (3, 12, 400), (2, 40, 30),
-                                     (5, 7, 50), (300, 3, 20)])
+                                     (5, 7, 50), (300, 3, 20), (256, 2, 2000),
+                                     (256, 3, 300)])
 def test_radix_table_multi_stride_matches_dict(d, r, n):
     rng = random.Random(d * 1000 + r * 10 + n)
     given = {tuple(rng.randrange(d) for _ in range(r)): None for _ in range(n)}
     given = {t: k for k, t in enumerate(given)}  # each tuple's position
     table = RadixTable(list(given), d, r)
-    assert len(table.strides) > 1
+    assert (len(table.strides) > 1) == (d ** r > 1 << 16)
     assert sum(k for _, k in table.strides) == r
     assert all(t.size <= max(1 << 16, (len(given) + 1) * d) for t in table.tables)
+    # a level of more than 2**16 entries (here only d = 256, r = 3: 300
+    # live prefixes x 256) needs intp, and every other table fits uint16
+    wide = max(t.size for t in table.tables) > 1 << 16
+    assert wide == ((d, r) == (256, 3))
+    assert table.dtype == (np.intp if wide else np.uint16)
     query = list(given)
     for t in list(given):   # share a prefix with a given tuple, then differ
         for p in (0, r // 2, r - 1):
@@ -861,6 +878,7 @@ def test_radix_table_multi_stride_matches_dict(d, r, n):
             u[p] = (u[p] + 1) % d
             query.append(tuple(u))
     query += [tuple(rng.randrange(d) for _ in range(r)) for _ in range(200)]
+    query += [(0,) * r, (d - 1,) * r]
     assert table[query].tolist() == [given.get(t, len(given)) for t in query]
 
 
@@ -890,6 +908,118 @@ def test_kernel_checks_tuples_beyond_64_bit_codes():
         assert res.reason == ("witness does not (Q\\P)-satisfy its edge"
                               if first == failed
                               else f"witness fails to P-satisfy {first}")
+
+
+def reference_failure(h, pq, psis):
+    """The kernel's answer by set lookups: (edge, wrong, outside) of the
+    first witness that fails, as in WitnessFailure, or None; every psi
+    assigns exactly h's vertices values in [0, d)."""
+    base, outside, q = (set(pq.base.tuples), set(pq.outside()),
+                        set(pq.ambient.tuples))
+    for i, (e, psi) in enumerate(zip(h.edges, psis)):
+        tuples = [tuple(psi[v] for v in e2) for e2 in h.edges]
+        wrong = [j for j, t in enumerate(tuples)
+                 if t not in (outside if j == i else base)]
+        if wrong:
+            out = next(((j, t) for j, t in enumerate(tuples) if t not in q), None)
+            return i, wrong[0], out
+    return None
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_kernel_at_the_table_dtype_boundary(r):
+    # d = 256: for r = 2 the table is one level of exactly 2**16 uint16
+    # entries; for r = 3 the 2-prefixes of over 300 listed tuples make a
+    # second level of more than 2**16 entries, which needs intp
+    d, m = 256, 20
+    rng = random.Random(256 + r)
+    vs = [f"v{i}" for i in range(m + r - 1)]
+    edges = [tuple(vs[i:i + r]) for i in range(m)]
+    psis = [{v: rng.randrange(d) for v in vs} for _ in edges]
+    base = {tuple(psi[v] for v in e2) for e, psi in zip(edges, psis)
+            for e2 in edges if e2 != e}
+    outside = {tuple(psi[v] for v in e) for e, psi in zip(edges, psis)}
+    assert not base & outside and len(base | outside) >= 300
+    pq = ConditionalPredicate(Predicate(d, r, base), Predicate(d, r, base | outside))
+    h = Hypergraph(tuple(vs), tuple(edges))
+    kernel = WitnessKernel(h, pq)
+    table = kernel.tab.table
+    if r == 2:
+        assert table.dtype == np.uint16 and [t.size for t in table.tables] == [1 << 16]
+    else:
+        assert table.dtype == np.intp and max(t.size for t in table.tables) > 1 << 16
+    assert kernel.check(psis.__getitem__) is None
+    failed = 0
+    for _ in range(40):
+        bad = [dict(psi) for psi in psis]
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(m)
+            if rng.random() < 0.3:  # another edge's witness
+                bad[i] = dict(psis[rng.randrange(m)])
+            else:
+                bad[i][rng.choice(vs)] = rng.choice((0, d - 1, rng.randrange(d)))
+        got = kernel.check(bad.__getitem__)
+        ref = reference_failure(h, pq, bad)
+        assert (None if got is None else (got.edge, got.wrong, got.outside)) == ref
+        assert got is None or got.malformed is None
+        failed += got is not None
+    assert failed >= 20
+
+
+def _failure_key(failure):
+    """A WitnessFailure with its MalformedWitness read as its message."""
+    if failure is None:
+        return None
+    return failure._replace(malformed=failure.malformed and str(failure.malformed))
+
+
+@pytest.mark.parametrize("name", ["R1S1 q=3", "R2S2 q=2"])
+def test_kernel_answer_does_not_depend_on_the_block_size(name):
+    # one witness per block, as at q=5, and the whole certificate in one
+    # block, against the default block
+    inst = r1s1(3) if name == "R1S1 q=3" else build_R2S2_instance(2)
+    h, pq = inst.hypergraph, inst.predicate
+    edges, vertices, d = h.edges, h.vertices(), pq.domain_size
+    psis = [inst.witness(e) for e in edges]
+    kernels = [WitnessKernel(h, pq) for _ in range(3)]
+    default = kernels[0].block
+    kernels[1].block, kernels[2].block = 1, len(edges) + 5
+    assert 1 < default < len(edges)
+    rng = random.Random(23)
+    corruptions = [
+        lambda psi, i: psi.update(psis[i - 1]),              # a neighbour's
+        lambda psi, i: psi.__setitem__(rng.choice(vertices), rng.randrange(d)),
+        lambda psi, i: psi.__setitem__(rng.choice(vertices), d),
+        lambda psi, i: psi.__setitem__(rng.choice(vertices), -1),
+        lambda psi, i: psi.__setitem__(rng.choice(vertices), True),
+        lambda psi, i: psi.pop(rng.choice(vertices)),
+        lambda psi, i: psi.__setitem__("stray", 0),
+    ]
+    assert all(k.check(psis.__getitem__) is None for k in kernels)
+    base, outside = set(pq.base.tuples), set(pq.outside())
+    seen = set()
+    for _ in range(30):
+        bad, changed = list(psis), set()
+        for _ in range(rng.randint(1, 3)):
+            # often at or next to a block edge of the default block
+            i = rng.choice((rng.randrange(len(edges)),
+                            default * rng.randrange(1, len(edges) // default)
+                            + rng.choice((-1, 0, 1))))
+            bad[i] = dict(bad[i])
+            rng.choice(corruptions)(bad[i], i)
+            changed.add(i)
+        got = [_failure_key(k.check(bad.__getitem__)) for k in kernels]
+        assert got[0] == got[1] == got[2]
+        # the first changed witness that is malformed or fails, by set lookups
+        ref = next((i for i in sorted(changed) if set(bad[i]) != set(vertices)
+                    or any(type(x) is not int or not 0 <= x < d
+                           for x in bad[i].values())
+                    or any(tuple(bad[i][v] for v in e2)
+                           not in (outside if j == i else base)
+                           for j, e2 in enumerate(edges))), None)
+        assert (None if got[0] is None else got[0].edge) == ref
+        seen.add(got[0] is None or got[0].malformed is None)
+    assert seen == {True, False}
 
 
 def block_case(changes):
