@@ -51,7 +51,7 @@ ONE_TWO_COND = ConditionalPredicate(_pred(3, 1, ["1", "2"]), _pred(3, 1, ["0", "
 R1S1 = box_product(C6_COND, ONE_TWO_COND)
 R2S2 = box_product(C6_COND, C6_COND)
 
-_REGISTRY = {
+_FIXTURES = {
     "EQ": EQ,
     "1IN3": ONE_IN_THREE,
     "1-IN-3-SAT": ONE_IN_THREE,
@@ -79,10 +79,10 @@ def catalog(name: str):
     if key.startswith("OR") and key[2:].isdigit():
         return or_k(int(key[2:]))
     try:
-        return _REGISTRY[key]
+        return _FIXTURES[key]
     except KeyError:
         raise CatalogError(f"unknown catalog entry {name!r}") from None
 
 
 def catalog_names():
-    return sorted(set(_REGISTRY) | {"OR2", "OR3", "OR4"})
+    return sorted(set(_FIXTURES) | {"OR2", "OR3", "OR4"})

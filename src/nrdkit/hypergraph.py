@@ -666,7 +666,9 @@ def _getter(keys):
 class WitnessFailure(NamedTuple):
     """Why the witness of edge `edge` fails: `malformed` (a
     MalformedWitness), or else `wrong`, the first edge whose tuple is of the
-    wrong kind, and `outside`, the first (edge, tuple) outside Q or None."""
+    wrong kind, and `outside`, the first (edge, tuple) outside Q or None.
+    Outside Q means not a tuple of the ambient Q at all; it does not mean
+    Q \\ P, which `ConditionalPredicate.outside()` returns."""
 
     edge: int
     malformed: MalformedWitness | None = None

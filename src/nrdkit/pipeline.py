@@ -52,14 +52,20 @@ class FitReport:
 
 
 def fit_loglog(xs, ys):
-    """Least-squares slope/intercept of log y against log x, with residuals."""
+    """Least-squares slope/intercept of log y against log x, with residuals.
+
+    Raises ValueError for fewer than two points, a value that is not
+    finite and positive, or x values that do not fix a line: fewer than
+    two distinct ones, or two so close that polyfit's rank test fails."""
     if len(xs) < 2:
         raise ValueError("need at least 2 data points")
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if not all(np.isfinite(v).all() and (v > 0).all() for v in (xs, ys)):
         raise ValueError("a log-log fit needs finite positive values")
     lx, ly = np.log(xs), np.log(ys)
-    slope, intercept = np.polyfit(lx, ly, 1)
+    (slope, intercept), _, rank, _, _ = np.polyfit(lx, ly, 1, full=True)
+    if rank < 2:
+        raise ValueError("a log-log fit needs at least 2 distinct x values")
     resid = ly - (slope * lx + intercept)
     return float(slope), float(intercept), [float(r) for r in resid]
 

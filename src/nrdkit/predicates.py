@@ -108,7 +108,9 @@ class ConditionalPredicate:
         return self.base.arity
 
     def outside(self):
-        """The tuples of Q \\ P."""
+        """The tuples of Q \\ P: in the ambient Q and outside the base P.
+        (A witness tuple "outside" in `WitnessFailure` and the transfer's
+        errors is outside Q itself.)"""
         return tuple(sorted(set(self.ambient.tuples) - set(self.base.tuples)))
 
     def to_dict(self):

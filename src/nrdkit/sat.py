@@ -1,4 +1,4 @@
-"""Minimal CDCL SAT solver and CNF plumbing (DIMACS import/export).
+"""Minimal CDCL SAT solver and its CNF formula.
 
 The solver keeps MiniSat's watched-literal core (Een and Sorensson, SAT
 2003): two watched literals per clause, 1-UIP clause learning, phase
@@ -13,8 +13,7 @@ seeded batch and the bundled encodings).
 
 Input checks: `solve` rejects the literal 0 and any literal outside
 +-num_vars with ValueError, since `clauses` is a public list that may not
-have gone through `add_clause`.  `from_dimacs` reads clauses as 0-ended
-token streams and rejects malformed text with ValueError.
+have gone through `add_clause`.
 """
 
 from __future__ import annotations
@@ -37,12 +36,9 @@ class ConflictBudgetExceeded(RuntimeError):
 class CnfFormula:
     num_vars: int = 0
     clauses: list = field(default_factory=list)
-    registry: dict = field(default_factory=dict)  # var -> meaning tag
 
-    def new_var(self, tag=None):
+    def new_var(self):
         self.num_vars += 1
-        if tag is not None:
-            self.registry[self.num_vars] = tag
         return self.num_vars
 
     def add_clause(self, lits):
@@ -51,66 +47,6 @@ class CnfFormula:
             if lit == 0 or abs(lit) > self.num_vars:
                 raise ValueError(f"literal {lit} references an unregistered variable")
         self.clauses.append(lits)
-
-    # --- DIMACS -------------------------------------------------------
-
-    def to_dimacs(self):
-        lines = []
-        for var in sorted(self.registry):
-            lines.append(f"c var {var} = {self.registry[var]}")
-        lines.append(f"p cnf {self.num_vars} {len(self.clauses)}")
-        for cl in self.clauses:
-            lines.append(" ".join(str(l) for l in cl) + " 0")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_dimacs(cls, text):
-        """Read DIMACS CNF.  Lines starting with "c" are comments ("c var V =
-        tag" lines fill the registry); one "p cnf V C" line comes before the
-        clauses; each clause is a run of literals ended by 0, so a clause may
-        span lines and a line may hold several clauses.  Raises ValueError
-        for a missing or repeated header, a literal outside +-V, a clause
-        without its closing 0, or a clause count other than C."""
-        f = cls()
-        header = None
-        clause = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("c"):
-                if line.startswith("c var "):
-                    parts = line[6:].split(" = ", 1)
-                    if len(parts) == 2 and parts[0].isdigit():
-                        f.registry[int(parts[0])] = parts[1]
-                continue
-            if line.startswith("p"):
-                fields = line.split()
-                if (header is not None or len(fields) != 4
-                        or fields[1] != "cnf"):
-                    raise ValueError(f"bad or repeated DIMACS header {line!r}")
-                f.num_vars, header = int(fields[2]), int(fields[3])
-                if f.num_vars < 0 or header < 0:
-                    raise ValueError(f"bad DIMACS header {line!r}")
-                continue
-            if header is None:
-                raise ValueError("DIMACS clause before the 'p cnf' line")
-            for tok in line.split():
-                lit = int(tok)
-                if lit == 0:
-                    f.clauses.append(clause)
-                    clause = []
-                elif abs(lit) > f.num_vars:
-                    raise ValueError(f"literal {lit} is outside the formula's "
-                                     f"{f.num_vars} variables")
-                else:
-                    clause.append(lit)
-        if header is None:
-            raise ValueError("DIMACS text has no 'p cnf' line")
-        if clause:
-            raise ValueError("the last DIMACS clause is not ended by 0")
-        if len(f.clauses) != header:
-            raise ValueError(f"DIMACS header declares {header} clauses, "
-                             f"the text holds {len(f.clauses)}")
-        return f
 
 
 def solve(formula: CnfFormula, conflict_budget=None):

@@ -160,11 +160,11 @@ def encode(source: ConditionalPredicate, target: ConditionalPredicate,
     for q in q1:
         for j in range(r2):
             for d in range(d2):
-                x[q, j, d] = f.new_var(f"x q={q} j={j + 1} d={d}")
+                x[q, j, d] = f.new_var()
     y = {}
     for q in q1:
         for t in t2:
-            y[q, t] = f.new_var(f"y q={q} t={t}")
+            y[q, t] = f.new_var()
     # exactly one value per output coordinate
     for q in q1:
         for j in range(r2):

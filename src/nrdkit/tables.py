@@ -153,47 +153,50 @@ def _avoid_family(avoid):
                                 for a in avoid))
 
 
+# The bundled reduction certificates, in audit order: name -> a function
+# that returns (source, target, family, sigma table).
+_CERTIFICATES = {
+    "J1": lambda: (R2S2, boolbck_projection(1), _avoid_family(_J1_AVOID),
+                   SIGMA_J1),
+    "J2": lambda: (R2S2, boolbck_projection(2), _avoid_family(_J2_AVOID),
+                   SIGMA_J2),
+    "P1Q1": lambda: (R1S1, P1Q1, IndexFamily(3, ((1, 2), (2, 3), (1, 3))),
+                     SIGMA_P1Q1),
+    # ascending-order target: swap output coordinates 2 and 3 back
+    "P2Q2": lambda: (R1S1, P2Q2, IndexFamily(3, ((2, 3), (1, 3), (1, 2))),
+                     {q: (t[0], t[2], t[1]) for q, t in SIGMA_P2Q2.items()}),
+    # The published family ({1,2},{2,3},{1,3}) does not hold for this
+    # table; the machine-derived dependency sets (still all of size 2,
+    # which is what the shrinking argument needs) are used instead.
+    "P2Q2-PRINTED": lambda: (R1S1, P2Q2_PRINTED,
+                             IndexFamily(3, ((2, 3), (1, 2), (1, 3))),
+                             SIGMA_P2Q2),
+    "P3Q3": lambda: (R2S2, P3Q3, IndexFamily(4, ((2, 3, 4), (1, 3, 4),
+                                                 (1, 2, 4), (1, 2, 3))),
+                     SIGMA_P3Q3),
+    "3LIN*": lambda: (ConditionalPredicate(or_k(3), Predicate.full(2, 3)),
+                      ConditionalPredicate(THREELIN_STAR_R, THREELIN_STAR_S),
+                      IndexFamily(3, ((1, 2), (1, 3), (2, 3))), SIGMA_3LIN),
+    "CAT5-BOOLBCK": lambda: (ConditionalPredicate(CAT5, CAT5_PLUS),
+                             ConditionalPredicate(BOOLBCK, BOOLBCK_PLUS),
+                             IndexFamily(5, ((1, 2, 3, 4, 5),) * 9),
+                             SIGMA_CAT5_BOOLBCK),
+}
+_ALIASES = {"3LIN": "3LIN*", "CAT5": "CAT5-BOOLBCK"}
+
+CERTIFICATE_NAMES = tuple(_CERTIFICATES)
+
+
 def certificate(name: str) -> SubstructureCertificate:
-    """The bundled reduction certificates, by name."""
+    """The bundled reduction certificate called name (or an alias), with a
+    sigma dict of its own; KeyError for any other name."""
     key = name.strip().upper().replace(" ", "")
-    if key == "J1":
-        return SubstructureCertificate(R2S2, boolbck_projection(1),
-                                       _avoid_family(_J1_AVOID), dict(SIGMA_J1))
-    if key == "J2":
-        return SubstructureCertificate(R2S2, boolbck_projection(2),
-                                       _avoid_family(_J2_AVOID), dict(SIGMA_J2))
-    if key == "P1Q1":
-        fam = IndexFamily(3, ((1, 2), (2, 3), (1, 3)))
-        return SubstructureCertificate(R1S1, P1Q1, fam, dict(SIGMA_P1Q1))
-    if key == "P2Q2-PRINTED":
-        # The published family ({1,2},{2,3},{1,3}) does not hold for this
-        # table; the machine-derived dependency sets (still all of size 2,
-        # which is what the shrinking argument needs) are used instead.
-        fam = IndexFamily(3, ((2, 3), (1, 2), (1, 3)))
-        return SubstructureCertificate(R1S1, P2Q2_PRINTED, fam, dict(SIGMA_P2Q2))
-    if key == "P2Q2":
-        # ascending-order target: swap output coordinates 2 and 3 back
-        fam = IndexFamily(3, ((2, 3), (1, 3), (1, 2)))
-        sigma = {q: (t[0], t[2], t[1]) for q, t in SIGMA_P2Q2.items()}
-        return SubstructureCertificate(R1S1, P2Q2, fam, sigma)
-    if key == "P3Q3":
-        fam = IndexFamily(4, ((2, 3, 4), (1, 3, 4), (1, 2, 4), (1, 2, 3)))
-        return SubstructureCertificate(R2S2, P3Q3, fam, dict(SIGMA_P3Q3))
-    if key in ("3LIN", "3LIN*"):
-        src = ConditionalPredicate(or_k(3), Predicate.full(2, 3))
-        tgt = ConditionalPredicate(THREELIN_STAR_R, THREELIN_STAR_S)
-        fam = IndexFamily(3, ((1, 2), (1, 3), (2, 3)))
-        return SubstructureCertificate(src, tgt, fam, dict(SIGMA_3LIN))
-    if key in ("CAT5-BOOLBCK", "CAT5"):
-        src = ConditionalPredicate(CAT5, CAT5_PLUS)
-        tgt = ConditionalPredicate(BOOLBCK, BOOLBCK_PLUS)
-        fam = IndexFamily(5, ((1, 2, 3, 4, 5),) * 9)
-        return SubstructureCertificate(src, tgt, fam, dict(SIGMA_CAT5_BOOLBCK))
-    raise KeyError(f"unknown certificate {name!r}")
-
-
-CERTIFICATE_NAMES = ("J1", "J2", "P1Q1", "P2Q2", "P2Q2-PRINTED", "P3Q3",
-                     "3LIN*", "CAT5-BOOLBCK")
+    try:
+        build = _CERTIFICATES[_ALIASES.get(key, key)]
+    except KeyError:
+        raise KeyError(f"unknown certificate {name!r}") from None
+    source, target, family, sigma = build()
+    return SubstructureCertificate(source, target, family, dict(sigma))
 
 
 # --- coordinate-bijection rows ---------------------------------------

@@ -682,11 +682,26 @@ def test_fit(capsys):
 @pytest.mark.parametrize("points, err", [
     ("1,2;3", "nrd fit: each point must be a pair n,m"),
     ("1,2,3;4,5", "nrd fit: each point must be a pair n,m"),
-    ("0,1;2,3", "nrd: a log-log fit needs finite positive values")],
-    ids=["short-point", "long-point", "zero"])
+    ("0,1;2,3", "nrd: a log-log fit needs finite positive values"),
+    ("5,1;5,2", "nrd: a log-log fit needs at least 2 distinct x values")],
+    ids=["short-point", "long-point", "zero", "one-n"])
+@pytest.mark.filterwarnings("error")
 def test_fit_bad_points_exit_2(capfd, points, err):
     # capfd, not capsys: LAPACK would write to file descriptor 1 directly
     assert usage_error(capfd, "fit", points) == err
+
+
+def test_degenerate_fit_in_a_subprocess():
+    # numpy's RankWarning would go to stderr ahead of the error line
+    env = {**os.environ,
+           "PYTHONPATH": str(pathlib.Path(nrdkit.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "nrdkit.cli", "fit",
+                           "5,1;5,2"], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [
+        "nrd: a log-log fit needs at least 2 distinct x values"]
+    assert "Warning" not in proc.stderr
 
 
 def test_build_instance_zero_edges_exits_2(capsys):

@@ -1,5 +1,6 @@
 """Every name a module imports is used in that module, every module-level
-definition is read by the program itself, and every parameter is read."""
+definition and class member is read by the program itself, and every
+parameter is read."""
 
 import ast
 import functools
@@ -60,11 +61,11 @@ def src_reads():
     return set().union(*(names_read(p.read_text()) for p in SOURCES))
 
 
-def unread_definitions(source, read):
-    """Module-level functions, classes and assigned names in source, other
-    than dunder names, that are not in the set of names read."""
+def defined_names(body):
+    """(line, name) for each function, class and assigned name that the
+    statements of body define."""
     defined = []
-    for node in ast.parse(source).body:
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             defined.append((node.lineno, node.name))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -72,9 +73,26 @@ def unread_definitions(source, read):
                        else [node.target])
             defined += [(node.lineno, n.id) for t in targets
                         for n in ast.walk(t) if isinstance(n, ast.Name)]
-    return [(line, name) for line, name in defined
-            if name not in read
-            and not (name.startswith("__") and name.endswith("__"))]
+    return defined
+
+
+def unread_definitions(source, read):
+    """Module-level functions, classes and assigned names in source, and
+    the methods, properties and class-level fields of its classes (named
+    "Class.member"), that are not in the set of names read; dunder names
+    are exempt."""
+    body = ast.parse(source).body
+    defined = defined_names(body)
+    for cls in body:
+        if isinstance(cls, ast.ClassDef):
+            defined += [(line, f"{cls.name}.{name}")
+                        for line, name in defined_names(cls.body)]
+
+    def unread(name):
+        name = name.rpartition(".")[2]
+        return (name not in read
+                and not (name.startswith("__") and name.endswith("__")))
+    return sorted((line, name) for line, name in defined if unread(name))
 
 
 def unread_parameters(source):
@@ -113,8 +131,14 @@ def test_no_unread_parameters(path):
 def test_unread_definition_and_parameter_are_found():
     source = ("A = 1\nB: int = 2\n__all__ = []\n\n"
               "def f(x, y, *rest):\n    return [x for _ in rest]\n\n"
-              "class C:\n    def m(self, z):\n        return lambda w: 0\n")
-    assert unread_definitions(source, names_read("f(A.B)")) == [(8, "C")]
+              "class C:\n    def m(self, z):\n        return lambda w: 0\n\n"
+              "    def __len__(self):\n        return 0\n\n"
+              "    @property\n    def p(self):\n        return 1\n\n"
+              "    k: int = 3\n    n = 4\n")
+    assert unread_definitions(source, names_read("f(A.B)")) == [
+        (8, "C"), (9, "C.m"), (16, "C.p"), (19, "C.k"), (20, "C.n")]
+    assert unread_definitions(source, names_read("C().m(C.k).p + n")) == [
+        (1, "A"), (2, "B"), (5, "f")]
     assert unread_parameters(source) == [(5, "f", "y"), (9, "m", "z")]
 
 

@@ -46,6 +46,16 @@ def test_fit_shrinkage_exact():
     assert fit_shrinkage(pts) == pytest.approx(0.25, abs=1e-9)
 
 
+@pytest.mark.parametrize("xs", [(5, 5), (5, 5, 5), (5, 5 * (1 + 1e-15))])
+@pytest.mark.filterwarnings("error")
+def test_fits_reject_fewer_than_two_distinct_x(xs):
+    # the last x values differ, but too little for polyfit to fix a line
+    points = [(x, i + 1) for i, x in enumerate(xs)]
+    for fit in (fit_exponent, fit_shrinkage):
+        with pytest.raises(ValueError, match="at least 2 distinct x values"):
+            fit(points)
+
+
 def _reference_transfer(h, cert, target, psi):
     """The witness that psi transfers to, built from labels: vertex j of
     the projection of each source edge e' takes sigma(psi(e'))_j.  Asserts

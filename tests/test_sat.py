@@ -155,49 +155,6 @@ def test_conflict_budget():
     assert tripped
 
 
-def test_dimacs_round_trip():
-    f = CnfFormula()
-    for _ in range(3):
-        f.new_var()
-    f.add_clause([1, -2])
-    f.add_clause([2, 3])
-    g = CnfFormula.from_dimacs(f.to_dimacs())
-    assert g.num_vars == 3
-    assert [list(c) for c in g.clauses] == [[1, -2], [2, 3]]
-
-
-def test_dimacs_clauses_end_at_zero():
-    # a clause ends at its 0, not at the end of its line
-    f = CnfFormula.from_dimacs("c two clauses on one line\n"
-                               "p cnf 2 3\n1 -2 0 2 0\n-1\n2 0\n")
-    assert f.num_vars == 2
-    assert f.clauses == [[1, -2], [2], [-1, 2]]
-    model = solve(f)
-    assert model is not None and model[2] and check_model(f, model)
-
-
-@pytest.mark.parametrize("text", [
-    "",                               # no header at all
-    "c only a comment\n",
-    "1 2 0\np cnf 2 1\n",              # clause before the header
-    "p cnf 2 1\np cnf 2 1\n1 0\n",     # repeated header
-    "p dnf 2 1\n1 0\n",
-    "p cnf 2\n1 0\n",
-    "p cnf -1 0\n",
-    "p cnf 2 1\n3 0\n",                # literal outside +-num_vars
-    "p cnf 2 1\n1 -3 0\n",
-    "p cnf 2 1\n1 2\n",                # last clause without its 0
-    "p cnf 2 2\n1 2 0\n",              # fewer clauses than declared
-    "p cnf 2 1\n1 0 2 0\n",            # more clauses than declared
-    "p cnf 2 1\n1 x 0\n",
-], ids=["empty", "comment-only", "clause-first", "two-headers", "not-cnf",
-        "short-header", "negative-vars", "literal-high", "literal-low",
-        "unterminated", "too-few", "too-many", "not-int"])
-def test_dimacs_rejects_malformed_text(text):
-    with pytest.raises(ValueError):
-        CnfFormula.from_dimacs(text)
-
-
 @pytest.mark.parametrize("clause", [[1, 5], [1, 0], [3], [-3], [2, -4]])
 def test_solve_rejects_literals_outside_the_formula(clause):
     # `clauses` is public, so these bypass add_clause; 3 and -4 would alias
@@ -205,13 +162,6 @@ def test_solve_rejects_literals_outside_the_formula(clause):
     f = CnfFormula(num_vars=2, clauses=[[1, 2], clause])
     with pytest.raises(ValueError, match=f"literal {clause[-1]} is outside"):
         solve(f)
-
-
-def test_variable_registry():
-    f = CnfFormula()
-    v = f.new_var(tag=("x", 1, 2))
-    assert f.registry[v] == ("x", 1, 2)
-    assert "c var 1" in f.to_dimacs()
 
 
 def pinned_formulas():

@@ -401,6 +401,25 @@ def test_bundled_certificates_verify(name):
     assert supports(dependency_analysis(cert), cert.family), name
 
 
+def test_certificate_names_aliases_and_fresh_sigma():
+    # the audit walks CERTIFICATE_NAMES: every certificate, in audit order
+    assert tables.CERTIFICATE_NAMES == (
+        "J1", "J2", "P1Q1", "P2Q2", "P2Q2-PRINTED", "P3Q3", "3LIN*",
+        "CAT5-BOOLBCK")
+    for name in tables.CERTIFICATE_NAMES:
+        assert isinstance(tables.certificate(name), SubstructureCertificate)
+    for alias, name in [("3LIN", "3LIN*"), ("cat5", "CAT5-BOOLBCK"),
+                        (" p2q2-printed ", "P2Q2-PRINTED"), ("J 1", "J1")]:
+        assert tables.certificate(alias) == tables.certificate(name)
+    a, b = tables.certificate("J1"), tables.certificate("J1")
+    assert a.sigma == b.sigma and a.sigma is not b.sigma
+    a.sigma.clear()
+    assert tables.certificate("J1").sigma == b.sigma
+    for bad in ["J3", "3LIN**", "CAT5+"]:
+        with pytest.raises(KeyError, match="unknown certificate"):
+            tables.certificate(bad)
+
+
 def test_p2q2_published_family_fails():
     # the family stated alongside the printed table does not satisfy the
     # dependency condition; the bundled certificate uses the corrected one
