@@ -67,6 +67,9 @@ def load_certificate(spec):
         return tables.certificate(spec)
     except KeyError:
         pass
+    if not os.path.exists(spec):
+        raise UsageError(
+            f"nrd: unknown certificate {spec!r} (not a bundled name or file)")
     with open(spec) as fh:
         return substructure.SubstructureCertificate.from_dict(json.load(fh))
 

@@ -9,6 +9,9 @@ violated edge must land in Q \\ P.
 from __future__ import annotations
 
 import functools
+import os
+import signal
+import struct
 from dataclasses import dataclass, field
 from itertools import chain, combinations, product
 from operator import itemgetter
@@ -498,7 +501,11 @@ def verify_nrd(h, pq, mode="find-witnesses", certificate=None,
     find-witnesses: search a violating assignment for every edge, each the
     first in `WitnessSearch` order; at most max_assignments value trials in
     all (None: no budget), else BudgetExceeded whose `partial` is the
-    number of edges witnessed.
+    number of edges witnessed.  With `os.fork` and w >= 2 CPUs, up to w
+    ranges of at least _SPLIT_MIN_EDGES edges are searched at once, here
+    and in forked children that never outlive the call, with the outcome
+    of one process.  The budget decides in edge order and caps each
+    process's trials too, so the work in all can reach w times the budget.
     check-given: re-verify a supplied certificate edge by edge.
     Returns an NrdCertificate on success, NrdFailure on the first bad edge.
     """
@@ -513,20 +520,118 @@ def verify_nrd(h, pq, mode="find-witnesses", certificate=None,
         raise InstanceError(f"unknown mode {mode!r}")
     if h.edges and h.arity != pq.arity:
         raise InstanceError("instance arity does not match predicate arity")
+    return _find_witnesses(h, pq, max_assignments, _workers(len(h.edges)))
+
+
+# Fewest edges a process of a split find-witnesses searches, so that R1S1
+# q=2 (147 edges) and R2S2 q=2 (441) stay in one process.
+_SPLIT_MIN_EDGES = 256
+# A child's record of one edge: its trials, whether it has a witness, and
+# the witness's values in vertex order (one byte each, since a domain has
+# at most 256 values; zeros without a witness).
+_RECORD = struct.Struct("<q?")
+
+
+def _workers(m):
+    """How many processes search the m edges of one find-witnesses."""
+    if m < 2 * _SPLIT_MIN_EDGES or not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(cpus, m // _SPLIT_MIN_EDGES)
+
+
+def _find_witnesses(h, pq, max_assignments, workers):
+    """find-witnesses over `workers` contiguous edge ranges, all but the
+    first searched by forked children."""
     search = WitnessSearch(instance_index(h, pq.arity), pq, h.vertices(),
                            budget=max_assignments)
-    witnesses = {}
-    for i, e in enumerate(h.edges):
+    m = len(h.edges)
+    bounds = [m * k // workers for k in range(workers + 1)]
+    children = []
+    try:
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            children.append(_fork_range(search, lo, hi))
+        outcomes = chain(_search_range(search, 0, bounds[1]),
+                         *(_read_range(search, fh, lo, hi) for (_, fh), lo, hi
+                           in zip(children, bounds[1:], bounds[2:])))
+        witnesses, trials = {}, 0
+        for i, (w, t) in enumerate(outcomes):
+            trials += t
+            if max_assignments is not None and trials > max_assignments:
+                raise BudgetExceeded(
+                    f"assignment budget of {max_assignments} exceeded with "
+                    f"{i} of {m} edges witnessed", partial=i)
+            if w is None:
+                return NrdFailure(h.edges[i])
+            witnesses[h.edges[i]] = w
+        return NrdCertificate(witnesses)
+    finally:
+        for pid, fh in children:
+            fh.close()
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _search_range(search, lo, hi):
+    """Yield (witness or None, trials) for the edges lo..hi-1; stop after
+    an edge without a witness, or at one where this process's search
+    passes the budget.  Its count never exceeds the trials of all edges up
+    to that one, so their sum in edge order is past the budget there too."""
+    for i in range(lo, hi):
+        before = search.trials
         try:
             w = search.witness(i)
         except BudgetExceeded:
-            raise BudgetExceeded(
-                f"assignment budget of {max_assignments} exceeded with "
-                f"{i} of {len(h.edges)} edges witnessed", partial=i) from None
+            w = None
+        yield w, search.trials - before
         if w is None:
-            return NrdFailure(e)
-        witnesses[e] = w
-    return NrdCertificate(witnesses)
+            return
+
+
+def _fork_range(search, lo, hi):
+    """Fork a child that searches the edges lo..hi-1 and writes their
+    records to a pipe; return its pid (None if the fork failed) and the
+    pipe's read end.  The child runs only the pure-Python search (never
+    numpy, whose threads a fork does not copy) and writes once at the end,
+    so that it never waits for the parent to read."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        pid = None
+    if pid == 0:
+        try:  # whatever happens, the child never returns to the caller
+            out = bytearray()
+            for wit, t in _search_range(search, lo, hi):
+                out += _RECORD.pack(t, wit is not None)
+                out += bytes(search.n) if wit is None else bytes(wit.values())
+            with open(w, "wb") as fh:
+                fh.write(out)
+        finally:
+            os._exit(0)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _read_range(search, fh, lo, hi):
+    """What _search_range(search, lo, hi) yields, read from a child's
+    records, and searched here from the first record missing or cut short
+    (the child died)."""
+    size = _RECORD.size + search.n
+    for i in range(lo, hi):
+        rec = fh.read(size)
+        if len(rec) < size:
+            yield from _search_range(search, i, hi)
+            return
+        t, found = _RECORD.unpack_from(rec)
+        if not found:
+            yield None, t
+            return
+        yield dict(zip(search.vertices, rec[_RECORD.size:])), t
 
 
 def _check_certificate(h, pq: ConditionalPredicate, certificate):

@@ -392,6 +392,18 @@ def test_deps(capsys):
     assert len(d["dependencies"]) == 3
 
 
+@pytest.mark.parametrize("command", ["deps", "verify-substructure", "reduce"])
+def test_unknown_certificate_name_exits_2(tmp_path, capsys, command):
+    # a name that is neither bundled nor a file is named as such, not read
+    # as a missing file
+    argv = [command, "J3"]
+    if command == "reduce":
+        inst = _instance_file(tmp_path, build_R1S1_instance(2).truncated(1))
+        argv = [command, "--instance", str(inst), "--certificate", "J3"]
+    assert usage_error(capsys, *argv) == \
+        "nrd: unknown certificate 'J3' (not a bundled name or file)"
+
+
 def test_gen_girth6(capsys):
     code, d = run_json(capsys, "gen-girth6", "-q", "2")
     assert code == 0

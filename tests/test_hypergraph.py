@@ -1,6 +1,8 @@
 import functools
 import hashlib
+import io
 import json
+import os
 import random
 from itertools import combinations, product
 
@@ -235,6 +237,141 @@ def test_r2s2_witnesses_and_trials_are_pinned():
     assert _search_digest(inst.hypergraph, inst.predicate) == (
         "930202476db9d968704c76b8443f521f93f0fafe955d3798233fb9346bcd3ca3",
         21168)
+
+
+# --- find-witnesses split over forked workers ----------------------------
+
+
+def _no_children():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _split(h, pq, workers, budget=None):
+    """The private split route with a fixed worker count, which must leave
+    no child behind, whatever it returns or raises."""
+    try:
+        return hypergraph._find_witnesses(h, as_conditional(pq), budget, workers)
+    finally:
+        _no_children()
+
+
+@functools.cache
+def _reference_run(name, q):
+    """The instance, and the witnesses and cumulative trials after each
+    edge of one search in this process, edge by edge."""
+    inst = {"R1S1": build_R1S1_instance, "R2S2": build_R2S2_instance}[name](q)
+    h, pq = inst.hypergraph, inst.predicate
+    search = WitnessSearch(instance_index(h, pq.arity), pq, h.vertices())
+    witnesses, spent = [], []
+    for i in range(len(h.edges)):
+        witnesses.append(search.witness(i))
+        spent.append(search.trials)
+    return h, pq, witnesses, spent
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("name,q", [("R1S1", 3), ("R2S2", 2)])
+def test_split_certificate_is_the_sequential_one(name, q, workers):
+    h, pq, witnesses, _ = _reference_run(name, q)
+    cert = _split(h, pq, workers)
+    assert list(cert.witnesses.items()) == list(zip(h.edges, witnesses))
+
+
+def _pairs_with_triangle(at):
+    """700 EQ edges: disjoint pairs, and a triangle at edges at..at+2.  Each
+    pair is a bridge and so has a witness, and the triangle's first edge is
+    the first without one (under EQ, x != y contradicts y = z = x)."""
+    pairs = [(f"a{k}", f"b{k}") for k in range(697)]
+    edges = pairs[:at] + [("x", "y"), ("y", "z"), ("x", "z")] + pairs[at:]
+    return Hypergraph(tuple(dict.fromkeys(v for e in edges for v in e)), edges)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("at", [10, 400])  # the parent's range, a child's
+def test_split_failure_is_the_sequential_one(at, workers):
+    h = _pairs_with_triangle(at)
+    assert _split(h, EQ, workers) == NrdFailure(("x", "y"))
+    assert h.edges[at] == ("x", "y")
+
+
+def test_split_budget_is_the_sequential_one():
+    # budgets at the cumulative trials of the last edge of each range, and
+    # one either side, for 2 and 3 workers: the sequential outcome is the
+    # first edge whose cumulative trials pass the budget
+    h, pq, witnesses, spent = _reference_run("R1S1", 3)
+    m = len(h.edges)
+    for workers in (2, 3):
+        ends = [m * k // workers - 1 for k in range(1, workers + 1)]
+        for budget in {0} | {spent[i] + s for i in ends for s in (-1, 0, 1)}:
+            partial = next((i for i, t in enumerate(spent) if t > budget), None)
+            if partial is None:
+                cert = _split(h, pq, workers, budget)
+                assert list(cert.witnesses.values()) == witnesses
+                continue
+            with pytest.raises(BudgetExceeded) as info:
+                _split(h, pq, workers, budget)
+            assert info.value.partial == partial
+            assert str(info.value) == (
+                f"assignment budget of {budget} exceeded with {partial} of "
+                f"{m} edges witnessed")
+
+
+def test_split_survives_a_dying_child(monkeypatch):
+    # a child that leaves halfway through its range, before writing a
+    # record, leaves the parent to search that range itself
+    h, pq, witnesses, _ = _reference_run("R1S1", 3)
+    parent, witness = os.getpid(), WitnessSearch.witness
+
+    def dying(search, i):
+        if os.getpid() != parent and i == 500:
+            os._exit(3)
+        return witness(search, i)
+
+    monkeypatch.setattr(WitnessSearch, "witness", dying)
+    cert = _split(h, pq, 2)
+    assert list(cert.witnesses.items()) == list(zip(h.edges, witnesses))
+
+
+def test_split_resumes_after_a_record_cut_short():
+    # a child killed while writing leaves whole records and then a part of
+    # one: the parent keeps the whole ones and searches from the cut edge
+    h, pq, witnesses, spent = _reference_run("R1S1", 3)
+    lo, hi = 338, len(h.edges)
+    trials = [spent[i] - spent[i - 1] for i in range(lo, hi)]
+    records = b"".join(hypergraph._RECORD.pack(t, True) + bytes(w.values())
+                       for t, w in zip(trials[:100], witnesses[lo:]))
+    search = WitnessSearch(instance_index(h, pq.arity), pq, h.vertices())
+    stream = io.BytesIO(records + hypergraph._RECORD.pack(trials[100], True))
+    assert list(hypergraph._read_range(search, stream, lo, hi)) == \
+        list(zip(witnesses[lo:], trials))
+
+
+def test_split_interrupted_leaves_no_child(monkeypatch):
+    h, pq, _, _ = _reference_run("R1S1", 3)
+    parent, witness = os.getpid(), WitnessSearch.witness
+
+    def interrupted(search, i):
+        if os.getpid() == parent and i == 100:
+            raise KeyboardInterrupt
+        return witness(search, i)
+
+    monkeypatch.setattr(WitnessSearch, "witness", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        _split(h, pq, 3)
+
+
+def test_split_sizes(monkeypatch):
+    # one worker per CPU, each with at least _SPLIT_MIN_EDGES edges
+    for cpus, m, workers in ((8, 147, 1), (8, 676, 2), (8, 2704, 8),
+                             (1, 2704, 1), (2, 441, 1), (2, 2704, 2)):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, cpus=cpus: set(range(cpus)),
+                            raising=False)
+        assert hypergraph._workers(m) == workers
+    monkeypatch.delattr(os, "fork")
+    assert hypergraph._workers(2704) == 1
 
 
 def _random_pair(rng):
