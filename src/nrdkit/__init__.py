@@ -16,6 +16,6 @@ from .generators import (ShrinkingInstance, build_R1S1_instance,
                          build_R2S2_instance, gen_girth6, girth,
                          girth6_witness)
 from .pipeline import (apply_reduction, conditional_to_plain, fit_exponent,
-                       paper_verify, reduction_family)
+                       paper_verify)
 
 __version__ = "0.1.0"

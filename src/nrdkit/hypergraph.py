@@ -400,7 +400,7 @@ class WitnessSearch:
             self._force(unit, range(len(tab.tuples)), stack)
             if not self._run(stack):
                 return None
-        if not self._solve(order, 0):
+        if not self._solve(order):
             return None
         return [tab.default_value if x < 0 else x for x in self.val]
 
@@ -462,20 +462,36 @@ class WitnessSearch:
                         self._force(unit, ids, stack)
         return True
 
-    def _solve(self, order, depth):
-        val = self.val
-        while depth < len(order) and val[order[depth]] >= 0:
-            depth += 1
-        if depth == len(order):
-            return True
-        v = order[depth]
+    def _solve(self, order):
+        """Decide the unassigned vertices of order depth first, with the open
+        levels on a list, not the call stack, so no recursion limit binds."""
+        val, levels, depth = self.val, [], 0
+        while True:
+            while depth < len(order) and val[order[depth]] >= 0:
+                depth += 1
+            if depth == len(order):
+                return True
+            levels.append((depth, order[depth], iter(self.tab.values),
+                           (self.alive[:], self.unassigned[:]), len(self.trail)))
+            while not self._decide(levels[-1]):  # back to the level above
+                levels.pop()
+                if not levels:
+                    return False
+            depth = levels[-1][0] + 1
+
+    def _decide(self, level):
+        """Give the level's vertex its next value that propagates without a
+        conflict, restoring the snapshot after a written one; False if none."""
+        _, v, values, saved, mark = level
         alive, unassigned = self.alive, self.unassigned
-        saved = alive[:], unassigned[:]
-        trail = self.trail
-        mark = len(trail)
+        val, trail = self.val, self.trail
         p, scope, _ = self.occ[v][0]
         agree = self.tab.keep[p]
-        for x in self.tab.values:
+        for x in values:
+            if len(trail) > mark:
+                alive[:], unassigned[:] = saved
+                while len(trail) > mark:
+                    val[trail.pop()] = -1
             self.trials += 1
             if self.budget is not None and self.trials > self.budget:
                 raise BudgetExceeded("assignment budget exceeded")
@@ -486,11 +502,8 @@ class WitnessSearch:
                 continue  # rejected before anything is written
             val[v] = x
             trail.append(v)
-            if self._run([v]) and self._solve(order, depth + 1):
+            if self._run([v]):
                 return True
-            alive[:], unassigned[:] = saved
-            while len(trail) > mark:
-                val[trail.pop()] = -1
         return False
 
 

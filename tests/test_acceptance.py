@@ -19,8 +19,9 @@ from nrdkit.generators import (build_R1S1_instance, build_R2S2_instance,
 from nrdkit.hypergraph import (Hypergraph, NrdCertificate, PartiteHypergraph,
                                nrd_exact, nrd_exact_exhaustive,
                                shrinking_report, verify_nrd)
-from nrdkit.pipeline import (build_plain_lb_instance, conditional_to_plain_pair,
-                             fit_shrinkage, paper_verify, reduction_family)
+from nrdkit.pipeline import (apply_reduction, build_plain_lb_instance,
+                             conditional_to_plain_pair, fit_exponent,
+                             fit_shrinkage, paper_verify)
 from nrdkit.predicates import ConditionalPredicate, Predicate
 from nrdkit.substructure import (SubstructureCertificate, search_families,
                                  verify_certificate)
@@ -152,10 +153,14 @@ def test_06_shrinking_instances(builder, eps0, tol):
                           ("P1Q1", build_R1S1_instance, 4 / 3)])
 def test_07_end_to_end_pipelines(cert_name, builder, target):
     cert = tables.certificate(cert_name)
-    insts = [builder(q) for q in (2, 3, 5)]
-    run = reduction_family(cert, insts, verify_flags=[True, True, False])
-    assert all(e["verified"] for e in run.entries[:2])
-    assert abs(run.fit.exponent - target) < 0.15
+    results = []
+    for q in (2, 3, 5):  # witnesses transferred at q = 2, 3
+        inst = builder(q)
+        results.append(apply_reduction(inst.hypergraph, cert,
+                                       inst.witness if q < 5 else None))
+    assert all(res.verified for res in results[:2])
+    fit = fit_exponent([(res.n_vertices, res.n_edges) for res in results])
+    assert abs(fit.exponent - target) < 0.15
 
 
 def test_08_plain_lifting_toy():

@@ -128,6 +128,57 @@ def test_negative_budget_rejected():
         verify_nrd(path_instance(3), EQ, max_assignments=-1)
 
 
+def test_verify_nrd_rejects_bad_calls():
+    h = path_instance(3)
+    with pytest.raises(InstanceError) as exc:
+        verify_nrd(h, EQ, mode="check-given")
+    assert str(exc.value) == "check-given mode needs a certificate"
+    with pytest.raises(InstanceError) as exc:
+        verify_nrd(h, EQ, mode="find-witness")
+    assert str(exc.value) == "unknown mode 'find-witness'"
+    with pytest.raises(InstanceError) as exc:
+        verify_nrd(h, ONE_IN_THREE)
+    assert str(exc.value) == "instance arity does not match predicate arity"
+
+
+def test_plain_instance_rejects_a_repeated_edge():
+    with pytest.raises(InstanceError) as exc:
+        Hypergraph(("a", "b"), (("a", "b"), ("a", "b")))
+    assert str(exc.value) == "duplicate edges are not allowed"
+
+
+def test_projection_rejects_a_family_of_another_arity():
+    h = PartiteHypergraph((("a",), ("b",), ("c",)), (("a", "b", "c"),))
+    with pytest.raises(InstanceError) as exc:
+        projection_map(h, IndexFamily(2, ((1,), (2,))))
+    assert str(exc.value) == "index family arity does not match instance"
+
+
+def test_check_given_rejects_a_value_past_int64():
+    # too large for the kernel's integer array, so it takes the slow path
+    h = path_instance(3)
+    cert = verify_nrd(h, EQ)
+    e = h.edges[1]
+    cert.witnesses[e] = dict(cert.witnesses[e], v2=2 ** 70)
+    res = verify_nrd(h, EQ, mode="check-given", certificate=cert)
+    assert isinstance(res, NrdFailure) and res.failed_edge == e
+    assert res.reason == (f"witness value {2 ** 70} for vertex 'v2' "
+                          "is not an integer in [0, 2)")
+
+
+def test_search_deeper_than_the_recursion_limit():
+    # 1100 disjoint EQ pairs: the search for the first edge's witness
+    # decides one vertex of each edge, so 1100 levels are open at once
+    vs = tuple(f"v{i}" for i in range(2200))
+    h = Hypergraph(vs, [(vs[2 * i], vs[2 * i + 1]) for i in range(1100)])
+    search = WitnessSearch(instance_index(h, 2), EQ, vs)
+    assert search.values(0) is not None
+    assert search.trials == 1100
+    with pytest.raises(BudgetExceeded) as info:
+        verify_nrd(h, EQ, max_assignments=2000)
+    assert info.value.partial == 1
+
+
 def test_budget_partial_counts_witnessed_edges():
     inst = build_R1S1_instance(2)
     h, pq = inst.hypergraph, inst.predicate

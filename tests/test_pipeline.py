@@ -12,7 +12,7 @@ from nrdkit.hypergraph import (Hypergraph, InstanceError, NrdCertificate,
 from nrdkit.pipeline import (PipelineError, apply_reduction,
                              build_plain_lb_instance, conditional_to_plain,
                              conditional_to_plain_pair, fit_exponent,
-                             fit_shrinkage, paper_verify, reduction_family)
+                             fit_shrinkage, paper_verify)
 from nrdkit.predicates import ConditionalPredicate, IndexFamily, Predicate
 from nrdkit.substructure import SubstructureCertificate
 
@@ -370,14 +370,6 @@ def test_apply_reduction_failure_inside_a_block():
                               "'z999', which is not a vertex of the instance")
 
 
-def test_reduction_family_fit():
-    cert = tables.certificate("P1Q1")
-    runs = [build_R1S1_instance(q) for q in (2, 3)]
-    run = reduction_family(cert, runs, verify_flags=[True, False])
-    assert [e["verified"] for e in run.entries] == [True, False]
-    assert run.fit.exponent > 1.0
-
-
 def test_random_reduction_soundness():
     # 50 random sub-instances: transferred witnesses always verify
     rng = random.Random(9)
@@ -465,13 +457,25 @@ def test_paper_verify_builds_each_instance_once_per_call(monkeypatch):
         reports.append(h)
         return report(h)
     monkeypatch.setattr(pipeline, "shrinking_report", counted_report)
+    checks = []
+    def counted_check(kernel, witness, check=hypergraph.WitnessKernel.check):
+        checks.append(kernel.m)
+        return check(kernel, witness)
+    monkeypatch.setattr(hypergraph.WitnessKernel, "check", counted_check)
     pairs = [(family, q) for family in ("R1S1", "R2S2") for q in (2, 3, 5)]
     for _ in range(2):  # every call rebuilds and re-measures from scratch
         builds.clear()
         reports.clear()
+        checks.clear()
         assert paper_verify().exit_code == 0
         assert sorted(builds) == pairs
         assert len(reports) == len(pairs)  # one shrink report per (family, q)
+        # one check of each source certificate at q = 2, 3, which the
+        # pipelines' witness transfer reads too
+        assert sorted(checks) == [147, 441, 676, 2704]
+    checks.clear()
+    assert paper_verify(only=["pipelines"]).exit_code == 0
+    assert sorted(checks) == [147, 441, 676, 2704]
 
 
 def test_paper_verify_only_filter():

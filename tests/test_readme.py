@@ -13,4 +13,4 @@ def test_library_tour_runs():
     assert len(blocks) == 1
     namespace = {}
     exec(blocks[0], namespace)
-    assert namespace["run"].fit.exponent == pytest.approx(1.2854, abs=5e-5)
+    assert namespace["fit"].exponent == pytest.approx(1.2854, abs=5e-5)
