@@ -128,13 +128,16 @@ def cmd_boxprod(args):
 
 
 def cmd_balance(args):
+    if args.method == "lattice" and args.k_max is not None:
+        raise UsageError("nrd balance: --k-max needs --method bounded")
     p = load_predicate(args.predicate)
     if isinstance(p, predicates.ConditionalPredicate):
         raise UsageError("nrd balance: input must be a plain predicate, not a pair")
     if args.method == "lattice":
         rep = balance.is_balanced_lattice(p)
     else:
-        rep = balance.is_balanced_bounded(p, args.k_max)
+        k_max = 3 if args.k_max is None else args.k_max
+        rep = balance.is_balanced_bounded(p, k_max)
     verdict = "balanced" if rep.balanced else "imbalanced"
     lines = [verdict]
     if rep.witness:
@@ -210,6 +213,10 @@ def cmd_nrd_exact(args):
 
 
 def cmd_find_substructure(args):
+    for flag in ("sizes", "max_results", "time_budget"):
+        if args.family and getattr(args, flag) is not None:
+            raise UsageError(f"nrd find-substructure: --{flag.replace('_', '-')}"
+                             " applies only without --family")
     src, tgt = load_predicate(args.source), load_predicate(args.target)
     for x in (src, tgt):
         if not isinstance(x, predicates.ConditionalPredicate):
@@ -226,7 +233,8 @@ def cmd_find_substructure(args):
         return 0
     sizes = tuple(parse_coords(args.sizes)) if args.sizes else None
     res = substructure.search_families(
-        src, tgt, sizes=sizes, max_results=args.max_results,
+        src, tgt, sizes=sizes,
+        max_results=1 if args.max_results is None else args.max_results,
         max_families=args.search_budget or None, time_budget=args.time_budget)
     out = {"found": len(res.certificates), "families_tried": res.families_tried,
            "exhausted": res.exhausted,
@@ -281,9 +289,9 @@ def cmd_build_instance(args):
     out = {"name": inst.name, "q": inst.q, "n_vertices": inst.n_vertices,
            "n_edges": inst.n_edges, "instance": inst.hypergraph.to_dict()}
     if args.verify:
-        res = inst.verify("check-given")
-        out["verified"] = isinstance(res, hypergraph.NrdCertificate)
-        if not out["verified"]:
+        res = inst.verify()
+        out["verified"] = res is None
+        if res is not None:
             emit(args, out, f"verification FAILED at {res.failed_edge}")
             return 1
     if args.output:  # before stdout, so an unwritable path prints nothing
@@ -355,7 +363,7 @@ def cmd_cond2plain(args):
 
 
 def cmd_paper_verify(args):
-    only = args.only.split(",") if args.only else None
+    only = [s.strip() for s in args.only.split(",")] if args.only else None
     rep = pipeline.paper_verify(only=only, deep=not args.shallow)
     if args.json:
         print(json.dumps(rep.to_dict(), sort_keys=True))
@@ -389,7 +397,6 @@ def build_parser():
                          "counted after its symmetry pruning, and on the "
                          "families find-substructure tries without --family "
                          "(0 = unlimited); default 2000000")
-    ap.add_argument("-v", "--verbose", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_):
@@ -413,7 +420,7 @@ def build_parser():
             "closure under odd alternating sums (Boolean predicates)")
     p.add_argument("predicate")
     p.add_argument("--method", choices=("lattice", "bounded"), default="lattice")
-    p.add_argument("--k-max", type=int, default=3)
+    p.add_argument("--k-max", type=int, help="with --method bounded; default 3")
 
     p = add("cancel", cmd_cancel, "play the cancellation game on a word")
     p.add_argument("word")
@@ -444,8 +451,8 @@ def build_parser():
     p.add_argument("target")
     p.add_argument("--family", help='fixed family, e.g. "1,2;1,3;2,3"')
     p.add_argument("--sizes", help="per-coordinate subset sizes for search")
-    p.add_argument("--max-results", type=int, default=1)
-    p.add_argument("--time-budget", type=float)
+    p.add_argument("--max-results", type=int, help="without --family; default 1")
+    p.add_argument("--time-budget", type=float, help="seconds, without --family")
 
     p = add("verify-substructure", cmd_verify_substructure,
             "check a substructure certificate")
@@ -495,8 +502,7 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        logging.basicConfig(stream=sys.stderr,
-                            level=logging.DEBUG if args.verbose else logging.INFO,
+        logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                             format="%(levelname)s %(name)s: %(message)s")
         for flag in ("search_budget", "conflict_budget"):
             if (getattr(args, flag) or 0) < 0:

@@ -18,7 +18,7 @@ from itertools import product
 
 from .catalog import C6_COND, R1S1, R2S2
 from .hypergraph import (Hypergraph, InstanceError, NrdCertificate,
-                         PartiteHypergraph, verify_nrd)
+                         PartiteHypergraph, check_witnesses)
 from .predicates import ConditionalPredicate
 
 
@@ -205,10 +205,11 @@ class ShrinkingInstance:
     def certificate(self) -> NrdCertificate:
         return NrdCertificate({e: self._witness(e) for e in self.hypergraph.edges})
 
-    def verify(self, mode="check-given"):
-        cert = self.certificate() if mode == "check-given" else None
-        return verify_nrd(self.hypergraph, self.predicate, mode=mode,
-                          certificate=cert)
+    def verify(self):
+        """None, or the NrdFailure of the first constructed witness to fail."""
+        edges = self.hypergraph.edges
+        return check_witnesses(self.hypergraph, self.predicate,
+                               lambda i: self._witness(edges[i]))
 
     def truncated(self, m: int) -> "ShrinkingInstance":
         """Exact edge count by deleting the largest-index edges; witnesses

@@ -308,12 +308,11 @@ class WitnessSearch:
     before anything is written).
 
     Set up from an InstanceIndex and the labels of its vertices, which
-    break degree ties and key the dicts of `witness`.  `push` adds an edge
-    after the others and `pop` removes the last one; both rebuild only the
-    per-vertex entries of the edge's vertices (of every vertex when `push`
-    outgrows `cap`).  Edge k keeps bit k, so a search grown and shrunk this
-    way finds the witnesses, in the same number of trials, that a search
-    set up afresh on the same edge list finds.
+    break degree ties.  `push` adds an edge after the others and `pop`
+    removes the last one; both rebuild only the per-vertex entries of the
+    edge's vertices (of every vertex when `push` outgrows `cap`).  Edge k
+    keeps bit k, so a search grown and shrunk this way finds the same
+    witnesses, in as many trials, as a search set up afresh on its edges.
     """
 
     def __init__(self, index, pq, vertices, budget=None):
@@ -364,12 +363,6 @@ class WitnessSearch:
         bits, cap, occ = self.bits, self.cap, self.occ
         for v in vertices:
             occ[v] = tuple((p, b, cap ^ b) for p, b in enumerate(bits[v]) if b)
-
-    def witness(self, excluded_idx):
-        """The witness for one excluded edge as a dict over every vertex, or
-        None."""
-        vals = self.values(excluded_idx)
-        return None if vals is None else dict(zip(self.vertices, vals))
 
     def values(self, excluded_idx):
         """The witness for one excluded edge as a list in vertex order, or
@@ -519,7 +512,7 @@ def verify_nrd(h, pq, mode="find-witnesses", certificate=None,
     and in forked children that never outlive the call, with the outcome
     of one process.  The budget decides in edge order and caps each
     process's trials too, so the work in all can reach w times the budget.
-    check-given: re-verify a supplied certificate edge by edge.
+    check-given: re-verify a supplied certificate with `check_witnesses`.
     Returns an NrdCertificate on success, NrdFailure on the first bad edge.
     """
     pq = as_conditional(pq)
@@ -528,7 +521,11 @@ def verify_nrd(h, pq, mode="find-witnesses", certificate=None,
     if mode == "check-given":
         if certificate is None:
             raise InstanceError("check-given mode needs a certificate")
-        return _check_certificate(h, pq, certificate)
+        edges = h.edges
+        if set(certificate.witnesses) != set(edges):
+            raise InstanceError("certificate must cover exactly the instance edges")
+        bad = check_witnesses(h, pq, lambda i: certificate.witnesses[edges[i]])
+        return certificate if bad is None else bad
     if mode != "find-witnesses":
         raise InstanceError(f"unknown mode {mode!r}")
     if h.edges and h.arity != pq.arity:
@@ -579,7 +576,7 @@ def _find_witnesses(h, pq, max_assignments, workers):
                     f"{i} of {m} edges witnessed", partial=i)
             if w is None:
                 return NrdFailure(h.edges[i])
-            witnesses[h.edges[i]] = w
+            witnesses[h.edges[i]] = dict(zip(search.vertices, w))
         return NrdCertificate(witnesses)
     finally:
         for pid, fh in children:
@@ -590,14 +587,14 @@ def _find_witnesses(h, pq, max_assignments, workers):
 
 
 def _search_range(search, lo, hi):
-    """Yield (witness or None, trials) for the edges lo..hi-1; stop after
-    an edge without a witness, or at one where this process's search
-    passes the budget.  Its count never exceeds the trials of all edges up
-    to that one, so their sum in edge order is past the budget there too."""
+    """Yield (witness values in vertex order or None, trials) for the edges
+    lo..hi-1; stop after an edge without a witness, or at one where this
+    process's search passes the budget.  Its count never exceeds the trials
+    of all edges up to that one, so their sum in edge order is past it."""
     for i in range(lo, hi):
         before = search.trials
         try:
-            w = search.witness(i)
+            w = search.values(i)
         except BudgetExceeded:
             w = None
         yield w, search.trials - before
@@ -619,9 +616,9 @@ def _fork_range(search, lo, hi):
     if pid == 0:
         try:  # whatever happens, the child never returns to the caller
             out = bytearray()
-            for wit, t in _search_range(search, lo, hi):
-                out += _RECORD.pack(t, wit is not None)
-                out += bytes(search.n) if wit is None else bytes(wit.values())
+            for values, t in _search_range(search, lo, hi):
+                out += _RECORD.pack(t, values is not None)
+                out += bytes(search.n) if values is None else bytes(values)
             with open(w, "wb") as fh:
                 fh.write(out)
         finally:
@@ -632,8 +629,8 @@ def _fork_range(search, lo, hi):
 
 def _read_range(search, fh, lo, hi):
     """What _search_range(search, lo, hi) yields, read from a child's
-    records, and searched here from the first record missing or cut short
-    (the child died)."""
+    records (the values as bytes), and searched here from the first record
+    missing or cut short (the child died)."""
     size = _RECORD.size + search.n
     for i in range(lo, hi):
         rec = fh.read(size)
@@ -644,16 +641,16 @@ def _read_range(search, fh, lo, hi):
         if not found:
             yield None, t
             return
-        yield dict(zip(search.vertices, rec[_RECORD.size:])), t
+        yield rec[_RECORD.size:], t
 
 
-def _check_certificate(h, pq: ConditionalPredicate, certificate):
+def check_witnesses(h, pq, witness):
+    """None if witness(i) is a witness for edge i, for every edge i; else
+    the NrdFailure of the first edge whose witness fails, with its reason."""
     edges = h.edges
-    if set(certificate.witnesses) != set(edges):
-        raise InstanceError("certificate must cover exactly the instance edges")
-    bad = WitnessKernel(h, pq).check(lambda i: certificate.witnesses[edges[i]])
+    bad = WitnessKernel(h, pq).check(witness)
     if bad is None:
-        return NrdCertificate(dict(certificate.witnesses))
+        return None
     if bad.malformed is not None:
         reason = str(bad.malformed)
     elif bad.wrong == bad.edge:

@@ -666,7 +666,7 @@ def test_output_is_written_before_stdout(tmp_path, capsys, monkeypatch):
     wf.write_text(json.dumps(witnesses))
     assert main([*reduce, "--witnesses", str(wf), "--output", str(out)]) == 1
     monkeypatch.setattr("nrdkit.generators.ShrinkingInstance.verify",
-                        lambda self, mode: hypergraph.NrdFailure(("a",)))
+                        lambda self: hypergraph.NrdFailure(("a",)))
     code, d = run_json(capsys, "build-instance", "R1S1", "-q", "2",
                        "--verify", "--output", str(out))
     assert code == 1 and d["verified"] is False
@@ -695,8 +695,10 @@ def test_fit(capsys):
     ("1,2;3", "nrd fit: each point must be a pair n,m"),
     ("1,2,3;4,5", "nrd fit: each point must be a pair n,m"),
     ("0,1;2,3", "nrd: a log-log fit needs finite positive values"),
-    ("5,1;5,2", "nrd: a log-log fit needs at least 2 distinct x values")],
-    ids=["short-point", "long-point", "zero", "one-n"])
+    ("5,1;5,2", "nrd: a log-log fit needs at least 2 distinct x values"),
+    # every log n is 0, which polyfit's LAPACK call rejected with its own error
+    ("1,2;1,3", "nrd: a log-log fit needs at least 2 distinct x values")],
+    ids=["short-point", "long-point", "zero", "one-n", "n-is-1"])
 @pytest.mark.filterwarnings("error")
 def test_fit_bad_points_exit_2(capfd, points, err):
     # capfd, not capsys: LAPACK would write to file descriptor 1 directly
@@ -752,6 +754,54 @@ def test_paper_verify_text(capsys, argv, items):
     assert json.loads(lines[anomaly + 1])["anomaly"] == (
         "row 6 is not a bijection as printed")
     assert sum(line.startswith("[PASS   ] ") for line in lines) == items - 1
+
+
+_SECTIONS = ("the sections are catalog, balance, tables, sym, cancel, "
+             "instances, pipelines")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["--only", "pipeline"], f"nrd: unknown audit section 'pipeline'; {_SECTIONS}"),
+    (["--only", "instances,pipelines,"], f"nrd: unknown audit section ''; {_SECTIONS}"),
+    (["--shallow", "--only", "instances"],
+     "nrd: the sections selected run no audit item (instances and pipelines "
+     f"run only in a deep audit); {_SECTIONS}")],
+    ids=["unknown", "empty-name", "nothing-runs"])
+def test_paper_verify_only_that_checks_nothing_exits_2(capsys, argv, err):
+    assert usage_error(capsys, "paper-verify", *argv) == err
+
+
+def test_paper_verify_only_strips_spaces(capsys):
+    code, d = run_json(capsys, "paper-verify", "--shallow",
+                       "--only", "catalog, balance")
+    assert code == 0
+    assert [i["name"] for i in d["items"]] == [
+        "catalog integrity", "equality-predicate NRD n-1", "balance suite"]
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["balance", "OR2", "--k-max", "0"],
+     "nrd balance: --k-max needs --method bounded"),
+    (["find-substructure", "C6*|C6", "C6*|C6", "--family", "1;2",
+      "--sizes", "9,9"],
+     "nrd find-substructure: --sizes applies only without --family"),
+    (["find-substructure", "C6*|C6", "C6*|C6", "--family", "1;2",
+      "--max-results", "0"],
+     "nrd find-substructure: --max-results applies only without --family"),
+    (["find-substructure", "C6*|C6", "C6*|C6", "--family", "1;2",
+      "--time-budget", "-5"],
+     "nrd find-substructure: --time-budget applies only without --family")],
+    ids=["balance-k-max", "sizes", "max-results", "time-budget"])
+def test_flag_the_command_would_ignore_exits_2(capsys, argv, err):
+    assert usage_error(capsys, *argv) == err
+
+
+def test_there_is_no_verbose_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-v", "cancel", "0"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "nrd: error: unrecognized arguments: -v\n")
 
 
 @pytest.mark.parametrize("q", [2, 3])

@@ -12,8 +12,8 @@ from nrdkit.generators import (GeneratorError, ShrinkingInstance, adjacency,
                                build_R2S2_instance, gen_girth6, girth,
                                girth6_witness)
 from nrdkit.hypergraph import (Hypergraph, InstanceError, NrdCertificate,
-                               PartiteHypergraph, as_conditional, nrd_exact,
-                               shrinking_report, verify_nrd)
+                               NrdFailure, PartiteHypergraph, as_conditional,
+                               nrd_exact, shrinking_report, verify_nrd)
 from nrdkit.predicates import box_product
 
 
@@ -125,8 +125,7 @@ def test_r1s1_instance(q):
     n1 = q * q + q + 1
     assert inst.n_edges == (q + 1) * n1 * n1
     assert inst.n_vertices == 3 * n1
-    res = inst.verify(mode="check-given")
-    assert isinstance(res, NrdCertificate)
+    assert inst.verify() is None
     rep = shrinking_report(inst.hypergraph)
     assert rep.shrink_factor == pytest.approx(q + 1)
 
@@ -135,8 +134,7 @@ def test_r2s2_instance_q2():
     inst = build_R2S2_instance(2)
     assert inst.n_edges == 21 * 21
     assert inst.n_vertices == 4 * 7
-    res = inst.verify(mode="check-given")
-    assert isinstance(res, NrdCertificate)
+    assert inst.verify() is None
     rep = shrinking_report(inst.hypergraph)
     assert rep.shrink_factor == pytest.approx(3)
 
@@ -144,7 +142,7 @@ def test_r2s2_instance_q2():
 def test_r1s1_third_part_override():
     inst = build_R1S1_instance(2, third_part_size=2)
     assert inst.n_edges == 21 * 2
-    assert isinstance(inst.verify(mode="check-given"), NrdCertificate)
+    assert inst.verify() is None
     with pytest.raises(GeneratorError):
         build_R1S1_instance(2, third_part_size=0)
 
@@ -153,16 +151,38 @@ def test_truncated_keeps_witnesses_valid():
     inst = build_R1S1_instance(2)
     sub = inst.truncated(40)
     assert sub.n_edges == 40
-    assert isinstance(sub.verify(mode="check-given"), NrdCertificate)
+    assert sub.verify() is None
     with pytest.raises(GeneratorError):
         inst.truncated(0)
     with pytest.raises(GeneratorError):
         inst.truncated(inst.n_edges + 1)
 
 
+def test_verify_fails_as_check_given_fails():
+    # each kind of bad constructed witness: on its own edge, on another edge,
+    # and malformed; verify names the edge and reason check-given names
+    inst = build_R1S1_instance(2)
+    h, edges, good = inst.hypergraph, inst.hypergraph.edges, inst.witness
+    reasons = []
+    for bad in (lambda e: good(edges[1] if e == edges[0] else e),
+                lambda e: good(edges[0] if e == edges[1] else e),
+                lambda e: dict(good(e), z999=0) if e == edges[5] else good(e)):
+        broken = ShrinkingInstance(inst.name, inst.q, inst.predicate, h, bad)
+        res = broken.verify()
+        assert isinstance(res, NrdFailure)
+        assert res == verify_nrd(h, inst.predicate, "check-given",
+                                 broken.certificate())
+        reasons.append((res.failed_edge, res.reason))
+    assert reasons == [
+        (edges[0], "witness does not (Q\\P)-satisfy its edge"),
+        (edges[1], f"witness fails to P-satisfy {edges[0]}"),
+        (edges[5], "witness assigns 'z999', which is not a vertex of the instance")]
+
+
 def test_r1s1_find_witnesses_agrees_q2():
     inst = build_R1S1_instance(2)
-    assert isinstance(inst.verify(mode="find-witnesses"), NrdCertificate)
+    assert isinstance(verify_nrd(inst.hypergraph, inst.predicate),
+                      NrdCertificate)
 
 
 def test_witness_search_matches_girth_oracle_random_bipartite():

@@ -61,7 +61,7 @@ def test_eq_path_non_redundant():
     assert isinstance(cert, NrdCertificate)
     # every witness violates its own edge and satisfies the others
     again = verify_nrd(h, EQ, mode="check-given", certificate=cert)
-    assert isinstance(again, NrdCertificate)
+    assert again is cert  # returned as given, not copied
 
 
 def test_eq_triangle_redundant():
@@ -253,8 +253,8 @@ def test_find_witnesses_decides_high_degree_vertices_first():
     # give v1 = 1, v4 = 0
     vs = ("v0", "v1", "v2", "v3", "v4")
     edges = (("v0", "v2"), ("v3", "v0"), ("v4", "v1"), ("v3", "v1"))
-    witness = WitnessSearch(instance_index(Hypergraph(vs, edges), 2), or_k(2),
-                            vs).witness(0)
+    search = WitnessSearch(instance_index(Hypergraph(vs, edges), 2), or_k(2), vs)
+    witness = dict(zip(vs, search.values(0)))
     assert witness == {"v0": 0, "v1": 0, "v2": 0, "v3": 1, "v4": 1}
     assert witness == _first_witness(vs, edges, 0, as_conditional(or_k(2)))
 
@@ -317,7 +317,7 @@ def _reference_run(name, q):
     search = WitnessSearch(instance_index(h, pq.arity), pq, h.vertices())
     witnesses, spent = [], []
     for i in range(len(h.edges)):
-        witnesses.append(search.witness(i))
+        witnesses.append(dict(zip(h.vertices(), search.values(i))))
         spent.append(search.trials)
     return h, pq, witnesses, spent
 
@@ -373,14 +373,14 @@ def test_split_survives_a_dying_child(monkeypatch):
     # a child that leaves halfway through its range, before writing a
     # record, leaves the parent to search that range itself
     h, pq, witnesses, _ = _reference_run("R1S1", 3)
-    parent, witness = os.getpid(), WitnessSearch.witness
+    parent, values = os.getpid(), WitnessSearch.values
 
     def dying(search, i):
         if os.getpid() != parent and i == 500:
             os._exit(3)
-        return witness(search, i)
+        return values(search, i)
 
-    monkeypatch.setattr(WitnessSearch, "witness", dying)
+    monkeypatch.setattr(WitnessSearch, "values", dying)
     cert = _split(h, pq, 2)
     assert list(cert.witnesses.items()) == list(zip(h.edges, witnesses))
 
@@ -395,20 +395,21 @@ def test_split_resumes_after_a_record_cut_short():
                        for t, w in zip(trials[:100], witnesses[lo:]))
     search = WitnessSearch(instance_index(h, pq.arity), pq, h.vertices())
     stream = io.BytesIO(records + hypergraph._RECORD.pack(trials[100], True))
-    assert list(hypergraph._read_range(search, stream, lo, hi)) == \
+    assert [(dict(zip(h.vertices(), w)), t) for w, t in
+            hypergraph._read_range(search, stream, lo, hi)] == \
         list(zip(witnesses[lo:], trials))
 
 
 def test_split_interrupted_leaves_no_child(monkeypatch):
     h, pq, _, _ = _reference_run("R1S1", 3)
-    parent, witness = os.getpid(), WitnessSearch.witness
+    parent, values = os.getpid(), WitnessSearch.values
 
     def interrupted(search, i):
         if os.getpid() == parent and i == 100:
             raise KeyboardInterrupt
-        return witness(search, i)
+        return values(search, i)
 
-    monkeypatch.setattr(WitnessSearch, "witness", interrupted)
+    monkeypatch.setattr(WitnessSearch, "values", interrupted)
     with pytest.raises(KeyboardInterrupt):
         _split(h, pq, 3)
 
@@ -499,7 +500,9 @@ def test_find_witnesses_returns_first_solution_in_order(case):
     vertices, edges = h.vertices(), h.edges
     search = WitnessSearch(instance_index(h, pq.arity), pq, vertices)
     expected = [_first_witness(vertices, edges, i, pq) for i in range(len(edges))]
-    assert [search.witness(i) for i in range(len(edges))] == expected
+    found = [search.values(i) for i in range(len(edges))]
+    assert [None if w is None else dict(zip(vertices, w))
+            for w in found] == expected
     res = verify_nrd(h, pq)
     if all(w is not None for w in expected):
         assert isinstance(res, NrdCertificate)

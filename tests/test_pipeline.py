@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from nrdkit import hypergraph, pipeline, tables
+from nrdkit import generators, hypergraph, pipeline, tables
 from nrdkit.catalog import C6_COND, catalog
 from nrdkit.generators import build_R1S1_instance, build_R2S2_instance
 from nrdkit.hypergraph import (Hypergraph, InstanceError, NrdCertificate,
@@ -476,6 +476,16 @@ def test_paper_verify_builds_each_instance_once_per_call(monkeypatch):
     checks.clear()
     assert paper_verify(only=["pipelines"]).exit_code == 0
     assert sorted(checks) == [147, 441, 676, 2704]
+
+
+def test_constructed_witnesses_are_checked_without_a_certificate(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certificate was built")
+    monkeypatch.setattr(generators.ShrinkingInstance, "certificate", refuse)
+    monkeypatch.setattr(NrdCertificate, "__init__", refuse)
+    rep = paper_verify(only=["instances", "pipelines"])
+    assert [i.status for i in rep.items] == ["pass"] * 5
+    assert build_R2S2_instance(3).verify() is None
 
 
 def test_paper_verify_only_filter():
