@@ -194,40 +194,52 @@ def is_balanced_bounded(p: Predicate, k_max: int) -> BalanceReport:
     """Exhaustive check of alternating sums of length 3, 5, ..., 2*k_max + 1.
 
     Returns the first (shortest) witness found, or "balanced up to k_max".
+
+    A breadth-first search over the partial sums after an odd number of
+    terms, sharing no code with the lattice route.  Each step adds one
+    difference t_add - t_sub, whose coordinates lie in {-1, 0, 1}, so after
+    k steps every coordinate of a state lies in [-k, k+1].  A state is kept
+    as the integer sum of v_j << (w*j), with 2**w > 2*k_max + 1: these
+    signed digits are recovered uniquely, a step is one integer addition,
+    and the state is a 0/1 point exactly when it is non-negative with no
+    bit outside the fields' lowest.  A step tries each distinct difference
+    once, in the order of its first (t_sub, t_add) pair, so every state
+    records the predecessor and pair that the tuple-by-tuple search would.
     """
     _require_boolean(p)
     if k_max < 1:
         raise PredicateError("k_max must be >= 1")
-    in_p = set(p.tuples)
-    tuples = p.tuples
-    # State = partial alternating sum after an odd number of terms.
-    seen = {t: (None, None, None) for t in tuples}  # state -> (prev, sub, add)
-    frontier = list(tuples)
+    w = (2 * k_max + 1).bit_length()
+    low = sum(1 << (w * j) for j in range(p.arity))  # the 0/1 points' bits
+
+    def code(t):
+        return sum(v << (w * j) for j, v in enumerate(t))
+
+    starts = {code(t): t for t in p.tuples}
+    steps = {}  # difference -> its first (t_sub, t_add)
+    for c_sub, t_sub in starts.items():
+        for c_add, t_add in starts.items():
+            steps.setdefault(c_add - c_sub, (t_sub, t_add))
+    seen = dict.fromkeys(starts)  # state -> (previous state, difference)
+    frontier = list(starts)
     for _ in range(k_max):
         nxt = []
         for s in frontier:
-            for t_sub in tuples:
-                partial = tuple(a - b for a, b in zip(s, t_sub))
-                for t_add in tuples:
-                    s2 = tuple(a + b for a, b in zip(partial, t_add))
-                    if s2 in seen:
-                        continue
-                    seen[s2] = (s, t_sub, t_add)
-                    nxt.append(s2)
-                    if all(v in (0, 1) for v in s2) and s2 not in in_p:
-                        seq = _trace(seen, s2)
-                        assert alternating_sum(seq) == s2
-                        return BalanceReport(False, "bounded", witness=seq,
-                                             result=s2, k_max=k_max)
+            for d in steps:
+                s2 = s + d
+                if s2 in seen:
+                    continue
+                seen[s2] = (s, d)
+                nxt.append(s2)
+                if s2 | low == low and s2 not in starts:
+                    result = tuple((s2 >> (w * j)) & 1 for j in range(p.arity))
+                    seq = []
+                    while seen[s2] is not None:
+                        s2, d = seen[s2]
+                        seq[:0] = steps[d]
+                    seq.insert(0, starts[s2])
+                    assert alternating_sum(seq) == result
+                    return BalanceReport(False, "bounded", witness=seq,
+                                         result=result, k_max=k_max)
         frontier = nxt
     return BalanceReport(True, "bounded", k_max=k_max)
-
-
-def _trace(seen, state):
-    steps = []
-    while True:
-        prev, t_sub, t_add = seen[state]
-        if prev is None:
-            return [state] + steps
-        steps = [t_sub, t_add] + steps
-        state = prev

@@ -8,7 +8,6 @@ tuples of a predicate tests the predicate's closure under these identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .predicates import Predicate, PredicateError
 
@@ -67,13 +66,48 @@ def catalan_matrix_check(p_plus: Predicate, columns):
 
 def catalan_search(p_plus: Predicate, max_len: int):
     """All odd-length column sequences (length 3..max_len, with repetition)
-    whose rows each reduce to one symbol forming a tuple outside p_plus."""
+    whose rows each reduce to one symbol forming a tuple outside p_plus.
+
+    Each length is walked depth first over the column sequences, in
+    `itertools.product` order, carrying every row's cancellation stack, so a
+    prefix shared by many sequences is cancelled once.  The walk keeps its
+    levels on lists, not on Python's call stack.  A row whose stack
+    holds more symbols than the columns left plus one can no longer reduce
+    to one symbol, so the walk prunes that branch.  The violations, and
+    their order, are those of `catalan_matrix_check` run on each sequence.
+    """
     if max_len % 2 == 0:
         raise PredicateError("max_len must be odd")
+    if max_len < 3:
+        raise PredicateError("max_len must be at least 3")
+    tuples = p_plus.tuples
+    member = set(tuples)
     violations = []
     for length in range(3, max_len + 1, 2):
-        for cols in product(p_plus.tuples, repeat=length):
-            residual, member = catalan_matrix_check(p_plus, cols)
-            if residual is not None and not member:
-                violations.append(CatalanViolation(list(cols), residual))
+        cols = []  # the columns placed
+        stacks = [[()] * p_plus.arity]  # each row's stack after each column
+        choices = [iter(tuples)]  # the columns still to try at each depth
+        while choices:
+            left = length - len(cols) - 1  # the columns after this one
+            for c in choices[-1]:
+                nxt = []
+                for st, s in zip(stacks[-1], c):
+                    st = st[:-1] if st and st[-1] == s else st + (s,)
+                    if len(st) > left + 1:
+                        break
+                    nxt.append(st)
+                else:
+                    if left:
+                        cols.append(c)
+                        stacks.append(nxt)
+                        choices.append(iter(tuples))
+                        break
+                    residual = tuple(st[0] for st in nxt)
+                    if residual not in member:
+                        violations.append(CatalanViolation(cols + [c], residual))
+            else:
+                choices.pop()
+                stacks.pop()
+                if cols:
+                    cols.pop()
     return violations

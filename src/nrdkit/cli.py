@@ -235,7 +235,8 @@ def cmd_find_substructure(args):
     res = substructure.search_families(
         src, tgt, sizes=sizes,
         max_results=1 if args.max_results is None else args.max_results,
-        max_families=args.search_budget or None, time_budget=args.time_budget)
+        max_families=args.search_budget or None, time_budget=args.time_budget,
+        conflict_budget=args.conflict_budget or None)
     out = {"found": len(res.certificates), "families_tried": res.families_tried,
            "exhausted": res.exhausted,
            "certificates": [c.to_dict() for c in res.certificates]}

@@ -342,7 +342,7 @@ class FamilySearchResult:
 
 def search_families(source: ConditionalPredicate, target: ConditionalPredicate,
                     sizes=None, max_results=1, max_families=None,
-                    time_budget=None):
+                    time_budget=None, conflict_budget=None):
     """Enumerate index families and report those admitting a substructure map.
 
     Families are products of subsets of the source coordinates, one subset
@@ -364,8 +364,9 @@ def search_families(source: ConditionalPredicate, target: ConditionalPredicate,
     would certify it.  Every other family is decided by the direct search
     on its plain tuple of sets.  Only a hit becomes an IndexFamily, checked
     once there, and goes through the SAT encoding, which makes and verifies
-    the certificate reported.  The direct search's tables are built once
-    for the pair and shared by every family and relaxation.
+    the certificate reported, with conflict_budget as the budget of each
+    hit's SAT run.  The direct search's tables are built once for the pair
+    and shared by every family and relaxation.
     """
     if max_results < 1:
         raise SubstructureError("max_results must be at least 1")
@@ -441,7 +442,7 @@ def search_families(source: ConditionalPredicate, target: ConditionalPredicate,
                 if direct_search(tables, sets) is None:
                     continue
                 fam = IndexFamily(r1, sets)
-                cert = find_substructure(source, target, fam)
+                cert = find_substructure(source, target, fam, conflict_budget)
                 if cert is None:
                     raise SubstructureError(
                         f"direct search and SAT disagree on family {fam.to_list()}")

@@ -6,13 +6,13 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nrdkit.balance import (IntLattice, UnsupportedDomainError,
-                            affine_solver, alternating_sum,
-                            expand_alternating, is_balanced_bounded,
-                            is_balanced_lattice)
+from nrdkit.balance import (BalanceReport, IntLattice,
+                            UnsupportedDomainError, affine_solver,
+                            alternating_sum, expand_alternating,
+                            is_balanced_bounded, is_balanced_lattice)
 from nrdkit.cancellation import catalan_search
-from nrdkit.catalog import EQ, ONE_IN_THREE, or_k
-from nrdkit.predicates import Predicate
+from nrdkit.catalog import EQ, ONE_IN_THREE, catalog, catalog_names, or_k
+from nrdkit.predicates import ConditionalPredicate, Predicate
 
 
 def boolean_predicates(max_r=4):
@@ -137,3 +137,54 @@ def test_balance_outputs_are_pinned():
     text = json.dumps(records, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "99f17b9d26c798d501d5d4ff1ff172b50f6faf1c1c453f94cfba60fe010e980d")
+
+
+def balanced_bounded_by_tuples(p, k_max):
+    """The reference search: the same breadth-first search with each state
+    a tuple, trying every (t_sub, t_add) pair in order."""
+    in_p = set(p.tuples)
+    seen = {t: None for t in p.tuples}  # state -> (prev, t_sub, t_add)
+    frontier = list(p.tuples)
+    for _ in range(k_max):
+        nxt = []
+        for s in frontier:
+            for t_sub in p.tuples:
+                for t_add in p.tuples:
+                    s2 = tuple(a - b + c for a, b, c in zip(s, t_sub, t_add))
+                    if s2 in seen:
+                        continue
+                    seen[s2] = (s, t_sub, t_add)
+                    nxt.append(s2)
+                    if all(v in (0, 1) for v in s2) and s2 not in in_p:
+                        seq, state = [], s2
+                        while seen[state] is not None:
+                            state, t_sub, t_add = seen[state]
+                            seq[:0] = [t_sub, t_add]
+                        return BalanceReport(False, "bounded", [state] + seq,
+                                             s2, k_max)
+        frontier = nxt
+    return BalanceReport(True, "bounded", k_max=k_max)
+
+
+def _boolean_catalog_and_seeded_predicates():
+    """The Boolean predicates of the catalog (pairs by their ambient), then
+    the 100 seeded predicates of test_balance_outputs_are_pinned."""
+    found = set()
+    for name in catalog_names():
+        p = catalog(name)
+        if isinstance(p, ConditionalPredicate):
+            p = p.ambient
+        if p.domain_size == 2 and p not in found:
+            found.add(p)
+            yield p
+    rng = random.Random(14)
+    for k in range(100):
+        r = 2 + k % 5
+        cube = list(product((0, 1), repeat=r))
+        yield Predicate(2, r, rng.sample(cube, rng.randint(1, len(cube))))
+
+
+def test_bounded_matches_the_reference():
+    for p in _boolean_catalog_and_seeded_predicates():
+        for k in (1, 2, 3):
+            assert is_balanced_bounded(p, k) == balanced_bounded_by_tuples(p, k)

@@ -1,12 +1,14 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nrdkit.cancellation import (cancel, cancel_random_order,
-                                 catalan_matrix_check, catalan_search)
-from nrdkit.catalog import BOOLBCK_PLUS, CAT5_PLUS
-from nrdkit.predicates import PredicateError
+from nrdkit.cancellation import (CatalanViolation, cancel,
+                                 cancel_random_order, catalan_matrix_check,
+                                 catalan_search)
+from nrdkit.catalog import BOOLBCK_PLUS, CAT5_PLUS, catalog, catalog_names
+from nrdkit.predicates import ConditionalPredicate, PredicateError
 
 
 def test_cancel_basic():
@@ -66,3 +68,43 @@ def test_search_reports_violations():
     assert residual == (0, 0) and not member
     found = catalan_search(p, 3)
     assert any(v.residual == (0, 0) for v in found)
+
+
+@pytest.mark.parametrize("max_len", [1, -1, 0, 2, 4])
+def test_search_rejects_a_max_len_that_searches_nothing(max_len):
+    with pytest.raises(PredicateError, match="max_len"):
+        catalan_search(CAT5_PLUS, max_len)
+
+
+def catalan_search_by_product(p_plus, max_len):
+    """The reference search: catalan_matrix_check on every column sequence,
+    in itertools.product order."""
+    violations = []
+    for length in range(3, max_len + 1, 2):
+        for cols in product(p_plus.tuples, repeat=length):
+            residual, member = catalan_matrix_check(p_plus, cols)
+            if residual is not None and not member:
+                violations.append(CatalanViolation(list(cols), residual))
+    return violations
+
+
+def _catalog_ambients():
+    """name -> predicate, one name per distinct predicate (a pair gives its
+    ambient, which catalan-search reads)."""
+    names = {}
+    for name in catalog_names():
+        p = catalog(name)
+        if isinstance(p, ConditionalPredicate):
+            p = p.ambient
+        names.setdefault(p, name)
+    return {name: p for p, name in names.items()}
+
+
+AMBIENTS = _catalog_ambients()
+
+
+@pytest.mark.parametrize("p", AMBIENTS.values(), ids=AMBIENTS.keys())
+def test_search_matches_the_reference_on_the_catalog(p):
+    # every predicate at length 3, and those with at most 8 tuples at 5
+    for max_len in (3, 5) if len(p.tuples) <= 8 else (3,):
+        assert catalan_search(p, max_len) == catalan_search_by_product(p, max_len)

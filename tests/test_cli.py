@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import nrdkit
-from nrdkit import hypergraph, tables
+from nrdkit import hypergraph, sat, substructure, tables
 from nrdkit.catalog import catalog
 from nrdkit.cli import main
 from nrdkit.generators import build_R1S1_instance, build_R2S2_instance
@@ -74,6 +74,16 @@ def test_cancel(capsys):
 def test_catalan_search(capsys):
     code, d = run_json(capsys, "catalan-search", "CAT5+", "--max-len", "3")
     assert code == 0 and d["violations"] == []
+
+
+@pytest.mark.parametrize("max_len, err", [
+    ("1", "nrd: max_len must be at least 3"),
+    ("-1", "nrd: max_len must be at least 3"),
+    ("4", "nrd: max_len must be odd")])
+def test_catalan_search_max_len_that_searches_nothing_exits_2(
+        capsys, max_len, err):
+    assert usage_error(capsys, "catalan-search", "CAT5+",
+                       "--max-len", max_len) == err
 
 
 def test_verify_nrd_roundtrip(tmp_path, capsys):
@@ -258,6 +268,23 @@ def test_find_substructure_conflict_budget_exits_1(tmp_path, capsys):
     assert code == 1 and out == ""
     assert err.startswith("nrd: SAT conflict budget of 1 exceeded with ")
     assert err.count("\n") == 1
+
+
+def test_find_substructure_without_family_passes_the_conflict_budget(
+        capsys, monkeypatch):
+    # every hit of the family search is re-derived through the SAT solver
+    budgets = []
+
+    def out_of_budget(formula, conflict_budget=None):
+        budgets.append(conflict_budget)
+        raise sat.ConflictBudgetExceeded(
+            f"SAT conflict budget of {conflict_budget} exceeded")
+    monkeypatch.setattr(substructure, "solve", out_of_budget)
+    code = main(["--conflict-budget", "1", "find-substructure", "C6*|C6",
+                 "3LIN*"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", "nrd: SAT conflict budget of 1 exceeded\n")
+    assert budgets == [1]
 
 
 @pytest.mark.parametrize("flag", ["--seed", "--workers"])

@@ -221,6 +221,20 @@ def test_partition_numbers_classes_in_order_of_first_appearance():
     assert t.partition(()) == ([0] * len(t.q1), [list(range(len(t.q1)))])
 
 
+def test_search_families_gives_each_hit_the_conflict_budget(monkeypatch):
+    budgets = []
+
+    def recorded(formula, conflict_budget=None):
+        budgets.append(conflict_budget)
+        return solve(formula, conflict_budget)
+    monkeypatch.setattr(substructure, "solve", recorded)
+    res = search_families(OR3_COND, THREELIN, max_results=2, conflict_budget=7)
+    assert len(res.certificates) == 2 and budgets == [7, 7]
+    budgets.clear()
+    search_families(OR3_COND, THREELIN, max_results=2)
+    assert budgets == [None, None]
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_search_families_rejects_max_results_below_one(n):
     with pytest.raises(SubstructureError, match="max_results"):
