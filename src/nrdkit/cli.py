@@ -5,9 +5,12 @@ to stderr.  Predicates are read from the catalog by name or from JSON files.
 Exit codes: 0 success, 1 failed check or exhausted budget (one line on
 stderr names the budget and the progress made) or an output pipe that the
 reader closed (no traceback), 2 usage error or an input path that cannot
-be read (missing, or a directory).  Environment variables
-NRD_CONFLICT_BUDGET and NRD_SEARCH_BUDGET mirror the corresponding flags;
-explicit flags win.
+be read (missing, or a directory).  The global budget flags
+--search-budget (read by nrd-exact and find-substructure) and
+--conflict-budget (read by find-substructure) are a usage error on any
+other subcommand.  Environment variables NRD_SEARCH_BUDGET and
+NRD_CONFLICT_BUDGET give their defaults, on every subcommand; explicit
+flags win.
 """
 
 from __future__ import annotations
@@ -26,6 +29,13 @@ log = logging.getLogger("nrd")
 
 class UsageError(Exception):
     """Bad command-line input; main prints its message and exits 2."""
+
+
+# each global budget flag: its environment default and the subcommands
+# that read it
+BUDGETS = {"search_budget": ("NRD_SEARCH_BUDGET", 2_000_000,
+                             ("nrd-exact", "find-substructure")),
+           "conflict_budget": ("NRD_CONFLICT_BUDGET", 0, ("find-substructure",))}
 
 
 def _env_int(name, default):
@@ -297,7 +307,7 @@ def cmd_build_instance(args):
             return 1
     if args.output:  # before stdout, so an unwritable path prints nothing
         with open(args.output, "w") as fh:
-            json.dump(inst.hypergraph.to_dict(), fh)
+            json.dump(out["instance"], fh)
     emit(args, out,
          f"{inst.name} q={inst.q}: {inst.n_vertices} vertices, "
          f"{inst.n_edges} edges" + (" (verified)" if args.verify else ""))
@@ -390,10 +400,9 @@ def build_parser():
                     "reference tables.")
     ap.add_argument("--json", action="store_true", help="machine-readable output")
     ap.add_argument("--conflict-budget", type=int,
-                    default=_env_int("NRD_CONFLICT_BUDGET", 0) or None,
-                    help="SAT conflict budget (0 = unlimited)")
+                    help="SAT conflict budget of find-substructure "
+                         "(0 = unlimited)")
     ap.add_argument("--search-budget", type=int,
-                    default=_env_int("NRD_SEARCH_BUDGET", 2_000_000),
                     help="cap on the feasibility checks of nrd-exact, "
                          "counted after its symmetry pruning, and on the "
                          "families find-substructure tries without --family "
@@ -505,10 +514,15 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                             format="%(levelname)s %(name)s: %(message)s")
-        for flag in ("search_budget", "conflict_budget"):
-            if (getattr(args, flag) or 0) < 0:
-                raise UsageError(f"nrd: --{flag.replace('_', '-')} must not "
-                                 "be negative")
+        for flag, (variable, default, readers) in BUDGETS.items():
+            name = flag.replace("_", "-")
+            if getattr(args, flag) is None:
+                setattr(args, flag, _env_int(variable, default))
+            elif args.command not in readers:
+                raise UsageError(f"nrd {args.command}: --{name} applies only "
+                                 f"to {' and '.join(readers)}")
+            if getattr(args, flag) < 0:
+                raise UsageError(f"nrd: --{name} must not be negative")
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code

@@ -7,18 +7,26 @@ as a binary constraint of the 6-cycle predicate pair C6* | C6 yields
 non-redundant instances.  The R1|S1 and R2|S2 instances are box products of
 instances (`box_product_instance`) of such graphs, and every proper
 projection of them collapses by a q+1 factor.
+
+Everything here works on vertex numbers: an instance is built from its
+index (`PartiteHypergraph.from_index`) and a witness is a row of values in
+vertex order.  Labels are made only at I/O: edge label tuples when an
+instance's `edges` is read, label dicts by `ShrinkingInstance.witness` and
+`.certificate`.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import deque
+import math
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .catalog import C6_COND, R1S1, R2S2
 from .hypergraph import (Hypergraph, InstanceError, NrdCertificate,
-                         PartiteHypergraph, check_witnesses)
+                         PartiteHypergraph, WitnessKernel, instance_index)
 from .predicates import ConditionalPredicate
 
 
@@ -42,142 +50,116 @@ def gen_girth6(q: int) -> PartiteHypergraph:
 
     Points and lines are the 1- and 2-dimensional subspaces of F_q^3, both
     labelled by their normalized coordinate vector; a point lies on a line
-    when the dot product vanishes.
+    when the dot product vanishes.  Edges run over points, then lines.
     """
     if not _is_prime(q):
         raise GeneratorError(f"q = {q} must be prime")
-    reps = []
-    for vec in product(range(q), repeat=3):
-        lead = next((x for x in vec if x != 0), None)
-        if lead == 1:
-            reps.append(vec)
+    reps = np.array([vec for vec in product(range(q), repeat=3)
+                     if next((x for x in vec if x != 0), None) == 1])
     assert len(reps) == q * q + q + 1
-    points = tuple("p" + "".join(map(str, v)) for v in reps)
-    lines = tuple("l" + "".join(map(str, v)) for v in reps)
-    edges = []
-    for pv, p in zip(reps, points):
-        for lv, l in zip(reps, lines):
-            if sum(a * b for a, b in zip(pv, lv)) % q == 0:
-                edges.append((p, l))
-    return PartiteHypergraph((points, lines), tuple(edges))
+    names = ["".join(map(str, v)) for v in reps.tolist()]
+    points, lines = np.nonzero(reps @ reps.T % q == 0)
+    return PartiteHypergraph.from_index(
+        (["p" + v for v in names], ["l" + v for v in names]),
+        np.array([points, lines + len(reps)]))
 
 
-def adjacency(graph: PartiteHypergraph):
-    adj = {v: [] for v in graph.vertices()}
-    for a, b in graph.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    return adj
+def _distances(index):
+    """All-pairs distances in the graph of an index (n where there is no
+    path), found breadth first from every vertex at once; and its
+    adjacency matrix."""
+    n = index.n
+    adj = np.zeros((n, n), dtype=np.float32)
+    adj[index.cols[0], index.cols[1]] = adj[index.cols[1], index.cols[0]] = 1
+    dist = np.where(np.eye(n, dtype=bool), 0, n)
+    reach = np.eye(n, dtype=np.float32)
+    for d in range(1, n):
+        reach = np.minimum(reach + reach @ adj, 1)
+        if not (new := (reach > 0) & (dist == n)).any():
+            break
+        dist[new] = d
+    return dist, adj
 
 
 def girth(graph: PartiteHypergraph):
-    """Length of the shortest cycle (math.inf for a forest)."""
-    import math
-
-    adj = adjacency(graph)
-    best = math.inf
-    for root in adj:
-        depth = {root: 0}
-        parent = {root: None}
-        queue = deque([root])
-        while queue:
-            w = queue.popleft()
-            if 2 * depth[w] >= best:
-                break
-            for x in adj[w]:
-                if x == parent[w]:
-                    continue
-                if x in depth:
-                    best = min(best, depth[w] + depth[x] + 1)
-                else:
-                    depth[x] = depth[w] + 1
-                    parent[x] = w
-                    queue.append(x)
-        # a vertex adjacent to w twice (multi-edge) cannot occur: edges unique
+    """Length of the shortest cycle (math.inf for a forest).  Seen from any
+    root, an edge whose ends are equally far closes an odd cycle, and a
+    vertex with two neighbours one step nearer an even one, each at most
+    as long as the walk; from a root on a shortest cycle, one of them is
+    that cycle."""
+    index = instance_index(graph, 2)
+    dist, adj = _distances(index)
+    du, dv = dist[:, index.cols[0]], dist[:, index.cols[1]]
+    odd = 2 * du[(du == dv) & (du < index.n)] + 1
+    best = int(odd.min()) if odd.size else math.inf
+    for d in range(1, index.n):
+        if 2 * d >= best:
+            break
+        if (((dist == d - 1).astype(np.float32) @ adj)[dist == d] > 1).any():
+            return 2 * d
     return best
 
 
-def _bfs_dist(adj, src):
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        w = queue.popleft()
-        for x in adj[w]:
-            if x not in dist:
-                dist[x] = dist[w] + 1
-                queue.append(x)
-    return dist
+# The 6-cycle c0..c5 alternates between the two parts, and _CYCLE_VALUE[i]
+# is the value of c_i; consecutive values enumerate the C6 tuples, with
+# (c0, c1) the excluded one.
+_CYCLE_VALUE = np.array([0, 0, 1, 2, 2, 1])
 
 
-# Distance labels h are folded onto the 6-cycle c0..c5, alternating between
-# the two parts; c_i values below list the cycle as left/right pairs whose
-# consecutive values enumerate the C6 tuples, with (c0, c1) the excluded one.
-_LEFT_VALUE = {0: 0, 2: 1, 4: 2}
-_RIGHT_VALUE = {1: 0, 3: 2, 5: 1}
+def girth6_witness(graph: PartiteHypergraph):
+    """One row of values per edge of an incidence graph, in vertex order:
+    row i violates edge i (value (0, 0)) while every other incidence takes a
+    value of the punctured 6-cycle.  Vertex w at signed distance h from edge
+    (u, v), -d(u, w) if that is the shorter, else 1 + d(v, w), takes the
+    value of c_(h mod 6), folded onto the cycle's far end past 3 steps from
+    either side; a vertex the edge cannot reach takes 1 (points) or 2
+    (lines).  Valid whenever girth >= 6; checked and refused otherwise."""
+    index = instance_index(graph, 2)
+    dist = _distances(index)[0]
+    du, dv = dist[index.cols[0]], dist[index.cols[1]]
+    h = np.where(du < dv, -du, 1 + dv)
+    fold = np.where(h > 3, 2 + h % 2, np.where(h < -2, 4 - h % 2, h % 6))
+    point = np.arange(index.n) < len(graph.parts[0])
+    rows = np.where(du == index.n, np.where(point, 1, 2), _CYCLE_VALUE[fold])
+    code = 3 * rows[:, index.cols[0]] + rows[:, index.cols[1]]
+    base = np.zeros(9, dtype=bool)
+    base[[3 * a + b for a, b in C6_COND.base.tuples]] = True
+    ok = base[code]
+    if np.diagonal(code).any():
+        raise InstanceError("constructed witness misses the excluded edge")
+    np.fill_diagonal(ok, True)
+    if not ok.all():
+        i, j = np.argwhere(~ok)[0].tolist()
+        raise InstanceError(f"constructed witness for {graph.edges[i]} fails "
+                            f"on {graph.edges[j]} (girth below 6?)")
+    return rows
 
 
-def _cycle_index(h):
-    if -2 <= h <= 3:
-        return h % 6
-    if h > 3:
-        return 2 if h % 2 == 0 else 3
-    return 4 if h % 2 == 0 else 3
-
-
-def girth6_witness(graph: PartiteHypergraph, edge, adj=None):
-    """Assignment violating `edge` (value (0,0)) while every other incidence
-    takes a value of the punctured 6-cycle.  Valid whenever girth >= 6;
-    checked edge-by-edge and refused otherwise."""
-    u, v = edge
-    if adj is None:
-        adj = adjacency(graph)
-    left = set(graph.parts[0])
-    if u not in left:
-        raise InstanceError("edge must be ordered (point, line)")
-    du = _bfs_dist(adj, u)
-    dv = _bfs_dist(adj, v)
-    assign = {}
-    for w in adj:
-        if w not in du:
-            assign[w] = 1 if w in left else 2
-            continue
-        h = -du[w] if du[w] < dv[w] else 1 + dv[w]
-        idx = _cycle_index(h)
-        assign[w] = _LEFT_VALUE[idx] if w in left else _RIGHT_VALUE[idx]
-    base = set(C6_COND.base.tuples)
-    for e in graph.edges:
-        val = (assign[e[0]], assign[e[1]])
-        if e == edge:
-            if val != (0, 0):
-                raise InstanceError("constructed witness misses the excluded edge")
-        elif val not in base:
-            raise InstanceError(
-                f"constructed witness fails on {e} (girth below 6?)")
-    return assign
-
-
-def _c6_factor(graph: PartiteHypergraph):
-    """The incidence graph with its witness function, cached per edge."""
-    adj = adjacency(graph)
-    return graph, functools.cache(
-        lambda edge: girth6_witness(graph, edge, adj=adj))
+def _witness_rows(make):
+    """A factor's witness function: edge numbers (an int or an array) to
+    the rows of the (m x n) table make() returns, made on first use."""
+    table = functools.cache(make)
+    return lambda i: table()[i]
 
 
 def box_product_instance(a, b):
     """Box product of two (instance, witness function) pairs: edges e + f,
-    a's edges outer, and the witness for e + f joins those for e and f.
+    a's edges outer, built on vertex numbers.  A witness function takes
+    edge numbers (an int or an int array) to value rows in vertex order;
+    the product's row for e + f joins a's row for e and b's for f.
 
     Partite when both factors are, else a plain Hypergraph over a's vertices
     then b's; a vertex in both factors raises InstanceError.
     """
     (ha, wa), (hb, wb) = a, b
-    edges = tuple(e + f for e in ha.edges for f in hb.edges)
+    ia, ib = instance_index(ha, ha.arity), instance_index(hb, hb.arity)
+    cols = np.concatenate([np.repeat(ia.cols, ib.m, axis=1),
+                           np.tile(ib.cols + ia.n, ia.m)])
     if isinstance(ha, PartiteHypergraph) and isinstance(hb, PartiteHypergraph):
-        h = PartiteHypergraph(ha.parts + hb.parts, edges)
+        h = PartiteHypergraph.from_index(ha.parts + hb.parts, cols)
     else:
-        h = Hypergraph(tuple(ha.vertices()) + tuple(hb.vertices()), edges)
-    r = ha.arity
-    return h, lambda edge: {**wa(edge[:r]), **wb(edge[r:])}
+        h = Hypergraph.from_index(ha.vertices() + hb.vertices(), cols)
+    return h, lambda k: np.concatenate([wa(k // ib.m), wb(k % ib.m)], axis=-1)
 
 
 # --- shrinking instances ---------------------------------------------
@@ -185,6 +167,9 @@ def box_product_instance(a, b):
 
 @dataclass
 class ShrinkingInstance:
+    """A built instance, its pair, and its constructed witnesses: _witness
+    takes edge numbers (an int or an int array) to value rows."""
+
     name: str
     q: int
     predicate: ConditionalPredicate
@@ -197,35 +182,45 @@ class ShrinkingInstance:
 
     @property
     def n_edges(self):
-        return len(self.hypergraph.edges)
+        return instance_index(self.hypergraph, self.hypergraph.arity).m
+
+    @functools.cached_property
+    def _edge_number(self):
+        return {e: i for i, e in enumerate(self.hypergraph.edges)}
 
     def witness(self, edge):
-        return self._witness(edge)
+        """The witness of edge, a tuple of labels, as {vertex: value}."""
+        return dict(zip(self.hypergraph.vertices(),
+                        self._witness(self._edge_number[edge]).tolist()))
 
     def certificate(self) -> NrdCertificate:
-        return NrdCertificate({e: self._witness(e) for e in self.hypergraph.edges})
+        rows = self._witness(np.arange(self.n_edges)).tolist()
+        vertices = self.hypergraph.vertices()
+        return NrdCertificate({e: dict(zip(vertices, row)) for e, row
+                               in zip(self.hypergraph.edges, rows)})
 
     def verify(self):
-        """None, or the NrdFailure of the first constructed witness to fail."""
-        edges = self.hypergraph.edges
-        return check_witnesses(self.hypergraph, self.predicate,
-                               lambda i: self._witness(edges[i]))
+        """None, or the NrdFailure of the first constructed witness to fail,
+        as check-given names it; the witnesses are checked as value rows."""
+        bad = WitnessKernel(self.hypergraph, self.predicate).check_values(
+            lambda lo, hi: self._witness(np.arange(lo, hi)))
+        return None if bad is None else bad.nrd_failure(self.hypergraph)
 
     def truncated(self, m: int) -> "ShrinkingInstance":
         """Exact edge count by deleting the largest-index edges; witnesses
         stay valid on any edge subset."""
         if not (0 < m <= self.n_edges):
             raise GeneratorError(f"m must be in [1, {self.n_edges}]")
-        sub = PartiteHypergraph(self.hypergraph.parts,
-                                self.hypergraph.edges[:m])
+        h = self.hypergraph
+        sub = PartiteHypergraph.from_index(
+            h.parts, instance_index(h, h.arity).cols[:, :m])
         return ShrinkingInstance(self.name, self.q, self.predicate, sub,
                                  self._witness)
 
 
-def _relabel(graph: PartiteHypergraph, prefix):
-    parts = tuple(tuple(prefix + v for v in p) for p in graph.parts)
-    edges = tuple(tuple(prefix + v for v in e) for e in graph.edges)
-    return PartiteHypergraph(parts, edges)
+def _c6_factor(graph: PartiteHypergraph):
+    """The incidence graph with its witness function."""
+    return graph, _witness_rows(lambda: girth6_witness(graph))
 
 
 def build_R1S1_instance(q: int, third_part_size: int = None) -> ShrinkingInstance:
@@ -236,17 +231,19 @@ def build_R1S1_instance(q: int, third_part_size: int = None) -> ShrinkingInstanc
     n3 = q * q + q + 1 if third_part_size is None else third_part_size
     if n3 < 1:
         raise GeneratorError("third part must be nonempty")
-    zs = tuple(f"z{k}" for k in range(n3))
-    slots = PartiteHypergraph((zs,), ((z,) for z in zs))
-    inst, witness = box_product_instance(_c6_factor(g), (slots, functools.cache(
-        lambda edge: {z: 0 if (z,) == edge else 1 for z in zs})))
+    slots = PartiteHypergraph.from_index([[f"z{k}" for k in range(n3)]],
+                                         np.arange(n3).reshape(1, n3))
+    inst, witness = box_product_instance(_c6_factor(g), (slots, _witness_rows(
+        lambda: 1 - np.eye(n3, dtype=np.intp))))
     return ShrinkingInstance("R1S1", q, R1S1, inst, witness)
 
 
 def build_R2S2_instance(q: int) -> ShrinkingInstance:
-    """Box product of two relabelled copies ("A.", "B.") of the incidence
-    graph: edges (p, l, p', l') for incidences (p, l) and (p', l')."""
-    g = gen_girth6(q)
-    inst, witness = box_product_instance(_c6_factor(_relabel(g, "A.")),
-                                         _c6_factor(_relabel(g, "B.")))
+    """Box product of two copies of the incidence graph, labelled "A." and
+    "B.": edges (p, l, p', l') for incidences (p, l) and (p', l')."""
+    g, witness = _c6_factor(gen_girth6(q))
+    cols = instance_index(g, 2).cols
+    inst, witness = box_product_instance(*(
+        (PartiteHypergraph.from_index([[prefix + v for v in p] for p in g.parts],
+                                      cols), witness) for prefix in ("A.", "B.")))
     return ShrinkingInstance("R2S2", q, R2S2, inst, witness)

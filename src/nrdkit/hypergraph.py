@@ -4,6 +4,11 @@ An instance of a CSP over predicate P is a hypergraph whose ordered edges are
 the constraint scopes.  It is non-redundant when every edge can be violated
 by an assignment satisfying all the others; for a conditional pair P | Q the
 violated edge must land in Q \\ P.
+
+Everything here runs on an instance's integer index (`instance_index`).
+Labels are made only at I/O: an instance built from its index
+(`from_index`) makes its edge label tuples when `edges` is first read, and
+a projection its vertex labels when `Projection.instance` is read.
 """
 
 from __future__ import annotations
@@ -57,8 +62,36 @@ def _labels(x):
     return labels
 
 
+class _Indexed:
+    """An instance made by `from_index` starts from its InstanceIndex and
+    makes its edge label tuples only when `edges` is first read."""
+
+    @classmethod
+    def from_index(cls, labels, cols):
+        """The instance over labels (its parts, or its vertex set) whose edge
+        i is cols[:, i] in vertex numbers.  For builders, whose edges are
+        distinct and in their parts by construction: only the labels are
+        checked."""
+        h, (field, what) = object.__new__(cls), cls._LABELS
+        object.__setattr__(h, field, tuple(map(tuple, labels)) if
+                           field == "parts" else tuple(labels))
+        _check_distinct(h.vertices(), what)
+        cols.setflags(write=False)
+        object.__setattr__(h, "_index", InstanceIndex(len(h.vertices()), cols))
+        return h
+
+    def __getattr__(self, name):
+        if name != "edges" or "_index" not in self.__dict__:
+            raise AttributeError(name)
+        cols = self._index.cols
+        edges = (tuple(zip(*np.array(self.vertices(), dtype=object)[cols].tolist()))
+                 if len(cols) else ((),) * cols.shape[1])
+        object.__setattr__(self, "edges", edges)
+        return edges
+
+
 @dataclass(frozen=True)
-class PartiteHypergraph:
+class PartiteHypergraph(_Indexed):
     """Parts V_1..V_r of string labels, edges in V_1 x ... x V_r."""
 
     parts: tuple
@@ -84,6 +117,8 @@ class PartiteHypergraph:
                 if v not in part_sets[i]:
                     raise InstanceError(f"edge {e}: vertex {v!r} not in part {i + 1}")
 
+    _LABELS = ("parts", "appears in two parts")
+
     @property
     def arity(self):
         return len(self.parts)
@@ -107,7 +142,7 @@ class PartiteHypergraph:
 
 
 @dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(_Indexed):
     """Plain (non-partite) instance: ordered edges over one vertex set."""
 
     vertex_set: tuple
@@ -125,6 +160,8 @@ class Hypergraph:
                 raise InstanceError(f"edge {e} does not match arity {r}")
             if not set(e) <= vs:
                 raise InstanceError(f"edge {e} uses unknown vertices")
+
+    _LABELS = ("vertex_set", "is listed twice")
 
     @property
     def arity(self):
@@ -162,9 +199,9 @@ class InstanceIndex(NamedTuple):
 def instance_index(h, r) -> InstanceIndex:
     """The read-only index of h, numbering h.vertices() in order; built on
     first use and kept on h.  InstanceError if h's edges are not r-ary."""
-    if h.edges and len(h.edges[0]) != r:
-        raise InstanceError(f"edge {h.edges[0]} does not match arity {r}")
     if "_index" not in h.__dict__ or h._index.cols.shape[0] != r:
+        if h.edges and len(h.edges[0]) != r:
+            raise InstanceError(f"edge {h.edges[0]} does not match arity {r}")
         number = {v: k for k, v in enumerate(h.vertices())}  # the one label map
         cols = np.fromiter(map(number.__getitem__, chain.from_iterable(h.edges)),
                            dtype=np.intp, count=len(h.edges) * r)
@@ -512,7 +549,7 @@ def verify_nrd(h, pq, mode="find-witnesses", certificate=None,
     and in forked children that never outlive the call, with the outcome
     of one process.  The budget decides in edge order and caps each
     process's trials too, so the work in all can reach w times the budget.
-    check-given: re-verify a supplied certificate with `check_witnesses`.
+    check-given: re-verify a supplied certificate with `WitnessKernel.check`.
     Returns an NrdCertificate on success, NrdFailure on the first bad edge.
     """
     pq = as_conditional(pq)
@@ -524,8 +561,8 @@ def verify_nrd(h, pq, mode="find-witnesses", certificate=None,
         edges = h.edges
         if set(certificate.witnesses) != set(edges):
             raise InstanceError("certificate must cover exactly the instance edges")
-        bad = check_witnesses(h, pq, lambda i: certificate.witnesses[edges[i]])
-        return certificate if bad is None else bad
+        bad = WitnessKernel(h, pq).check(lambda i: certificate.witnesses[edges[i]])
+        return certificate if bad is None else bad.nrd_failure(h)
     if mode != "find-witnesses":
         raise InstanceError(f"unknown mode {mode!r}")
     if h.edges and h.arity != pq.arity:
@@ -642,22 +679,6 @@ def _read_range(search, fh, lo, hi):
             yield None, t
             return
         yield rec[_RECORD.size:], t
-
-
-def check_witnesses(h, pq, witness):
-    """None if witness(i) is a witness for edge i, for every edge i; else
-    the NrdFailure of the first edge whose witness fails, with its reason."""
-    edges = h.edges
-    bad = WitnessKernel(h, pq).check(witness)
-    if bad is None:
-        return None
-    if bad.malformed is not None:
-        reason = str(bad.malformed)
-    elif bad.wrong == bad.edge:
-        reason = "witness does not (Q\\P)-satisfy its edge"
-    else:
-        reason = f"witness fails to P-satisfy {edges[bad.wrong]}"
-    return NrdFailure(edges[bad.edge], reason)
 
 
 # --- the witness kernel ----------------------------------------------
@@ -790,6 +811,17 @@ class WitnessFailure(NamedTuple):
     wrong: int | None = None
     outside: tuple | None = None
 
+    def nrd_failure(self, h):
+        """The NrdFailure naming the failing edge of h, with the reason."""
+        edges = h.edges
+        if self.malformed is not None:
+            reason = str(self.malformed)
+        elif self.wrong == self.edge:
+            reason = "witness does not (Q\\P)-satisfy its edge"
+        else:
+            reason = f"witness fails to P-satisfy {edges[self.wrong]}"
+        return NrdFailure(edges[self.edge], reason)
+
 
 class WitnessKernel:
     """The witness check of one instance for one predicate pair.
@@ -821,25 +853,38 @@ class WitnessKernel:
         first failing block, which is checked again one witness at a time:
         a malformed witness anywhere in a block fails the block as a
         whole."""
+        return self._check(lambda lo, hi: [witness(i) for i in range(lo, hi)],
+                           self._values)
+
+    def check_values(self, values):
+        """`check` for witnesses given as value rows: values(lo, hi) is an
+        integer array with one row per edge lo..hi-1, its witness's values
+        in vertex order.  A value outside [0, d) makes its witness
+        malformed, with the message `check` gives."""
+        return self._check(values, self._in_range)
+
+    def _check(self, block, validate):
         for lo in range(0, self.m, self.block):
-            psis = [witness(i) for i in range(lo, min(lo + self.block, self.m))]
-            if self._failure(psis, lo) is not None:
-                return next(filter(None, (self._failure([psi], lo + k)
-                                          for k, psi in enumerate(psis))))
+            witnesses = block(lo, min(lo + self.block, self.m))
+            if self._failure(validate, witnesses, lo) is not None:
+                return next(filter(None, (
+                    self._failure(validate, witnesses[k:k + 1], lo + k)
+                    for k in range(len(witnesses)))))
         return None
 
-    def _failure(self, psis, start):
-        """The WitnessFailure of the first psis[k] that is not a witness for
-        edge start + k, or None; a block with a malformed witness fails as
-        the witness of edge start."""
+    def _failure(self, validate, witnesses, start):
+        """The WitnessFailure of the first of the witnesses that is not a
+        witness for its edge, witness k for edge start + k, or None; a block
+        with a malformed witness fails as the witness of edge start.
+        validate makes them an (n x B) array of the table's dtype."""
         try:
-            vals = self._values(psis)
+            vals = validate(witnesses)
         except MalformedWitness as exc:
             return WitnessFailure(start, exc)
         numbers = self.tab.table.lookup(vals, self.cols)
         n_base, outside = self.tab.n_base, len(self.tab.tuples)
         ok = numbers < n_base
-        k = np.arange(len(psis))
+        k = np.arange(vals.shape[1])
         x = numbers[start + k, k]
         ok[start + k, k] = (n_base <= x) & (x < outside)
         if ok.all():
@@ -876,13 +921,18 @@ class WitnessKernel:
         try:
             vals = np.fromiter(chain.from_iterable(rows), dtype=np.intp,
                                count=len(rows) * n)
-            ok = not vals.size or (vals.min() >= 0 and vals.max() < self.d)
         except OverflowError:
-            ok = False
-        if not ok:
-            raise next(filter(None, map(self._malformed, psis)))
-        return np.ascontiguousarray(vals.reshape(len(rows), n).T,
-                                    dtype=self.tab.table.dtype)
+            raise next(filter(None, map(self._malformed, psis))) from None
+        return self._in_range(vals.reshape(len(rows), n))
+
+    def _in_range(self, rows):
+        """Value rows, one per witness, as the (n x B) array of the table's
+        dtype, after checking that each value is in [0, d); else the
+        MalformedWitness of the first bad witness."""
+        if rows.size and (rows.min() < 0 or rows.max() >= self.d):
+            raise next(filter(None, (self._malformed(dict(zip(self.vertices, w)))
+                                     for w in rows.tolist())))
+        return np.ascontiguousarray(rows.T, dtype=self.tab.table.dtype)
 
     def _malformed(self, psi):
         """The MalformedWitness naming psi's first problem (a missing vertex,
@@ -1070,18 +1120,42 @@ def projection_label(j, source_vertices):
     return f"{j}:" + ("|".join(source_vertices) if source_vertices else "()")
 
 
-def _first_use(rows, n):
-    """Number the distinct columns of rows (values in [0, n)) 0, 1, ... in
-    order of first use: (each column's number, each number's first column)."""
-    code, top = np.zeros(rows.shape[1], dtype=np.int64), 1
-    for row in rows:  # mixed radix, renumbered densely before it overflows
-        if top * n >= 1 << 62:
-            code = np.unique(code, return_inverse=True)[1].reshape(-1)
-            top = len(code)
-        code, top = code * n + row, top * n
-    _, first, code = np.unique(code, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return np.argsort(order)[code.reshape(-1)], first[order]
+def _bounds(h, index):
+    """(first vertex number, vertex count) of the vertices that each edge
+    position of h may hold: its part's, or all n in a plain instance."""
+    if not isinstance(h, PartiteHypergraph):
+        return [(0, index.n)] * index.cols.shape[0]
+    sizes = [len(p) for p in h.parts]
+    return list(zip(np.cumsum([0] + sizes[:-1]).tolist(), sizes))
+
+
+def _codes(rows, bounds, m):
+    """Mixed-radix codes of the m columns of rows, whose row p holds values
+    in [start, start + size) for (start, size) = bounds[p]; equal exactly
+    for equal columns.  Returns the codes and top, which bounds them."""
+    code, top = np.zeros(m, dtype=np.int64), 1
+    for row, (start, size) in zip(rows, bounds):
+        if top * size >= 1 << 62:  # renumbered densely before it overflows
+            code, top = np.unique(code, return_inverse=True)[1].reshape(-1), m
+        code *= size
+        code += row
+        code -= start
+        top *= size
+    if top > 2 * m + _TABLE_LIMIT:  # too sparse for a table of top entries
+        code, top = np.unique(code, return_inverse=True)[1].reshape(-1), m
+    return code, top
+
+
+def _first_use(code, top):
+    """Number the distinct entries of code (in [0, top)) 0, 1, ... in order
+    of first use: (each entry's number, each number's first entry)."""
+    m = len(code)
+    first = np.full(top, m, dtype=np.intp)
+    np.minimum.at(first, code, np.arange(m))
+    first = np.sort(first[first < m])
+    number = np.empty(top, dtype=np.intp)
+    number[code[first]] = np.arange(len(first))
+    return number[code], first
 
 
 class Projection:
@@ -1101,19 +1175,28 @@ def projection_map(h: PartiteHypergraph, fam: IndexFamily) -> Projection:
     """The instance whose part-j vertices are the distinct I_j-projections of
     the edges, in order of first use, and whose edges are the projected
     source edges in source order, colliding ones merged; computed on h's
-    index, with no vertex labels made until `Projection.instance` is read."""
+    index, each distinct index set once, with no vertex labels made until
+    `Projection.instance` is read."""
     if fam.source_arity != h.arity:
         raise InstanceError("index family arity does not match instance")
     index = instance_index(h, h.arity)
-    rows, sources, n = [], [], 0  # empty I -> one shared () vertex
-    for I in fam.sets:
-        key = index.cols[[i - 1 for i in I]]
-        number, first = _first_use(key, index.n)
-        rows.append(number + n)
-        sources.append(key[:, first])  # the source vertices of each vertex
-        n += len(first)
-    rows = np.array(rows, dtype=np.intp).reshape(len(rows), index.m)
-    cols = np.ascontiguousarray(rows[:, _first_use(rows, n)[1]])
+    bounds = _bounds(h, index)
+    numbered, rows, sources, n = {}, [], [], 0
+    for I in fam.sets:  # empty I -> one shared () vertex
+        if I not in numbered:  # each edge's vertex, each vertex's sources
+            pos = [i - 1 for i in I]
+            number, first = _first_use(*_codes(
+                [index.cols[p] for p in pos], [bounds[p] for p in pos], index.m))
+            numbered[I] = number, index.cols[:, first][pos]
+        number, source = numbered[I]
+        rows.append((number, n))
+        sources.append(source)
+        n += source.shape[1]
+    first = _first_use(*_codes(  # a repeated set repeats its row: once here
+        [number for number, _ in numbered.values()],
+        [(0, source.shape[1]) for _, source in numbered.values()], index.m))[1]
+    cols = np.array([number[first] + start for number, start in rows],
+                    dtype=np.intp).reshape(len(rows), len(first))
     cols.setflags(write=False)
 
     def make():
@@ -1121,9 +1204,7 @@ def projection_map(h: PartiteHypergraph, fam: IndexFamily) -> Projection:
         parts = [[projection_label(j, tuple(labels[v] for v in vs))
                   for vs in source.T.tolist()]
                  for j, source in enumerate(sources, 1)]
-        vertices = list(chain.from_iterable(parts))
-        return PartiteHypergraph(parts, (tuple(vertices[v] for v in e)
-                                         for e in cols.T.tolist()))
+        return PartiteHypergraph.from_index(parts, cols)
     return Projection(InstanceIndex(n, cols), make)
 
 
@@ -1146,12 +1227,18 @@ class ShrinkReport:
 
 def shrinking_report(h: PartiteHypergraph) -> ShrinkReport:
     """Projected edge counts |pi_I E| and factors |E| / |pi_I E| for every
-    nonempty proper subset I of [r], by size and then lexicographically."""
+    nonempty proper subset I of [r], by size and then lexicographically;
+    each count marks the mixed-radix codes of the projections in a table."""
     r = h.arity
     index = instance_index(h, r)
+    bounds = _bounds(h, index)
     rep = ShrinkReport(index.m)
     for size in range(1, r):
         for I in combinations(range(1, r + 1), size):
-            count = len(_first_use(index.cols[[i - 1 for i in I]], index.n)[1])
+            code, top = _codes([index.cols[i - 1] for i in I],
+                               [bounds[i - 1] for i in I], index.m)
+            seen = np.zeros(top, dtype=bool)
+            seen[code] = True
+            count = int(np.count_nonzero(seen))
             rep.factors[I] = (count, index.m / count if count else float("inf"))
     return rep

@@ -25,8 +25,8 @@ from .cancellation import cancel, catalan_matrix_check, catalan_search
 from .generators import (box_product_instance, build_R1S1_instance,
                          build_R2S2_instance, gen_girth6, girth)
 from .hypergraph import (Hypergraph, NrdCertificate, PartiteHypergraph,
-                         Projection, WitnessKernel, nrd_exact, projection_map,
-                         shrinking_report)
+                         Projection, WitnessKernel, instance_index, nrd_exact,
+                         projection_map, shrinking_report)
 from .predicates import ConditionalPredicate, Predicate, PredicateError, \
     box_product
 from .substructure import SubstructureCertificate, verify_certificate
@@ -138,7 +138,7 @@ def apply_reduction(h: PartiteHypergraph, cert: SubstructureCertificate,
     if not ok:
         raise PipelineError(f"invalid certificate: {problems}")
     proj = projection_map(h, cert.family)
-    if proj.index.m != len(h.edges):
+    if proj.index.m != instance_index(h, h.arity).m:
         raise PipelineError(
             "joint projection merges source edges; witnesses cannot transfer")
     result = ReductionResult(proj, False, proj.index.n, proj.index.m)
@@ -193,11 +193,17 @@ def build_plain_lb_instance(h: PartiteHypergraph, pq: ConditionalPredicate,
     r = pq.arity
     if v_prime_size < r:
         raise PipelineError(f"need at least r = {r} fresh vertices")
-    fresh = tuple(f"w{k}" for k in range(v_prime_size))
-    subsets = Hypergraph(fresh, combinations(fresh, r))
-    inst, witness = box_product_instance((h, witness_fn), (
-        subsets, lambda w: {v: 0 if v in w else 1 for v in fresh}))
-    return inst, NrdCertificate({e: witness(e) for e in inst.edges})
+    vertices, fresh = h.vertices(), [f"w{k}" for k in range(v_prime_size)]
+    rows = np.array([[witness_fn(e)[v] for v in vertices] for e in h.edges])
+    subsets = list(combinations(range(v_prime_size), r))
+    zeros = np.array([[0 if v in w else 1 for v in range(v_prime_size)]
+                      for w in subsets])
+    inst, witness = box_product_instance((h, rows.__getitem__), (
+        Hypergraph.from_index(fresh, np.array(subsets).T), zeros.__getitem__))
+    rows = witness(np.arange(len(inst.edges))).tolist()
+    vertices = inst.vertices()
+    return inst, NrdCertificate({e: dict(zip(vertices, row))
+                                 for e, row in zip(inst.edges, rows)})
 
 
 # --- the audit --------------------------------------------------------
@@ -360,7 +366,7 @@ def paper_verify(only=None, deep=True) -> AuditReport:
             out = {}
             for q in (2, 3):
                 g = gen_girth6(q)
-                n, m = sum(len(p) for p in g.parts), len(g.edges)
+                n, m = len(g.vertices()), instance_index(g, 2).m
                 _expect(n == 2 * (q * q + q + 1), "vertex count")
                 _expect(m == (q + 1) * (q * q + q + 1), "edge count")
                 _expect(girth(g) == 6, "girth")

@@ -235,6 +235,27 @@ def test_bad_sizes_and_budgets_exit_2(capsys, argv, err):
     assert usage_error(capsys, *argv) == err
 
 
+@pytest.mark.parametrize("flag, argv, readers", [
+    ("--search-budget", ["cancel", "0221221"], "nrd-exact and find-substructure"),
+    ("--conflict-budget", ["cancel", "0221221"], "find-substructure"),
+    ("--search-budget", ["paper-verify", "--shallow"],
+     "nrd-exact and find-substructure"),
+    ("--conflict-budget", ["nrd-exact", "EQ", "-n", "1"], "find-substructure"),
+    ("--search-budget", ["verify-substructure", "J1"],
+     "nrd-exact and find-substructure"),
+], ids=["search-cancel", "conflict-cancel", "search-paper-verify",
+        "conflict-nrd-exact", "search-verify-substructure"])
+def test_budget_flag_on_a_subcommand_that_ignores_it_exits_2(
+        monkeypatch, capsys, flag, argv, readers):
+    assert usage_error(capsys, flag, "1", *argv) == (
+        f"nrd {argv[0]}: {flag} applies only to {readers}")
+    # the environment's defaults reach every subcommand without a word
+    monkeypatch.setenv("NRD_SEARCH_BUDGET", "1")
+    monkeypatch.setenv("NRD_CONFLICT_BUDGET", "1")
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_negative_search_budget_from_environment_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("NRD_SEARCH_BUDGET", "-3")
     assert usage_error(capsys, "nrd-exact", "EQ", "-n", "3") == (
@@ -493,6 +514,21 @@ def test_shrink_report_output_is_pinned(tmp_path, capsys):
     assert _sha256_of_run(capsys, "shrink-report", "--instance",
                           _instance_file(tmp_path, build_R2S2_instance(2))) == (
         "113ec43f57aa9dab8fad91e3a2493d1a7c6527cda787a17a8e08b6efd9e07967")
+
+
+def test_audit_sized_outputs_are_pinned(tmp_path, capsys):
+    # the q=5 instances the deep audit builds, and the q=3 shrink report and
+    # counts-only J1 projection, as the labelled builders printed them
+    for name, digest in (
+            ("R1S1", "39cb26b1ed9b772c22bff3e198b46d7a4820a7f8b8abce273935126330a01e98"),
+            ("R2S2", "2e8b6722e92a546ea573292bfbd17f630da7ca517bb0eea35ed6ebdc94d9ba7b")):
+        assert _sha256_of_run(capsys, "build-instance", name, "-q", "5") == digest
+    f = _instance_file(tmp_path, build_R2S2_instance(3))
+    assert _sha256_of_run(capsys, "shrink-report", "--instance", f) == (
+        "1bfa470539357eeaec8c18b061ccaf86c0d5f4cce49492c8fae86419a7e1cce9")
+    assert _sha256_of_run(capsys, "reduce", "--instance", f,
+                          "--certificate", "J1") == (
+        "37aa6001fd4edce1cf51653d8143ed25914ca121ee07d720afbef8d19e9ccb77")
 
 
 @pytest.mark.parametrize("command", ["verify-nrd", "reduce"])

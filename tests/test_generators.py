@@ -3,17 +3,19 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from nrdkit import catalog
 from nrdkit.catalog import C6_COND, EQ, ONE_TWO_COND, or_k
-from nrdkit.generators import (GeneratorError, ShrinkingInstance, adjacency,
+from nrdkit.generators import (GeneratorError, ShrinkingInstance,
                                box_product_instance, build_R1S1_instance,
                                build_R2S2_instance, gen_girth6, girth,
                                girth6_witness)
 from nrdkit.hypergraph import (Hypergraph, InstanceError, NrdCertificate,
                                NrdFailure, PartiteHypergraph, as_conditional,
-                               nrd_exact, shrinking_report, verify_nrd)
+                               instance_index, nrd_exact, shrinking_report,
+                               verify_nrd)
 from nrdkit.predicates import box_product
 
 
@@ -24,8 +26,8 @@ def test_plane_parameters(q):
     assert len(g.parts[0]) == n1 and len(g.parts[1]) == n1
     assert len(g.edges) == (q + 1) * n1
     # (q+1)-regular on both sides
-    adj = adjacency(g)
-    assert all(len(nb) == q + 1 for nb in adj.values())
+    degree = np.bincount(instance_index(g, 2).cols.ravel())
+    assert len(degree) == 2 * n1 and (degree == q + 1).all()
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -49,10 +51,9 @@ def test_non_prime_rejected():
 
 def test_girth6_witness_fano():
     g = gen_girth6(2)
-    adj = adjacency(g)
     base = set(C6_COND.base.tuples)
-    for e in g.edges:
-        w = girth6_witness(g, e, adj=adj)
+    for e, row in zip(g.edges, girth6_witness(g).tolist()):
+        w = dict(zip(g.vertices(), row))
         assert (w[e[0]], w[e[1]]) == (0, 0)
         for e2 in g.edges:
             if e2 != e:
@@ -62,8 +63,8 @@ def test_girth6_witness_fano():
 def test_girth6_witness_refuses_short_cycles():
     c4 = PartiteHypergraph((("a", "b"), ("c", "d")),
                            (("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")))
-    with pytest.raises(Exception):
-        girth6_witness(c4, ("a", "c"))
+    with pytest.raises(InstanceError, match="girth below 6"):
+        girth6_witness(c4)
 
 
 def _incidence_graph(cycles, path=0):
@@ -101,8 +102,8 @@ def test_girth6_witness_far_and_unreachable_vertices(graph):
 
 def c6_certificate(g):
     """The constructed C6*|C6 certificate of a girth >= 6 incidence graph."""
-    adj = adjacency(g)
-    return NrdCertificate({e: girth6_witness(g, e, adj=adj) for e in g.edges})
+    return NrdCertificate({e: dict(zip(g.vertices(), row)) for e, row
+                           in zip(g.edges, girth6_witness(g).tolist())})
 
 
 def test_c6_certificate_passes_independent_check():
@@ -162,11 +163,12 @@ def test_verify_fails_as_check_given_fails():
     # each kind of bad constructed witness: on its own edge, on another edge,
     # and malformed; verify names the edge and reason check-given names
     inst = build_R1S1_instance(2)
-    h, edges, good = inst.hypergraph, inst.hypergraph.edges, inst.witness
+    h, edges, good = inst.hypergraph, inst.hypergraph.edges, inst._witness
     reasons = []
-    for bad in (lambda e: good(edges[1] if e == edges[0] else e),
-                lambda e: good(edges[0] if e == edges[1] else e),
-                lambda e: dict(good(e), z999=0) if e == edges[5] else good(e)):
+    for bad in (lambda k: good(np.where(k == 0, 1, k)),
+                lambda k: good(np.where(k == 1, 0, k)),
+                lambda k: np.where((np.arange(len(h.vertices())) == 0)
+                                   & (np.asarray(k) == 5)[..., None], 7, good(k))):
         broken = ShrinkingInstance(inst.name, inst.q, inst.predicate, h, bad)
         res = broken.verify()
         assert isinstance(res, NrdFailure)
@@ -176,7 +178,52 @@ def test_verify_fails_as_check_given_fails():
     assert reasons == [
         (edges[0], "witness does not (Q\\P)-satisfy its edge"),
         (edges[1], f"witness fails to P-satisfy {edges[0]}"),
-        (edges[5], "witness assigns 'z999', which is not a vertex of the instance")]
+        (edges[5], "witness value 7 for vertex 'p001' is not an integer in [0, 3)")]
+
+
+def _changed(good, changes):
+    """A witness function: good's rows, with values[k][v] = x for each
+    (k, v, x) of changes."""
+    def witness(k):
+        rows = np.array(good(k))
+        for i, v, x in changes:
+            rows[..., v] = np.where(np.asarray(k) == i, x, rows[..., v])
+        return rows
+    return witness
+
+
+@pytest.mark.parametrize("build", [lambda: build_R1S1_instance(3),
+                                   lambda: build_R2S2_instance(2)],
+                         ids=["R1S1-3", "R2S2-2"])
+def test_verify_on_value_rows_agrees_with_check_given(build):
+    # seeded changes to the constructed witnesses, in the domain and out of
+    # it, one at a time and all at once: verify, which checks value rows,
+    # names the edge and reason that check-given names for the same
+    # witnesses as label dicts
+    inst = build()
+    h, pq, good = inst.hypergraph, inst.predicate, inst._witness
+    d, rng = pq.domain_size, random.Random(29)
+    changes = []
+    for x in (None, None, None, None, d, -1, d + 5):
+        i, v = rng.randrange(inst.n_edges), rng.randrange(inst.n_vertices)
+        if x is None:
+            x = rng.choice([y for y in range(d) if y != good(i)[v]])
+        changes.append((i, v, x))
+    results = []
+    for change in [[c] for c in changes] + [changes]:
+        broken = ShrinkingInstance(inst.name, inst.q, pq, h, _changed(good, change))
+        res = broken.verify()
+        given = verify_nrd(h, pq, "check-given", broken.certificate())
+        assert (res is None) == isinstance(given, NrdCertificate)
+        if res is not None:
+            assert (res.failed_edge, res.reason) == (given.failed_edge,
+                                                     given.reason)
+        results.append(res)
+    assert sum(res is not None for res in results) >= 5
+    for (i, v, x), res in zip(changes[4:], results[4:]):
+        assert res == NrdFailure(h.edges[i], (
+            f"witness value {x} for vertex {h.vertices()[v]!r} is not an "
+            f"integer in [0, {d})"))
 
 
 def test_r1s1_find_witnesses_agrees_q2():
@@ -252,7 +299,8 @@ def _factor(pq, n, parts, prefix):
     h = _relabel(h, prefix)
     cert = verify_nrd(h, pq, mode="find-witnesses")
     assert isinstance(cert, NrdCertificate)
-    return h, cert.witnesses.__getitem__
+    return h, np.array([[cert.witnesses[e][v] for v in h.vertices()]
+                        for e in h.edges]).__getitem__
 
 
 def test_box_product_instance_is_non_redundant_for_the_box_product():
@@ -273,7 +321,8 @@ def test_box_product_instance_is_non_redundant_for_the_box_product():
         assert len(h.edges) == len(ha.edges) * len(hb.edges)
         assert isinstance(h, PartiteHypergraph) == (
             isinstance(ha, PartiteHypergraph) and isinstance(hb, PartiteHypergraph))
-        cert = NrdCertificate({e: witness(e) for e in h.edges})
+        cert = NrdCertificate({e: dict(zip(h.vertices(), witness(i).tolist()))
+                               for i, e in enumerate(h.edges)})
         assert isinstance(verify_nrd(h, box_product(pa, pb), mode="check-given",
                                      certificate=cert), NrdCertificate)
 

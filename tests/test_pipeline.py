@@ -458,10 +458,10 @@ def test_paper_verify_builds_each_instance_once_per_call(monkeypatch):
         return report(h)
     monkeypatch.setattr(pipeline, "shrinking_report", counted_report)
     checks = []
-    def counted_check(kernel, witness, check=hypergraph.WitnessKernel.check):
+    def counted_check(kernel, values, check=hypergraph.WitnessKernel.check_values):
         checks.append(kernel.m)
-        return check(kernel, witness)
-    monkeypatch.setattr(hypergraph.WitnessKernel, "check", counted_check)
+        return check(kernel, values)
+    monkeypatch.setattr(hypergraph.WitnessKernel, "check_values", counted_check)
     pairs = [(family, q) for family in ("R1S1", "R2S2") for q in (2, 3, 5)]
     for _ in range(2):  # every call rebuilds and re-measures from scratch
         builds.clear()
