@@ -1146,6 +1146,11 @@ def _codes(rows, bounds, m):
     return code, top
 
 
+def _narrow(n):
+    """int32 for numbers below n when they fit in it, else intp."""
+    return np.dtype(np.int32 if n <= 1 << 31 else np.intp)
+
+
 def _first_use(code, top):
     """Number the distinct entries of code (in [0, top)) 0, 1, ... in order
     of first use: (each entry's number, each number's first entry)."""
@@ -1153,7 +1158,7 @@ def _first_use(code, top):
     first = np.full(top, m, dtype=np.intp)
     np.minimum.at(first, code, np.arange(m))
     first = np.sort(first[first < m])
-    number = np.empty(top, dtype=np.intp)
+    number = np.empty(top, dtype=_narrow(m))
     number[code[first]] = np.arange(len(first))
     return number[code], first
 
@@ -1195,8 +1200,9 @@ def projection_map(h: PartiteHypergraph, fam: IndexFamily) -> Projection:
     first = _first_use(*_codes(  # a repeated set repeats its row: once here
         [number for number, _ in numbered.values()],
         [(0, source.shape[1]) for _, source in numbered.values()], index.m))[1]
-    cols = np.array([number[first] + start for number, start in rows],
-                    dtype=np.intp).reshape(len(rows), len(first))
+    cols = np.empty((len(rows), len(first)), dtype=_narrow(n))
+    for col, (number, start) in zip(cols, rows):
+        np.add(number[first], start, out=col, dtype=col.dtype)
     cols.setflags(write=False)
 
     def make():
