@@ -21,6 +21,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,6 +143,31 @@ def _witness_rows(make):
     return lambda i: table()[i]
 
 
+class _Joined(NamedTuple):
+    """A box product's witness function: the row of edge e + f (edge
+    numbers, an int or an int array) joins a's row for e and b's for f."""
+
+    wa: callable
+    wb: callable
+    na: int  # a's vertices
+    mb: int  # b's edges
+
+    def __call__(self, k):
+        return np.concatenate([self.wa(k // self.mb), self.wb(k % self.mb)],
+                              axis=-1)
+
+
+def _label_dicts(witness, vertices, m):
+    """The first m witnesses as {vertex: value}; a box product's join its
+    factors' dicts as its rows join theirs (a merge copies a dict's table,
+    where zip inserts each value)."""
+    if not isinstance(witness, _Joined):
+        return [dict(zip(vertices, row)) for row in witness(np.arange(m)).tolist()]
+    a = _label_dicts(witness.wa, vertices[:witness.na], -(-m // witness.mb))
+    b = _label_dicts(witness.wb, vertices[witness.na:], witness.mb)
+    return [{**x, **y} for x in a for y in b][:m]
+
+
 def box_product_instance(a, b):
     """Box product of two (instance, witness function) pairs: edges e + f,
     a's edges outer, built on vertex numbers.  A witness function takes
@@ -159,7 +185,7 @@ def box_product_instance(a, b):
         h = PartiteHypergraph.from_index(ha.parts + hb.parts, cols)
     else:
         h = Hypergraph.from_index(ha.vertices() + hb.vertices(), cols)
-    return h, lambda k: np.concatenate([wa(k // ib.m), wb(k % ib.m)], axis=-1)
+    return h, _Joined(wa, wb, ia.n, ib.m)
 
 
 # --- shrinking instances ---------------------------------------------
@@ -194,10 +220,9 @@ class ShrinkingInstance:
                         self._witness(self._edge_number[edge]).tolist()))
 
     def certificate(self) -> NrdCertificate:
-        rows = self._witness(np.arange(self.n_edges)).tolist()
-        vertices = self.hypergraph.vertices()
-        return NrdCertificate({e: dict(zip(vertices, row)) for e, row
-                               in zip(self.hypergraph.edges, rows)})
+        h = self.hypergraph
+        return NrdCertificate(dict(zip(h.edges, _label_dicts(
+            self._witness, h.vertices(), self.n_edges))))
 
     def verify(self):
         """None, or the NrdFailure of the first constructed witness to fail,

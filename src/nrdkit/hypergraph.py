@@ -83,9 +83,9 @@ class _Indexed:
     def __getattr__(self, name):
         if name != "edges" or "_index" not in self.__dict__:
             raise AttributeError(name)
-        cols = self._index.cols
-        edges = (tuple(zip(*np.array(self.vertices(), dtype=object)[cols].tolist()))
-                 if len(cols) else ((),) * cols.shape[1])
+        labels, cols = np.fromiter(self.vertices(), dtype=object), self._index.cols
+        edges = (tuple(zip(*labels[cols].tolist())) if len(cols)
+                 else ((),) * cols.shape[1])
         object.__setattr__(self, "edges", edges)
         return edges
 
