@@ -684,10 +684,11 @@ def _read_range(search, fh, lo, hi):
 # --- the witness kernel ----------------------------------------------
 
 # Entries in one level of a RadixTable; elements in the largest temporary
-# array of a block of witnesses (with uint16 elements, 2**16 checked R2S2
-# q=3 at about 11 us a witness, against 14 us with 2**15 and 10 us with
-# 2**17, whose arrays take twice the memory; R1S1 q=3 took 4-5 us with
-# each).
+# array of a block of witnesses.  Checking value rows of uint16 elements on
+# a 2-vCPU VM, 2**16 took about 12 us a witness by lookup on R2S2 q=3 less
+# one edge, against 18 us with 2**15 and 11 us with 2**17, whose arrays
+# take twice the memory; by counts, R2S2 q=3 took 4.0 us (6.8 and 2.7) and
+# R1S1 q=3 1.5 us (2.1 and 1.1).
 _TABLE_LIMIT = 1 << 16
 _BLOCK_LIMIT = 1 << 16
 
@@ -823,6 +824,78 @@ class WitnessFailure(NamedTuple):
         return NrdFailure(edges[self.edge], reason)
 
 
+class _ProductSplit:
+    """An instance whose edge set is U x V, checked by counts.
+
+    U and V are the distinct projections of the edges onto their first r1
+    positions and onto the rest, and every (u, v) pair is an edge.  So
+    the tuples of a witness on the m edges are the pairs of its tuples on U
+    and on V, and its edges outside P number h_U . N . h_V, where h_U and
+    h_V count its tuples on U and on V by code, and N is the pair's one-level
+    table read as 0/1 "not in P", d**r1 x d**(r - r1).  A witness passes
+    iff that count is 1 and its own edge's tuple is in Q \\ P, at
+    O(n + |U| + |V| + d**r) a witness.
+    """
+
+    def __init__(self, tab, cols, r1, ufirst, vfirst):
+        d, r = tab.d, cols.shape[0]
+        table = tab.table.tables[0]  # code sum(t[p] * d**p) -> position
+        self.cols, self.powers = cols, d ** np.arange(r)
+        self.in_q_minus_p = (tab.n_base <= table) & (table < len(tab.tuples))
+        self.du = d ** r1
+        # N[a, c] for the tuple coded a on U and c on V, code a + du * c
+        self.not_p = (table.reshape(-1, self.du).T >= tab.n_base).astype(np.intp)
+        self.width = self.du + self.not_p.shape[1]
+        # U's tuples then V's, each a column of vertices and of powers of d,
+        # padded with vertex 0 at power 0; V's codes offset by du, so that
+        # a witness's tuples on U and on V share one histogram of width bins
+        halves = (cols[:r1, ufirst], cols[r1:, vfirst])
+        depth = max(r1, r - r1)
+        self.vertices = np.zeros((depth, len(ufirst) + len(vfirst)), dtype=np.intp)
+        self.scales = np.zeros((depth, self.vertices.shape[1], 1), dtype=np.intp)
+        self.offsets = np.repeat([[0], [self.du]], [len(ufirst), len(vfirst)], axis=0)
+        at = 0
+        for half in halves:
+            rows, size = half.shape
+            self.vertices[:rows, at:at + size] = half
+            self.scales[:rows, at:at + size] = self.powers[:rows, None, None]
+            at += size
+
+    @classmethod
+    def find(cls, h, index, tab):
+        """The split of h's edges at the first r1 where they are U x V and
+        |U| + |V| + d**r < m, if the pair's table has one level; else
+        None."""
+        (r, m), d = index.cols.shape, tab.d
+        if len(tab.table.tables) != 1 or d ** r >= m:
+            return None
+        bounds = _bounds(h, index)
+        for r1 in range(1, r):
+            ufirst = _first_use(*_codes(index.cols[:r1], bounds[:r1], m))[1]
+            vfirst = _first_use(*_codes(index.cols[r1:], bounds[r1:], m))[1]
+            # the edges are distinct, so there are |U| |V| of them only if
+            # every (u, v) pair is one
+            if (len(ufirst) * len(vfirst) == m
+                    and len(ufirst) + len(vfirst) + d ** r < m):
+                return cls(tab, index.cols, r1, ufirst, vfirst)
+        return None
+
+    def passes(self, vals, start):
+        """Whether every witness of the (n x B) block vals, witness k for
+        edge start + k, passes by the counts."""
+        k = np.arange(vals.shape[1])
+        own = self.powers @ vals[self.cols[:, start:start + len(k)], k]
+        if not self.in_q_minus_p[own].all():
+            return False
+        codes = (vals[self.vertices] * self.scales).sum(axis=0)
+        codes += self.offsets + k * self.width
+        hist = np.bincount(codes.ravel(), minlength=len(k) * self.width
+                           ).reshape(len(k), self.width)
+        du = self.du
+        return bool((((hist[:, :du] @ self.not_p) * hist[:, du:]).sum(axis=1)
+                     == 1).all())
+
+
 class WitnessKernel:
     """The witness check of one instance for one predicate pair.
 
@@ -835,6 +908,11 @@ class WitnessKernel:
     B, is at most 2**16 / max(m, n) witnesses and at least one, so no
     temporary array of a block exceeds 2**16 elements unless one witness
     does (m > 2**16 edges).
+
+    A block of a box product such as R1S1 or R2S2 is first checked by
+    counts (`_ProductSplit`), at O(n + |U| + |V| + d**r) a witness instead
+    of O(m r); only a block the counts reject is numbered as above, so the
+    failure is the same.
     """
 
     def __init__(self, h, pq):
@@ -845,6 +923,7 @@ class WitnessKernel:
         self.tab = _tuple_tables(pq)
         self.block = max(1, _BLOCK_LIMIT // max(self.m, self.n, 1))
         self._get = _getter(self.vertices)
+        self._split = _ProductSplit.find(h, index, self.tab)
 
     def check(self, witness):
         """None if witness(i) is a witness for edge i, for every edge i; else
@@ -881,6 +960,8 @@ class WitnessKernel:
             vals = validate(witnesses)
         except MalformedWitness as exc:
             return WitnessFailure(start, exc)
+        if self._split is not None and self._split.passes(vals, start):
+            return None
         numbers = self.tab.table.lookup(vals, self.cols)
         n_base, outside = self.tab.n_base, len(self.tab.tuples)
         ok = numbers < n_base

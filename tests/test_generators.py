@@ -13,9 +13,9 @@ from nrdkit.generators import (GeneratorError, ShrinkingInstance,
                                build_R2S2_instance, gen_girth6, girth,
                                girth6_witness)
 from nrdkit.hypergraph import (Hypergraph, InstanceError, NrdCertificate,
-                               NrdFailure, PartiteHypergraph, as_conditional,
-                               instance_index, nrd_exact, shrinking_report,
-                               verify_nrd)
+                               NrdFailure, PartiteHypergraph, WitnessKernel,
+                               as_conditional, instance_index, nrd_exact,
+                               shrinking_report, verify_nrd)
 from nrdkit.predicates import box_product
 
 
@@ -224,6 +224,23 @@ def test_verify_on_value_rows_agrees_with_check_given(build):
         assert res == NrdFailure(h.edges[i], (
             f"witness value {x} for vertex {h.vertices()[v]!r} is not an "
             f"integer in [0, {d})"))
+
+
+def test_r1s1_q7_verifies_by_product_counts():
+    # 25 992 edges, checked by counts: a changed value in a row near the end
+    # fails at that edge, as the lookup of every edge fails that witness
+    inst = build_R1S1_instance(7)
+    h, pq, good = inst.hypergraph, inst.predicate, inst._witness
+    assert inst.n_edges == 25992 and inst.verify() is None
+    i = inst.n_edges - 3
+    bad = _changed(good, [(i, 0, (good(i)[0] + 1) % pq.domain_size)])
+    lookup = WitnessKernel(h, pq)
+    assert lookup._split is not None
+    lookup._split = None
+    want = lookup._failure(lookup._in_range, bad(np.arange(i, i + 1)), i)
+    assert want is not None and want.edge == i
+    broken = ShrinkingInstance(inst.name, inst.q, pq, h, bad)
+    assert broken.verify() == want.nrd_failure(h)
 
 
 def test_r1s1_find_witnesses_agrees_q2():

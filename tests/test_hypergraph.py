@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nrdkit import hypergraph
+from nrdkit import hypergraph, tables
 from nrdkit.catalog import C6, C6_COND, C6_STAR, EQ, ONE_IN_THREE, or_k
 from nrdkit.generators import build_R1S1_instance, build_R2S2_instance
 from nrdkit.hypergraph import (BudgetExceeded, Hypergraph, InstanceError,
                                InstanceIndex, NrdCertificate, NrdFailure,
                                PartiteHypergraph, RadixTable, WitnessKernel,
-                               WitnessSearch, as_conditional, instance_index,
-                               nrd_exact, nrd_exact_exhaustive,
+                               WitnessFailure, WitnessSearch, as_conditional,
+                               instance_index, nrd_exact, nrd_exact_exhaustive,
                                projection_label, projection_map,
                                shrinking_report, verify_nrd)
 from nrdkit.predicates import ConditionalPredicate, IndexFamily, Predicate
@@ -1164,15 +1164,104 @@ def _failure_key(failure):
     return failure._replace(malformed=failure.malformed and str(failure.malformed))
 
 
-@pytest.mark.parametrize("name", ["R1S1 q=3", "R2S2 q=2"])
+@pytest.mark.parametrize("builder", [build_R1S1_instance, build_R2S2_instance],
+                         ids=["R1S1", "R2S2"])
+@pytest.mark.parametrize("q", [2, 3])
+def test_product_instances_take_the_split_route(builder, q):
+    # edges U x V: witnesses are checked by counts; one edge fewer, or a
+    # projected instance, and every edge is looked up
+    inst = builder(q)
+    kernel = WitnessKernel(inst.hypergraph, inst.predicate)
+    assert kernel._split is not None
+    # and the constructed witnesses pass by counts, block by block
+    for lo in range(0, inst.n_edges, kernel.block):
+        rows = inst._witness(np.arange(lo, min(lo + kernel.block, inst.n_edges)))
+        assert kernel._split.passes(kernel._in_range(rows), lo)
+    cut = inst.truncated(inst.n_edges - 1)
+    assert WitnessKernel(cut.hypergraph, cut.predicate)._split is None
+    if builder is build_R2S2_instance:
+        cert = tables.certificate("J1")
+        target = projection_map(inst.hypergraph, cert.family).instance
+        assert WitnessKernel(target, cert.target)._split is None
+
+
+@pytest.mark.parametrize("size", [3, 4, 5])
+def test_count_route_on_a_grid(size):
+    # edges U x V over [0, 3): d**r < m from 4 x 4 on, and only from 5 x 5
+    # on is |U| + |V| + d**r < m.  Witness k is 1 on its edge and 0
+    # elsewhere, so its own tuple is (1, 1) and every other is in P; the
+    # witness of edge 7 is 2 on its edge instead, a tuple outside Q and its
+    # only one outside P
+    us, vs = [f"u{i}" for i in range(size)], [f"v{i}" for i in range(size)]
+    h = PartiteHypergraph((us, vs), tuple(product(us, vs)))
+    base = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2)]
+    pq = ConditionalPredicate(Predicate(3, 2, base), Predicate(3, 2, base + [(1, 1)]))
+    psis = [{v: int(v in e) for v in us + vs} for e in h.edges]
+    psis[7] = {v: 2 * x for v, x in psis[7].items()}
+    kernel = WitnessKernel(h, pq)
+    assert (kernel._split is not None) == (size == 5)
+    got = kernel.check(psis.__getitem__)
+    assert got == WitnessFailure(7, None, 7, (7, (2, 2)))
+    assert (got.edge, got.wrong, got.outside) == reference_failure(h, pq, psis)
+
+
+def reference_failure_key(h, pq, psis, changed):
+    """The kernel's answer by set lookups, as _failure_key gives it, when
+    only the witnesses at the indices in changed may fail; and what the
+    failing witness does wrong: "malformed", "own edge in P", "outside Q",
+    "second edge in Q\\P" (and no other edge outside P) or "other"; or
+    None."""
+    base, outside, q = (set(pq.base.tuples), set(pq.outside()),
+                        set(pq.ambient.tuples))
+    vertices, d = h.vertices(), pq.domain_size
+    for i in sorted(changed):
+        psi = psis[i]
+        missing = [v for v in vertices if v not in psi]
+        extra = [v for v in psi if v not in set(vertices)]
+        bad = [(v, psi[v]) for v in vertices if v in psi
+               and not (type(psi[v]) is int and 0 <= psi[v] < d)]
+        if missing or extra or bad:
+            msg = (f"witness has no value for vertex {missing[0]!r}" if missing
+                   else f"witness assigns {extra[0]!r}, which is not a vertex "
+                        "of the instance" if extra
+                   else f"witness value {bad[0][1]!r} for vertex {bad[0][0]!r} "
+                        f"is not an integer in [0, {d})")
+            return WitnessFailure(i, msg), "malformed"
+        tuples = [tuple(psi[v] for v in e) for e in h.edges]
+        wrong = [j for j, t in enumerate(tuples)
+                 if t not in (outside if j == i else base)]
+        if wrong:
+            out = next(((j, t) for j, t in enumerate(tuples) if t not in q), None)
+            kind = ("own edge in P" if tuples[i] in base else "outside Q" if out
+                    else "second edge in Q\\P" if len(wrong) == 1
+                    and sum(t not in base for t in tuples) == 2 else "other")
+            return WitnessFailure(i, None, wrong[0], out), kind
+    return None, None
+
+
+def second_edge_in_q_minus_p(h, psi, i):
+    """Give psi, the witness of edge i, the tuple of edge i on another edge
+    that differs from it only at the last position (on R1S1, another slot:
+    two edges outside P, both in Q \\ P)."""
+    e = h.edges[i]
+    f = next(f for f in h.edges if f[:-1] == e[:-1] and f != e)
+    psi[f[-1]] = psi[e[-1]]
+
+
+@pytest.mark.parametrize("name", ["R1S1 q=3", "R2S2 q=2", "R1S1 q=3 truncated",
+                                  "R2S2 q=2 truncated"])
 def test_kernel_answer_does_not_depend_on_the_block_size(name):
     # one witness per block, as at q=5, and the whole certificate in one
-    # block, against the default block
-    inst = r1s1(3) if name == "R1S1 q=3" else build_R2S2_instance(2)
+    # block, against the default block; a product instance checks by
+    # counts, its truncation edge by edge, and both agree with set lookups
+    inst = r1s1(3) if name.startswith("R1S1") else build_R2S2_instance(2)
+    if name.endswith("truncated"):
+        inst = inst.truncated(inst.n_edges - 1)
     h, pq = inst.hypergraph, inst.predicate
     edges, vertices, d = h.edges, h.vertices(), pq.domain_size
     psis = [inst.witness(e) for e in edges]
     kernels = [WitnessKernel(h, pq) for _ in range(3)]
+    assert (kernels[0]._split is None) == name.endswith("truncated")
     default = kernels[0].block
     kernels[1].block, kernels[2].block = 1, len(edges) + 5
     assert 1 < default < len(edges)
@@ -1180,6 +1269,7 @@ def test_kernel_answer_does_not_depend_on_the_block_size(name):
     corruptions = [
         lambda psi, i: psi.update(psis[i - 1]),              # a neighbour's
         lambda psi, i: psi.__setitem__(rng.choice(vertices), rng.randrange(d)),
+        lambda psi, i: second_edge_in_q_minus_p(h, psi, i),
         lambda psi, i: psi.__setitem__(rng.choice(vertices), d),
         lambda psi, i: psi.__setitem__(rng.choice(vertices), -1),
         lambda psi, i: psi.__setitem__(rng.choice(vertices), True),
@@ -1187,30 +1277,26 @@ def test_kernel_answer_does_not_depend_on_the_block_size(name):
         lambda psi, i: psi.__setitem__("stray", 0),
     ]
     assert all(k.check(psis.__getitem__) is None for k in kernels)
-    base, outside = set(pq.base.tuples), set(pq.outside())
     seen = set()
-    for _ in range(30):
+    for trial in range(48):
         bad, changed = list(psis), set()
-        for _ in range(rng.randint(1, 3)):
+        for c in range(rng.randint(1, 3)):
             # often at or next to a block edge of the default block
             i = rng.choice((rng.randrange(len(edges)),
                             default * rng.randrange(1, len(edges) // default)
                             + rng.choice((-1, 0, 1))))
             bad[i] = dict(bad[i])
-            rng.choice(corruptions)(bad[i], i)
+            corruptions[trial % len(corruptions) if c == 0
+                        else rng.randrange(len(corruptions))](bad[i], i)
             changed.add(i)
         got = [_failure_key(k.check(bad.__getitem__)) for k in kernels]
         assert got[0] == got[1] == got[2]
-        # the first changed witness that is malformed or fails, by set lookups
-        ref = next((i for i in sorted(changed) if set(bad[i]) != set(vertices)
-                    or any(type(x) is not int or not 0 <= x < d
-                           for x in bad[i].values())
-                    or any(tuple(bad[i][v] for v in e2)
-                           not in (outside if j == i else base)
-                           for j, e2 in enumerate(edges))), None)
-        assert (None if got[0] is None else got[0].edge) == ref
-        seen.add(got[0] is None or got[0].malformed is None)
-    assert seen == {True, False}
+        ref, kind = reference_failure_key(h, pq, bad, changed)
+        assert got[0] == ref
+        seen.add(kind)
+    # no change of a few values puts exactly two R2S2 edges outside P
+    assert seen >= {None, "malformed", "own edge in P", "outside Q",
+                    *["second edge in Q\\P"] * name.startswith("R1S1")}
 
 
 def block_case(changes):
