@@ -50,15 +50,16 @@ def gen_girth6(q: int) -> PartiteHypergraph:
     """Point-line incidence graph of the projective plane over F_q, q prime.
 
     Points and lines are the 1- and 2-dimensional subspaces of F_q^3, both
-    labelled by their normalized coordinate vector; a point lies on a line
-    when the dot product vanishes.  Edges run over points, then lines.
+    labelled by their normalized coordinate vector, joined with "," when
+    q > 10 (so that two-digit coordinates stay apart); a point lies on a
+    line when the dot product vanishes.  Edges run over points, then lines.
     """
     if not _is_prime(q):
         raise GeneratorError(f"q = {q} must be prime")
     reps = np.array([vec for vec in product(range(q), repeat=3)
                      if next((x for x in vec if x != 0), None) == 1])
     assert len(reps) == q * q + q + 1
-    names = ["".join(map(str, v)) for v in reps.tolist()]
+    names = [("," if q > 10 else "").join(map(str, v)) for v in reps.tolist()]
     points, lines = np.nonzero(reps @ reps.T % q == 0)
     return PartiteHypergraph.from_index(
         (["p" + v for v in names], ["l" + v for v in names]),
@@ -114,7 +115,8 @@ def girth6_witness(graph: PartiteHypergraph):
     (u, v), -d(u, w) if that is the shorter, else 1 + d(v, w), takes the
     value of c_(h mod 6), folded onto the cycle's far end past 3 steps from
     either side; a vertex the edge cannot reach takes 1 (points) or 2
-    (lines).  Valid whenever girth >= 6; checked and refused otherwise."""
+    (lines).  Valid whenever girth >= 6; checked by the witness kernel and
+    refused otherwise."""
     index = instance_index(graph, 2)
     dist = _distances(index)[0]
     du, dv = dist[index.cols[0]], dist[index.cols[1]]
@@ -122,17 +124,12 @@ def girth6_witness(graph: PartiteHypergraph):
     fold = np.where(h > 3, 2 + h % 2, np.where(h < -2, 4 - h % 2, h % 6))
     point = np.arange(index.n) < len(graph.parts[0])
     rows = np.where(du == index.n, np.where(point, 1, 2), _CYCLE_VALUE[fold])
-    code = 3 * rows[:, index.cols[0]] + rows[:, index.cols[1]]
-    base = np.zeros(9, dtype=bool)
-    base[[3 * a + b for a, b in C6_COND.base.tuples]] = True
-    ok = base[code]
-    if np.diagonal(code).any():
+    bad = WitnessKernel(graph, C6_COND).check_values(lambda lo, hi: rows[lo:hi])
+    if bad is not None and bad.wrong == bad.edge:
         raise InstanceError("constructed witness misses the excluded edge")
-    np.fill_diagonal(ok, True)
-    if not ok.all():
-        i, j = np.argwhere(~ok)[0].tolist()
-        raise InstanceError(f"constructed witness for {graph.edges[i]} fails "
-                            f"on {graph.edges[j]} (girth below 6?)")
+    if bad is not None:
+        raise InstanceError(f"constructed witness for {graph.edges[bad.edge]} "
+                            f"fails on {graph.edges[bad.wrong]} (girth below 6?)")
     return rows
 
 

@@ -37,11 +37,17 @@ class BudgetExceeded(RuntimeError):
         self.partial = partial
 
 
-def _check_distinct(vertices, what):
-    """Raise InstanceError naming the first vertex that occurs twice."""
-    if len(set(vertices)) != len(vertices):
-        dup = next(v for i, v in enumerate(vertices) if v in vertices[:i])
-        raise InstanceError(f"vertex {dup!r} {what}")
+def _check_distinct(parts, twice):
+    """Raise InstanceError naming the first vertex, in order, that occurs
+    twice in the parts (lists of labels): it "appears in two parts", or it
+    is `twice`, formatted with its part's number from 1, in one part."""
+    part = {}
+    for i, p in enumerate(parts, 1):
+        for v in p:
+            if v in part:
+                raise InstanceError(f"vertex {v!r} " + (
+                    twice.format(i) if part[v] == i else "appears in two parts"))
+            part[v] = i
 
 
 def _array(x):
@@ -72,10 +78,10 @@ class _Indexed:
         i is cols[:, i] in vertex numbers.  For builders, whose edges are
         distinct and in their parts by construction: only the labels are
         checked."""
-        h, (field, what) = object.__new__(cls), cls._LABELS
-        object.__setattr__(h, field, tuple(map(tuple, labels)) if
-                           field == "parts" else tuple(labels))
-        _check_distinct(h.vertices(), what)
+        h, (field, twice) = object.__new__(cls), cls._LABELS
+        parts = tuple(map(tuple, labels)) if field == "parts" else (tuple(labels),)
+        object.__setattr__(h, field, parts if field == "parts" else parts[0])
+        _check_distinct(parts, twice)
         cols.setflags(write=False)
         object.__setattr__(h, "_index", InstanceIndex(len(h.vertices()), cols))
         return h
@@ -102,7 +108,7 @@ class PartiteHypergraph(_Indexed):
         edges = tuple(map(tuple, self.edges))
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "edges", edges)
-        _check_distinct(list(chain.from_iterable(parts)), "appears in two parts")
+        _check_distinct(parts, self._LABELS[1])
         if len(set(edges)) != len(edges):
             raise InstanceError("duplicate edges are not allowed")
         part_sets = [set(p) for p in parts]
@@ -117,7 +123,7 @@ class PartiteHypergraph(_Indexed):
                 if v not in part_sets[i]:
                     raise InstanceError(f"edge {e}: vertex {v!r} not in part {i + 1}")
 
-    _LABELS = ("parts", "appears in two parts")
+    _LABELS = ("parts", "appears twice in part {}")
 
     @property
     def arity(self):
@@ -151,7 +157,7 @@ class Hypergraph(_Indexed):
     def __post_init__(self):
         object.__setattr__(self, "vertex_set", tuple(self.vertex_set))
         object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
-        _check_distinct(self.vertex_set, "is listed twice")
+        _check_distinct((self.vertex_set,), self._LABELS[1])
         vs, r = set(self.vertex_set), self.arity
         if len(set(self.edges)) != len(self.edges):
             raise InstanceError("duplicate edges are not allowed")
@@ -684,11 +690,10 @@ def _read_range(search, fh, lo, hi):
 # --- the witness kernel ----------------------------------------------
 
 # Entries in one level of a RadixTable; elements in the largest temporary
-# array of a block of witnesses.  Checking value rows of uint16 elements on
-# a 2-vCPU VM, 2**16 took about 12 us a witness by lookup on R2S2 q=3 less
-# one edge, against 18 us with 2**15 and 11 us with 2**17, whose arrays
-# take twice the memory; by counts, R2S2 q=3 took 4.0 us (6.8 and 2.7) and
-# R1S1 q=3 1.5 us (2.1 and 1.1).
+# array of a block of witnesses.  Checking value rows by lookup on R2S2 q=3
+# less one edge, 2**16 was about as fast as 2**17, whose arrays take twice
+# the memory, and faster than 2**15; by counts, larger blocks are faster
+# still, as each block pays a fixed cost in numpy calls.
 _TABLE_LIMIT = 1 << 16
 _BLOCK_LIMIT = 1 << 16
 
@@ -831,43 +836,31 @@ class _ProductSplit:
     positions and onto the rest, and every (u, v) pair is an edge.  So
     the tuples of a witness on the m edges are the pairs of its tuples on U
     and on V, and its edges outside P number h_U . N . h_V, where h_U and
-    h_V count its tuples on U and on V by code, and N is the pair's one-level
-    table read as 0/1 "not in P", d**r1 x d**(r - r1).  A witness passes
-    iff that count is 1 and its own edge's tuple is in Q \\ P, at
+    h_V count its tuples on U and on V by code sum(t[p] * d**p), and N is
+    the pair's 0/1 "not in P" matrix, d**r1 x d**(r - r1).  A witness
+    passes iff that count is 1 and its own edge's tuple is in Q \\ P, at
     O(n + |U| + |V| + d**r) a witness.
     """
 
     def __init__(self, tab, cols, r1, ufirst, vfirst):
         d, r = tab.d, cols.shape[0]
-        table = tab.table.tables[0]  # code sum(t[p] * d**p) -> position
-        self.cols, self.powers = cols, d ** np.arange(r)
-        self.in_q_minus_p = (tab.n_base <= table) & (table < len(tab.tuples))
-        self.du = d ** r1
-        # N[a, c] for the tuple coded a on U and c on V, code a + du * c
-        self.not_p = (table.reshape(-1, self.du).T >= tab.n_base).astype(np.intp)
-        self.width = self.du + self.not_p.shape[1]
-        # U's tuples then V's, each a column of vertices and of powers of d,
-        # padded with vertex 0 at power 0; V's codes offset by du, so that
-        # a witness's tuples on U and on V share one histogram of width bins
-        halves = (cols[:r1, ufirst], cols[r1:, vfirst])
-        depth = max(r1, r - r1)
-        self.vertices = np.zeros((depth, len(ufirst) + len(vfirst)), dtype=np.intp)
-        self.scales = np.zeros((depth, self.vertices.shape[1], 1), dtype=np.intp)
-        self.offsets = np.repeat([[0], [self.du]], [len(ufirst), len(vfirst)], axis=0)
-        at = 0
-        for half in halves:
-            rows, size = half.shape
-            self.vertices[:rows, at:at + size] = half
-            self.scales[:rows, at:at + size] = self.powers[:rows, None, None]
-            at += size
+        self.d, self.cols, self.powers = d, cols, d ** np.arange(r)
+        codes = np.asarray(tab.tuples, dtype=np.intp).reshape(-1, r) @ self.powers
+        self.in_q_minus_p = np.zeros(d ** r, dtype=bool)
+        self.in_q_minus_p[codes[tab.n_base:]] = True
+        # N[a, c] for the tuple coded a on U and c on V, code a + d**r1 * c
+        not_p = np.ones(d ** r, dtype=np.intp)
+        not_p[codes[:tab.n_base]] = 0
+        self.not_p = not_p.reshape(-1, d ** r1).T
+        self.halves = (cols[:r1, ufirst], cols[r1:, vfirst])
 
     @classmethod
     def find(cls, h, index, tab):
         """The split of h's edges at the first r1 where they are U x V and
-        |U| + |V| + d**r < m, if the pair's table has one level; else
+        |U| + |V| + d**r < m, if d**r fits one level of a RadixTable; else
         None."""
         (r, m), d = index.cols.shape, tab.d
-        if len(tab.table.tables) != 1 or d ** r >= m:
+        if d ** r > _TABLE_LIMIT or d ** r >= m:
             return None
         bounds = _bounds(h, index)
         for r1 in range(1, r):
@@ -887,13 +880,16 @@ class _ProductSplit:
         own = self.powers @ vals[self.cols[:, start:start + len(k)], k]
         if not self.in_q_minus_p[own].all():
             return False
-        codes = (vals[self.vertices] * self.scales).sum(axis=0)
-        codes += self.offsets + k * self.width
-        hist = np.bincount(codes.ravel(), minlength=len(k) * self.width
-                           ).reshape(len(k), self.width)
-        du = self.du
-        return bool((((hist[:, :du] @ self.not_p) * hist[:, du:]).sum(axis=1)
-                     == 1).all())
+        counts = []  # row k: witness k's tuples on U, then on V, by code
+        for half in self.halves:
+            size = self.d ** len(half)
+            codes = vals[half[0]]  # of vals' dtype, as codes < d**r <= 2**16
+            for p in range(1, len(half)):
+                codes = codes + vals[half[p]] * self.d ** p
+            counts.append(np.bincount((codes + k * size).ravel(),
+                                      minlength=len(k) * size).reshape(len(k), size))
+        hu, hv = counts
+        return bool((((hu @ self.not_p) * hv).sum(axis=1) == 1).all())
 
 
 class WitnessKernel:
@@ -910,9 +906,11 @@ class WitnessKernel:
     does (m > 2**16 edges).
 
     A block of a box product such as R1S1 or R2S2 is first checked by
-    counts (`_ProductSplit`), at O(n + |U| + |V| + d**r) a witness instead
-    of O(m r); only a block the counts reject is numbered as above, so the
-    failure is the same.
+    counts (`_ProductSplit`): two histograms of each witness's tuples, on
+    U and on V, weighed by a "not in P" matrix made from the pair's tuple
+    list, at O(n + |U| + |V| + d**r) a witness instead of O(m r); only a
+    block the counts reject is numbered as above, so the failure is the
+    same.
     """
 
     def __init__(self, h, pq):

@@ -458,6 +458,9 @@ def test_gen_girth6(capsys):
     assert len(d["edges"]) == 21
     assert main(["gen-girth6", "-q", "4"]) == 2  # non-prime -> usage error
     capsys.readouterr()
+    code, d = run_json(capsys, "gen-girth6", "-q", "13")  # two-digit coordinates
+    assert code == 0
+    assert sum(map(len, d["parts"])) == 366 and len(d["edges"]) == 2562
 
 
 def test_build_instance_and_shrink_report(tmp_path, capsys):

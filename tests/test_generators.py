@@ -19,20 +19,27 @@ from nrdkit.hypergraph import (Hypergraph, InstanceError, NrdCertificate,
 from nrdkit.predicates import box_product
 
 
-@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("q", [2, 3, 5, 13, 17])
 def test_plane_parameters(q):
     g = gen_girth6(q)
     n1 = q * q + q + 1
     assert len(g.parts[0]) == n1 and len(g.parts[1]) == n1
+    assert len(set(g.vertices())) == 2 * n1
     assert len(g.edges) == (q + 1) * n1
     # (q+1)-regular on both sides
     degree = np.bincount(instance_index(g, 2).cols.ravel())
     assert len(degree) == 2 * n1 and (degree == q + 1).all()
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 13, 17])
 def test_girth_is_six(q):
     assert girth(gen_girth6(q)) == 6
+
+
+def test_labels_join_coordinates_with_commas_past_q_ten():
+    # two-digit coordinates: (1, 1, 10) and (1, 11, 0) are two points
+    assert gen_girth6(7).parts[0][:3] == ("p001", "p010", "p011")
+    assert {"p1,1,10", "p1,11,0"} <= set(gen_girth6(13).parts[0])
 
 
 def test_girth_of_forest_and_small_cycle():
@@ -63,8 +70,10 @@ def test_girth6_witness_fano():
 def test_girth6_witness_refuses_short_cycles():
     c4 = PartiteHypergraph((("a", "b"), ("c", "d")),
                            (("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")))
-    with pytest.raises(InstanceError, match="girth below 6"):
+    with pytest.raises(InstanceError) as exc:
         girth6_witness(c4)
+    assert str(exc.value) == ("constructed witness for ('a', 'c') fails on "
+                              "('b', 'd') (girth below 6?)")
 
 
 def _incidence_graph(cycles, path=0):

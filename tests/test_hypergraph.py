@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nrdkit import hypergraph, tables
-from nrdkit.catalog import C6, C6_COND, C6_STAR, EQ, ONE_IN_THREE, or_k
-from nrdkit.generators import build_R1S1_instance, build_R2S2_instance
+from nrdkit.catalog import (C6, C6_COND, C6_STAR, EQ, ONE_IN_THREE,
+                            ONE_TWO_COND, R2S2, or_k)
+from nrdkit.generators import (ShrinkingInstance, box_product_instance,
+                               build_R1S1_instance, build_R2S2_instance)
 from nrdkit.hypergraph import (BudgetExceeded, Hypergraph, InstanceError,
                                InstanceIndex, NrdCertificate, NrdFailure,
                                PartiteHypergraph, RadixTable, WitnessKernel,
@@ -20,7 +22,8 @@ from nrdkit.hypergraph import (BudgetExceeded, Hypergraph, InstanceError,
                                instance_index, nrd_exact, nrd_exact_exhaustive,
                                projection_label, projection_map,
                                shrinking_report, verify_nrd)
-from nrdkit.predicates import ConditionalPredicate, IndexFamily, Predicate
+from nrdkit.predicates import (ConditionalPredicate, IndexFamily, Predicate,
+                               box_product)
 
 
 def path_instance(n):
@@ -816,12 +819,13 @@ def reference_shrink_counts(h, families):
 
 def reference_partite_error(parts, edges):
     """The message of the per-edge validation loop, or None."""
-    seen = set()
-    for p in parts:
+    seen = {}
+    for i, p in enumerate(parts):
         for v in p:
             if v in seen:
-                return f"vertex {v!r} appears in two parts"
-            seen.add(v)
+                return (f"vertex {v!r} appears twice in part {i + 1}"
+                        if seen[v] == i else f"vertex {v!r} appears in two parts")
+            seen[v] = i
     part_sets = [set(p) for p in parts]
     if len(set(edges)) != len(edges):
         return "duplicate edges are not allowed"
@@ -872,9 +876,12 @@ def test_partite_validation_matches_reference_loop():
     errors = set()
     for _ in range(400):
         parts, edges = random_partite(rng)
-        change = rng.randrange(5)
+        change = rng.randrange(6)
         if change == 0 and len(parts) > 1:    # a vertex in two parts
             parts[-1].append(rng.choice(parts[0]))
+        elif change == 4:                     # a vertex twice in one part
+            p = rng.choice(parts)
+            p.insert(rng.randrange(len(p) + 1), rng.choice(p))
         elif change == 1 and edges:           # a duplicate edge
             edges.append(rng.choice(edges))
         elif change == 2 and edges:           # a short or long edge
@@ -891,7 +898,7 @@ def test_partite_validation_matches_reference_loop():
                 PartiteHypergraph(parts, edges)
             assert str(exc.value) == want
             errors.add(change)
-    assert errors == {0, 1, 2, 3}
+    assert errors == {0, 1, 2, 3, 4}
 
 
 # --- the witness kernel on adversarial certificates -------------------
@@ -1164,8 +1171,20 @@ def _failure_key(failure):
     return failure._replace(malformed=failure.malformed and str(failure.malformed))
 
 
-@pytest.mark.parametrize("builder", [build_R1S1_instance, build_R2S2_instance],
-                         ids=["R1S1", "R2S2"])
+def r2s2_slots(q):
+    """R2S2 times two unary slots for ONE_TWO_COND: a box product whose
+    second half, (p', l', z), has three positions."""
+    inst = build_R2S2_instance(q)
+    slots = PartiteHypergraph.from_index([["z0", "z1"]], np.arange(2).reshape(1, 2))
+    h, witness = box_product_instance(
+        (inst.hypergraph, inst._witness),
+        (slots, lambda i: 1 - np.eye(2, dtype=np.intp)[i]))
+    return ShrinkingInstance("R2S2xZ", q, box_product(R2S2, ONE_TWO_COND), h,
+                             witness)
+
+
+@pytest.mark.parametrize("builder", [build_R1S1_instance, build_R2S2_instance,
+                                     r2s2_slots], ids=["R1S1", "R2S2", "R2S2xZ"])
 @pytest.mark.parametrize("q", [2, 3])
 def test_product_instances_take_the_split_route(builder, q):
     # edges U x V: witnesses are checked by counts; one edge fewer, or a
@@ -1297,6 +1316,49 @@ def test_kernel_answer_does_not_depend_on_the_block_size(name):
     # no change of a few values puts exactly two R2S2 edges outside P
     assert seen >= {None, "malformed", "own edge in P", "outside Q",
                     *["second edge in Q\\P"] * name.startswith("R1S1")}
+
+
+def test_count_route_with_vertices_in_both_halves():
+    # a plain instance whose edges are U x V for U = v0..v5 and V = v1..v6:
+    # the vertices v1..v5 sit in both halves, and (v, v) is an edge.  The
+    # witness of (a, b) is 0 on a and 1 on b, or 2 on v for (v, v), and 3
+    # elsewhere; seeded corruptions fail as by set lookups
+    us, vs = [f"v{i}" for i in range(6)], [f"v{i}" for i in range(1, 7)]
+    vertices = [f"v{i}" for i in range(7)]
+    h = Hypergraph(vertices, tuple(product(us, vs)))
+    q = [t for t in product(range(4), repeat=2) if t not in {(1, 2), (2, 1)}]
+    pq = ConditionalPredicate(
+        Predicate(4, 2, [t for t in q if t not in {(0, 1), (2, 2)}]),
+        Predicate(4, 2, q))
+    psis = [{v: 2 if a == b == v else 0 if v == a else 1 if v == b else 3
+             for v in vertices} for a, b in h.edges]
+    kernels = [WitnessKernel(h, pq) for _ in range(2)]
+    kernels[1].block = 1
+    assert kernels[0]._split is not None and kernels[0].block > len(psis)
+    assert all(k.check(psis.__getitem__) is None for k in kernels)
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(64):
+        bad, changed = list(psis), set()
+        for _ in range(rng.randint(1, 2)):
+            i = rng.randrange(len(psis))
+            bad[i] = dict(bad[i])
+            kind = rng.choice((0, 0, 0, 1, 2, 3))
+            if kind == 0:
+                bad[i][rng.choice(vertices)] = rng.randrange(4)
+            elif kind == 1:
+                bad[i][rng.choice(vertices)] = rng.choice((4, -1, True))
+            elif kind == 2:
+                bad[i].pop(rng.choice(vertices))
+            else:
+                bad[i].update(psis[i - 1])
+            changed.add(i)
+        got = [_failure_key(k.check(bad.__getitem__)) for k in kernels]
+        ref, kind = reference_failure_key(h, pq, bad, changed)
+        assert got[0] == got[1] == ref
+        seen.add(kind)
+    assert seen >= {None, "malformed", "own edge in P", "outside Q",
+                    "second edge in Q\\P"}
 
 
 def block_case(changes):

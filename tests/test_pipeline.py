@@ -470,12 +470,13 @@ def test_paper_verify_builds_each_instance_once_per_call(monkeypatch):
         assert paper_verify().exit_code == 0
         assert sorted(builds) == pairs
         assert len(reports) == len(pairs)  # one shrink report per (family, q)
-        # one check of each source certificate at q = 2, 3, which the
-        # pipelines' witness transfer reads too
-        assert sorted(checks) == [147, 441, 676, 2704]
+        # one check of each C6 factor's witnesses at q = 2, 3 per builder
+        # (R2S2's two copies share one), then one of each source
+        # certificate, which the pipelines' witness transfer reads too
+        assert sorted(checks) == [21, 21, 52, 52, 147, 441, 676, 2704]
     checks.clear()
     assert paper_verify(only=["pipelines"]).exit_code == 0
-    assert sorted(checks) == [147, 441, 676, 2704]
+    assert sorted(checks) == [21, 21, 52, 52, 147, 441, 676, 2704]
 
 
 def test_constructed_witnesses_are_checked_without_a_certificate(monkeypatch):
