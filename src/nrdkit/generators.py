@@ -158,6 +158,8 @@ def _label_dicts(witness, vertices, m):
     """The first m witnesses as {vertex: value}; a box product's join its
     factors' dicts as its rows join theirs (a merge copies a dict's table,
     where zip inserts each value)."""
+    if not m:  # b may have no edges, and then m is 0
+        return []
     if not isinstance(witness, _Joined):
         return [dict(zip(vertices, row)) for row in witness(np.arange(m)).tolist()]
     a = _label_dicts(witness.wa, vertices[:witness.na], -(-m // witness.mb))

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import functools
 import os
+import pickle
 import signal
-import struct
 from dataclasses import dataclass, field
 from itertools import chain, combinations, product
 from operator import itemgetter
@@ -579,10 +579,6 @@ def verify_nrd(h, pq, mode="find-witnesses", certificate=None,
 # Fewest edges a process of a split find-witnesses searches, so that R1S1
 # q=2 (147 edges) and R2S2 q=2 (441) stay in one process.
 _SPLIT_MIN_EDGES = 256
-# A child's record of one edge: its trials, whether it has a witness, and
-# the witness's values in vertex order (one byte each, since a domain has
-# at most 256 values; zeros without a witness).
-_RECORD = struct.Struct("<q?")
 
 
 def _workers(m):
@@ -646,11 +642,13 @@ def _search_range(search, lo, hi):
 
 
 def _fork_range(search, lo, hi):
-    """Fork a child that searches the edges lo..hi-1 and writes their
-    records to a pipe; return its pid (None if the fork failed) and the
-    pipe's read end.  The child runs only the pure-Python search (never
-    numpy, whose threads a fork does not copy) and writes once at the end,
-    so that it never waits for the parent to read."""
+    """Fork a child that searches the edges lo..hi-1 and writes the list
+    _search_range yields, pickled, to a pipe (each witness's values as
+    bytes, one byte a value, since a domain has at most 256 values); return
+    its pid (None if the fork failed) and the pipe's read end.  The child
+    runs only the pure-Python search (never numpy, whose threads a fork does
+    not copy) and writes once at the end, so that it never waits for the
+    parent to read."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -658,12 +656,10 @@ def _fork_range(search, lo, hi):
         pid = None
     if pid == 0:
         try:  # whatever happens, the child never returns to the caller
-            out = bytearray()
-            for values, t in _search_range(search, lo, hi):
-                out += _RECORD.pack(t, values is not None)
-                out += bytes(search.n) if values is None else bytes(values)
+            outcomes = [(None if values is None else bytes(values), t)
+                        for values, t in _search_range(search, lo, hi)]
             with open(w, "wb") as fh:
-                fh.write(out)
+                pickle.dump(outcomes, fh)
         finally:
             os._exit(0)
     os.close(w)
@@ -671,20 +667,15 @@ def _fork_range(search, lo, hi):
 
 
 def _read_range(search, fh, lo, hi):
-    """What _search_range(search, lo, hi) yields, read from a child's
-    records (the values as bytes), and searched here from the first record
-    missing or cut short (the child died)."""
-    size = _RECORD.size + search.n
-    for i in range(lo, hi):
-        rec = fh.read(size)
-        if len(rec) < size:
-            yield from _search_range(search, i, hi)
-            return
-        t, found = _RECORD.unpack_from(rec)
-        if not found:
-            yield None, t
-            return
-        yield rec[_RECORD.size:], t
+    """What _search_range(search, lo, hi) yields: the list a child pickled,
+    or, if the child died, its fork failed or its stream was cut off, the
+    whole range searched here.  A generator, so that the caller searches
+    its own range before it waits for a child."""
+    try:
+        outcomes = pickle.load(fh)
+    except (EOFError, pickle.UnpicklingError):
+        outcomes = _search_range(search, lo, hi)
+    yield from outcomes
 
 
 # --- the witness kernel ----------------------------------------------
@@ -926,38 +917,35 @@ class WitnessKernel:
     def check(self, witness):
         """None if witness(i) is a witness for edge i, for every edge i; else
         the WitnessFailure of the first i in edge order for which it is not.
-        witness is called once per edge, in edge order, and never past the
-        first failing block, which is checked again one witness at a time:
-        a malformed witness anywhere in a block fails the block as a
-        whole."""
-        return self._check(lambda lo, hi: [witness(i) for i in range(lo, hi)],
-                           self._values)
+        witness is called once per edge, in edge order, a block at a time,
+        and never past the first failing block.  A block is checked in one
+        pass: its witnesses before the first malformed one as one array,
+        and the malformed one only if they all pass."""
+        return self._check(
+            lambda lo, hi: self._values([witness(i) for i in range(lo, hi)]))
 
     def check_values(self, values):
         """`check` for witnesses given as value rows: values(lo, hi) is an
         integer array with one row per edge lo..hi-1, its witness's values
         in vertex order.  A value outside [0, d) makes its witness
         malformed, with the message `check` gives."""
-        return self._check(values, self._in_range)
+        return self._check(lambda lo, hi: self._in_range(values(lo, hi)))
 
-    def _check(self, block, validate):
+    def _check(self, block):
+        """block(lo, hi) returns the witnesses of edges lo..hi-1 before the
+        first malformed one, as an (n x k) array of the table's dtype, and
+        the MalformedWitness of witness k (None if there is none)."""
         for lo in range(0, self.m, self.block):
-            witnesses = block(lo, min(lo + self.block, self.m))
-            if self._failure(validate, witnesses, lo) is not None:
-                return next(filter(None, (
-                    self._failure(validate, witnesses[k:k + 1], lo + k)
-                    for k in range(len(witnesses)))))
+            vals, malformed = block(lo, min(lo + self.block, self.m))
+            failure = self._failure(vals, lo)
+            if failure is not None or malformed is not None:
+                return failure or WitnessFailure(lo + vals.shape[1], malformed)
         return None
 
-    def _failure(self, validate, witnesses, start):
-        """The WitnessFailure of the first of the witnesses that is not a
-        witness for its edge, witness k for edge start + k, or None; a block
-        with a malformed witness fails as the witness of edge start.
-        validate makes them an (n x B) array of the table's dtype."""
-        try:
-            vals = validate(witnesses)
-        except MalformedWitness as exc:
-            return WitnessFailure(start, exc)
+    def _failure(self, vals, start):
+        """The WitnessFailure of the first witness of the (n x B) array vals
+        that is not a witness for its edge, witness k for edge start + k, or
+        None."""
         if self._split is not None and self._split.passes(vals, start):
             return None
         numbers = self.tab.table.lookup(vals, self.cols)
@@ -978,40 +966,43 @@ class WitnessKernel:
             outside=(j, tuple(vals[self.cols[:, j], k].tolist())))
 
     def _values(self, psis):
-        """The witnesses as an (n x len(psis)) array of the table's dtype, a
-        row per vertex in vertex order, after checking that each assigns
-        exactly the instance's vertices, each an integer in [0, d) (numpy
-        integers too).  Raises MalformedWitness naming the first problem of
-        the first malformed witness."""
+        """`_in_range` for witness dicts: the witnesses before the first
+        malformed one and its MalformedWitness.  A witness is malformed
+        unless it assigns exactly the instance's vertices, each an integer
+        in [0, d) (numpy integers too)."""
         get, n = self._get, self.n
-        rows = []
-        for psi in psis:
-            try:
-                rows.append(get(psi))
-            except KeyError:
-                raise self._malformed(psi) from None
-            if len(psi) != n:
-                raise self._malformed(psi)
-        # one type check for the whole block; numpy integers pass _malformed
-        if not set(map(type, chain.from_iterable(rows))) <= {int}:
-            exc = next(filter(None, map(self._malformed, psis)), None)
-            if exc is not None:
-                raise exc
         try:
-            vals = np.fromiter(chain.from_iterable(rows), dtype=np.intp,
-                               count=len(rows) * n)
-        except OverflowError:
-            raise next(filter(None, map(self._malformed, psis))) from None
-        return self._in_range(vals.reshape(len(rows), n))
+            rows = list(map(get, psis))
+            # each dict has the n vertices, so each has exactly n keys iff
+            # the lengths sum to n per dict; one type check for the block
+            if (sum(map(len, psis)) == n * len(psis)
+                    and set(map(type, chain.from_iterable(rows))) <= {int}):
+                return self._in_range(np.fromiter(
+                    chain.from_iterable(rows), dtype=np.intp,
+                    count=len(rows) * n).reshape(len(rows), n))
+        except (KeyError, OverflowError):
+            pass
+        # numpy integers, or a malformed witness: find the first
+        rows, malformed = [], None
+        for psi in psis:
+            malformed = self._malformed(psi)
+            if malformed is not None:
+                break
+            rows.append(get(psi))
+        vals = np.array(rows, dtype=np.intp).reshape(len(rows), n)
+        return self._in_range(vals)[0], malformed
 
     def _in_range(self, rows):
-        """Value rows, one per witness, as the (n x B) array of the table's
-        dtype, after checking that each value is in [0, d); else the
-        MalformedWitness of the first bad witness."""
+        """Value rows, one per witness: the rows before the first with a
+        value outside [0, d), as the (n x k) array of the table's dtype, and
+        that row's MalformedWitness (None if every value is in range)."""
+        k = len(rows)
         if rows.size and (rows.min() < 0 or rows.max() >= self.d):
-            raise next(filter(None, (self._malformed(dict(zip(self.vertices, w)))
-                                     for w in rows.tolist())))
-        return np.ascontiguousarray(rows.T, dtype=self.tab.table.dtype)
+            k = int(((rows < 0) | (rows >= self.d)).any(axis=1).argmax())
+        vals = np.ascontiguousarray(rows[:k].T, dtype=self.tab.table.dtype)
+        if k == len(rows):
+            return vals, None
+        return vals, self._malformed(dict(zip(self.vertices, rows[k].tolist())))
 
     def _malformed(self, psi):
         """The MalformedWitness naming psi's first problem (a missing vertex,

@@ -194,7 +194,8 @@ def build_plain_lb_instance(h: PartiteHypergraph, pq: ConditionalPredicate,
     if v_prime_size < r:
         raise PipelineError(f"need at least r = {r} fresh vertices")
     vertices, fresh = h.vertices(), [f"w{k}" for k in range(v_prime_size)]
-    rows = np.array([[witness_fn(e)[v] for v in vertices] for e in h.edges])
+    rows = np.array([[witness_fn(e)[v] for v in vertices] for e in h.edges]
+                    ).reshape(len(h.edges), len(vertices))
     subsets = list(combinations(range(v_prime_size), r))
     zeros = np.array([[0 if v in w else 1 for v in range(v_prime_size)]
                       for w in subsets])

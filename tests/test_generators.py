@@ -170,14 +170,20 @@ def test_truncated_keeps_witnesses_valid():
 
 def test_verify_fails_as_check_given_fails():
     # each kind of bad constructed witness: on its own edge, on another edge,
-    # and malformed; verify names the edge and reason check-given names
+    # malformed, and failing before a malformed one in its block; verify
+    # names the edge and reason check-given names
     inst = build_R1S1_instance(2)
     h, edges, good = inst.hypergraph, inst.hypergraph.edges, inst._witness
     reasons = []
     for bad in (lambda k: good(np.where(k == 0, 1, k)),
                 lambda k: good(np.where(k == 1, 0, k)),
                 lambda k: np.where((np.arange(len(h.vertices())) == 0)
-                                   & (np.asarray(k) == 5)[..., None], 7, good(k))):
+                                   & (np.asarray(k) == 5)[..., None], 7, good(k)),
+                # witness 1 is witness 0, and malformed witness 3 later in
+                # the same block does not mask it
+                lambda k: np.where((np.arange(len(h.vertices())) == 0)
+                                   & (np.asarray(k) == 3)[..., None], 7,
+                                   good(np.where(k == 1, 0, k)))):
         broken = ShrinkingInstance(inst.name, inst.q, inst.predicate, h, bad)
         res = broken.verify()
         assert isinstance(res, NrdFailure)
@@ -187,7 +193,8 @@ def test_verify_fails_as_check_given_fails():
     assert reasons == [
         (edges[0], "witness does not (Q\\P)-satisfy its edge"),
         (edges[1], f"witness fails to P-satisfy {edges[0]}"),
-        (edges[5], "witness value 7 for vertex 'p001' is not an integer in [0, 3)")]
+        (edges[5], "witness value 7 for vertex 'p001' is not an integer in [0, 3)"),
+        (edges[1], f"witness fails to P-satisfy {edges[0]}")]
 
 
 def _changed(good, changes):
@@ -246,7 +253,7 @@ def test_r1s1_q7_verifies_by_product_counts():
     lookup = WitnessKernel(h, pq)
     assert lookup._split is not None
     lookup._split = None
-    want = lookup._failure(lookup._in_range, bad(np.arange(i, i + 1)), i)
+    want = lookup._failure(lookup._in_range(bad(np.arange(i, i + 1)))[0], i)
     assert want is not None and want.edge == i
     broken = ShrinkingInstance(inst.name, inst.q, pq, h, bad)
     assert broken.verify() == want.nrd_failure(h)
@@ -351,6 +358,21 @@ def test_box_product_instance_is_non_redundant_for_the_box_product():
                                for i, e in enumerate(h.edges)})
         assert isinstance(verify_nrd(h, box_product(pa, pb), mode="check-given",
                                      certificate=cert), NrdCertificate)
+
+
+def test_edgeless_product_has_the_empty_certificate():
+    # a second factor without edges leaves the product none: its only
+    # certificate is {}
+    a = PartiteHypergraph((("a",), ("x",)), (("a", "x"),))
+    b = PartiteHypergraph((("b",), ("y",)), ())
+    h, witness = box_product_instance(
+        (a, np.zeros((1, 2), dtype=np.intp).__getitem__),
+        (b, np.zeros((0, 2), dtype=np.intp).__getitem__))
+    inst = ShrinkingInstance("AxB", 2, box_product(C6_COND, C6_COND), h, witness)
+    assert inst.n_edges == 0 and inst.verify() is None
+    cert = inst.certificate()
+    assert cert.witnesses == {}
+    assert verify_nrd(h, inst.predicate, "check-given", cert) == cert
 
 
 @pytest.mark.parametrize("partite", [True, False], ids=["partite", "plain"])

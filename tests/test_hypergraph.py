@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import pickle
 import random
 from itertools import combinations, product
 
@@ -388,19 +389,20 @@ def test_split_survives_a_dying_child(monkeypatch):
     assert list(cert.witnesses.items()) == list(zip(h.edges, witnesses))
 
 
-def test_split_resumes_after_a_record_cut_short():
-    # a child killed while writing leaves whole records and then a part of
-    # one: the parent keeps the whole ones and searches from the cut edge
+def test_split_searches_a_range_whose_stream_is_cut_short():
+    # a child killed while writing leaves part of its pickled list, and one
+    # that dies first leaves nothing: either way the parent searches the
+    # child's whole range itself
     h, pq, witnesses, spent = _reference_run("R1S1", 3)
     lo, hi = 338, len(h.edges)
     trials = [spent[i] - spent[i - 1] for i in range(lo, hi)]
-    records = b"".join(hypergraph._RECORD.pack(t, True) + bytes(w.values())
-                       for t, w in zip(trials[:100], witnesses[lo:]))
-    search = WitnessSearch(instance_index(h, pq.arity), pq, h.vertices())
-    stream = io.BytesIO(records + hypergraph._RECORD.pack(trials[100], True))
-    assert [(dict(zip(h.vertices(), w)), t) for w, t in
-            hypergraph._read_range(search, stream, lo, hi)] == \
-        list(zip(witnesses[lo:], trials))
+    whole = pickle.dumps([(bytes(w.values()), t)
+                          for w, t in zip(witnesses[lo:], trials)])
+    for stream in (whole[:len(whole) // 2], b""):
+        search = WitnessSearch(instance_index(h, pq.arity), pq, h.vertices())
+        assert [(dict(zip(h.vertices(), w)), t) for w, t in
+                hypergraph._read_range(search, io.BytesIO(stream), lo, hi)] == \
+            list(zip(witnesses[lo:], trials))
 
 
 def test_split_interrupted_leaves_no_child(monkeypatch):
@@ -1195,7 +1197,7 @@ def test_product_instances_take_the_split_route(builder, q):
     # and the constructed witnesses pass by counts, block by block
     for lo in range(0, inst.n_edges, kernel.block):
         rows = inst._witness(np.arange(lo, min(lo + kernel.block, inst.n_edges)))
-        assert kernel._split.passes(kernel._in_range(rows), lo)
+        assert kernel._split.passes(kernel._in_range(rows)[0], lo)
     cut = inst.truncated(inst.n_edges - 1)
     assert WitnessKernel(cut.hypergraph, cut.predicate)._split is None
     if builder is build_R2S2_instance:

@@ -411,6 +411,20 @@ def test_build_plain_lb_instance():
                                 v_prime_size=1)
 
 
+def test_build_plain_lb_instance_without_edges():
+    # a source without edges lifts to an instance without edges, whose only
+    # certificate is {}
+    g = PartiteHypergraph((("a", "b"), ("c", "d")), ())
+    res = verify_nrd(g, C6_COND)
+    assert res.witnesses == {}
+    lifted, cert = build_plain_lb_instance(
+        g, C6_COND, lambda e: res.witnesses[e], v_prime_size=3)
+    assert lifted.edges == () and cert.witnesses == {}
+    plain_pair = conditional_to_plain_pair(C6_COND)
+    assert verify_nrd(lifted, plain_pair.base, mode="check-given",
+                      certificate=cert) == cert
+
+
 def test_build_plain_lb_instance_is_pinned():
     # the toy of the acceptance gate's lifting check
     g = PartiteHypergraph((("a", "b", "c"), ("x", "y", "z")),
