@@ -6,9 +6,10 @@ Exit codes: 0 success, 1 failed check or exhausted budget (one line on
 stderr names the budget and the progress made) or an output pipe that the
 reader closed (no traceback), 2 usage error or an input path that cannot
 be read (missing, or a directory).  The global budget flags
---search-budget (read by nrd-exact and find-substructure) and
---conflict-budget (read by find-substructure) are a usage error on any
-other subcommand.  Environment variables NRD_SEARCH_BUDGET and
+--search-budget (read by nrd-exact and find-substructure without
+--family) and --conflict-budget (read by find-substructure) are a usage
+error on any other subcommand, and --search-budget with --family is one
+too.  Environment variables NRD_SEARCH_BUDGET and
 NRD_CONFLICT_BUDGET give their defaults, on every subcommand; explicit
 flags win.
 """
@@ -521,6 +522,9 @@ def main(argv=None):
             elif args.command not in readers:
                 raise UsageError(f"nrd {args.command}: --{name} applies only "
                                  f"to {' and '.join(readers)}")
+            elif flag == "search_budget" and getattr(args, "family", None):
+                raise UsageError(f"nrd {args.command}: --{name} applies only "
+                                 "without --family")
             if getattr(args, flag) < 0:
                 raise UsageError(f"nrd: --{name} must not be negative")
         code = args.fn(args)

@@ -125,8 +125,6 @@ def girth6_witness(graph: PartiteHypergraph):
     point = np.arange(index.n) < len(graph.parts[0])
     rows = np.where(du == index.n, np.where(point, 1, 2), _CYCLE_VALUE[fold])
     bad = WitnessKernel(graph, C6_COND).check_values(lambda lo, hi: rows[lo:hi])
-    if bad is not None and bad.wrong == bad.edge:
-        raise InstanceError("constructed witness misses the excluded edge")
     if bad is not None:
         raise InstanceError(f"constructed witness for {graph.edges[bad.edge]} "
                             f"fails on {graph.edges[bad.wrong]} (girth below 6?)")

@@ -288,8 +288,10 @@ class _TupleTables:
 
     The tuples T are those of P followed by those of Q \\ P.  For each
     (position p, value x), `keep[p][x]` lists the tuples with t[p] == x and
-    `kill[p][x]` the others.  `table`, built on first read, numbers a tuple
-    by its position in T, and a tuple outside Q by len(T).
+    `kill[p][x]` the others.  Built on first read: `rows`, T as an (r x |T|)
+    array, and `kind`, which gives each code sum(t[p] * d**p) the kind of
+    its tuple t, 0 in P, 1 in Q \\ P and 2 outside Q, as d**r uint8 entries;
+    None when d**r > 2**16.
     """
 
     def __init__(self, pq: ConditionalPredicate):
@@ -306,8 +308,19 @@ class _TupleTables:
         self.default_value = pq.base.tuples[0][0] if pq.base.tuples else 0
 
     @functools.cached_property
-    def table(self):
-        return RadixTable(self.tuples, self.d, self.r)
+    def rows(self):
+        return np.array(self.tuples, dtype=np.intp).reshape(len(self.tuples),
+                                                           self.r).T
+
+    @functools.cached_property
+    def kind(self):
+        if self.d ** self.r > _TABLE_LIMIT:
+            return None
+        code = self.d ** np.arange(self.r) @ self.rows
+        kind = np.full(self.d ** self.r, 2, dtype=np.uint8)
+        kind[code[:self.n_base]] = 0
+        kind[code[self.n_base:]] = 1
+        return kind
 
 
 @functools.lru_cache(maxsize=32)
@@ -680,11 +693,12 @@ def _read_range(search, fh, lo, hi):
 
 # --- the witness kernel ----------------------------------------------
 
-# Entries in one level of a RadixTable; elements in the largest temporary
-# array of a block of witnesses.  Checking value rows by lookup on R2S2 q=3
-# less one edge, 2**16 was about as fast as 2**17, whose arrays take twice
-# the memory, and faster than 2**15; by counts, larger blocks are faster
-# still, as each block pays a fixed cost in numpy calls.
+# The largest d**r that has a kind table (`_TupleTables.kind`); elements in
+# the largest temporary array of a block of witnesses.  Checking value rows
+# by lookup on R2S2 q=3 less one edge, 2**16 was about as fast as 2**17,
+# whose arrays take twice the memory, and faster than 2**15; by counts,
+# larger blocks are faster still, as each block pays a fixed cost in numpy
+# calls.
 _TABLE_LIMIT = 1 << 16
 _BLOCK_LIMIT = 1 << 16
 
@@ -692,99 +706,6 @@ _BLOCK_LIMIT = 1 << 16
 class MalformedWitness(InstanceError):
     """A witness that does not assign exactly the instance's vertices
     integer values in [0, d)."""
-
-
-class RadixTable:
-    """The position of a tuple over [0, d)^r in a list of distinct tuples;
-    a tuple not in the list reads the list's length.
-
-    The r positions are split into consecutive strides.  Level l maps a
-    state (a live prefix: the values of some listed tuple on the strides
-    before l) and the values on stride l to the next state, or at the last
-    level to a position, through one dense array of states x d**k entries.
-    Each stride is as long as keeps its array within 2**16 entries, and at
-    least one position.  A prefix that no listed tuple has falls into the
-    dead state 0, whose row leads to the list's length.  For d**r <= 2**16
-    there is one level, so a lookup is one gather; a larger d**r takes more
-    levels, each of at most max(2**16, (tuples listed + 1) x d) entries.
-
-    `lookup` is laid out for blocks of witnesses: it takes their values
-    vertex-major, an (n x B) array, and returns the positions edge-major,
-    (m x B), so the gather of each tuple position copies whole rows of B
-    values.
-
-    `dtype`, fixed when the table is built, is uint16 when every level's
-    codes, the list's length (the largest entry) and every scale a lookup
-    multiplies by are below 2**16, as for every bundled pair, and intp
-    otherwise (a level of more than 2**16 entries).  Values, codes, states
-    and positions all take it, and the scales are numpy scalars of it, so
-    the arithmetic stays in it under numpy 1.x's value-based casting and
-    under NEP 50 alike.
-    """
-
-    def __init__(self, tuples, d, r):
-        n = len(tuples)
-        tuples = np.asarray(tuples, dtype=np.intp).reshape(n, r)
-        self.d, self.r = d, r
-        self.strides, self.tables = [], []
-        # level 0 has one state, the root
-        state, states, start = np.zeros(n, dtype=np.intp), 1, 0
-        while True:
-            k = min(1, r - start)
-            while start + k < r and states * d ** (k + 1) <= _TABLE_LIMIT:
-                k += 1
-            code = state * d ** k + sum(
-                (tuples[:, start + j] * d ** j for j in range(k)), 0)
-            self.strides.append((start, k))
-            start += k
-            if start == r:
-                table = np.full(states * d ** k, n, dtype=np.intp)
-                table[code] = np.arange(n)
-                self.tables.append(table)
-                break
-            live, state = np.unique(code, return_inverse=True)
-            table = np.zeros(states * d ** k, dtype=np.intp)
-            table[live] = np.arange(1, len(live) + 1)
-            self.tables.append(table)
-            state, states = state + 1, len(live) + 1
-        # a level past the first scales its state by d**k, and the j-th
-        # position of a stride its values by d**j; no entry exceeds n
-        scales = [d ** k for _, k in self.strides[1:]]
-        top = max(n, *scales, *(t.size - 1 for t in self.tables))
-        self.dtype = np.dtype(np.uint16 if top < 1 << 16 else np.intp)
-        self.tables = [t.astype(self.dtype) for t in self.tables]
-        self._scales = [None] + [self.dtype.type(s) for s in scales]
-        self._powers = [self.dtype.type(d ** j)
-                        for j in range(max(k for _, k in self.strides))]
-
-    def lookup(self, values, cols):
-        """Positions of the tuples (values[cols[0, e], b], ...,
-        values[cols[r-1, e], b]), as an array indexed [e, b]; values holds
-        one row per vertex, of `dtype` and in [0, d).  The table gather
-        widens the codes to intp internally, the largest temporary array of
-        a lookup."""
-        state = None
-        for (start, k), scale, table in zip(self.strides, self._scales,
-                                            self.tables):
-            code = None if state is None else np.multiply(state, scale,
-                                                          out=state)
-            for j in range(k):
-                col = np.take(values if j == 0 else values * self._powers[j],
-                              cols[start + j], axis=0)
-                code = col if code is None else np.add(code, col, out=code)
-                del col  # one block-sized array less during the table take
-            if code is None:  # r = 0
-                code = np.zeros((cols.shape[1], values.shape[1]),
-                                dtype=self.dtype)
-            state = np.take(table, code)
-        return state
-
-    def __getitem__(self, tuples):
-        """Positions of the rows of an (n x r) array of tuples."""
-        tuples = np.asarray(tuples, dtype=np.intp)
-        tuples = tuples.reshape(len(tuples), self.r)
-        values = np.ascontiguousarray(tuples.T, dtype=self.dtype)
-        return self.lookup(values, np.arange(self.r).reshape(self.r, 1))[0]
 
 
 def _getter(keys):
@@ -828,7 +749,8 @@ class _ProductSplit:
     the tuples of a witness on the m edges are the pairs of its tuples on U
     and on V, and its edges outside P number h_U . N . h_V, where h_U and
     h_V count its tuples on U and on V by code sum(t[p] * d**p), and N is
-    the pair's 0/1 "not in P" matrix, d**r1 x d**(r - r1).  A witness
+    the pair's 0/1 "not in P" matrix, d**r1 x d**(r - r1), read off its kind
+    table.  A witness
     passes iff that count is 1 and its own edge's tuple is in Q \\ P, at
     O(n + |U| + |V| + d**r) a witness.
     """
@@ -836,22 +758,17 @@ class _ProductSplit:
     def __init__(self, tab, cols, r1, ufirst, vfirst):
         d, r = tab.d, cols.shape[0]
         self.d, self.cols, self.powers = d, cols, d ** np.arange(r)
-        codes = np.asarray(tab.tuples, dtype=np.intp).reshape(-1, r) @ self.powers
-        self.in_q_minus_p = np.zeros(d ** r, dtype=bool)
-        self.in_q_minus_p[codes[tab.n_base:]] = True
+        self.in_q_minus_p = tab.kind == 1
         # N[a, c] for the tuple coded a on U and c on V, code a + d**r1 * c
-        not_p = np.ones(d ** r, dtype=np.intp)
-        not_p[codes[:tab.n_base]] = 0
-        self.not_p = not_p.reshape(-1, d ** r1).T
+        self.not_p = (tab.kind != 0).astype(np.intp).reshape(-1, d ** r1).T
         self.halves = (cols[:r1, ufirst], cols[r1:, vfirst])
 
     @classmethod
     def find(cls, h, index, tab):
         """The split of h's edges at the first r1 where they are U x V and
-        |U| + |V| + d**r < m, if d**r fits one level of a RadixTable; else
-        None."""
+        |U| + |V| + d**r < m, if the pair has a kind table; else None."""
         (r, m), d = index.cols.shape, tab.d
-        if d ** r > _TABLE_LIMIT or d ** r >= m:
+        if tab.kind is None or d ** r >= m:
             return None
         bounds = _bounds(h, index)
         for r1 in range(1, r):
@@ -874,7 +791,7 @@ class _ProductSplit:
         counts = []  # row k: witness k's tuples on U, then on V, by code
         for half in self.halves:
             size = self.d ** len(half)
-            codes = vals[half[0]]  # of vals' dtype, as codes < d**r <= 2**16
+            codes = vals[half[0]]  # uint16, as codes < d**r <= 2**16
             for p in range(1, len(half)):
                 codes = codes + vals[half[p]] * self.d ** p
             counts.append(np.bincount((codes + k * size).ravel(),
@@ -887,21 +804,23 @@ class WitnessKernel:
     """The witness check of one instance for one predicate pair.
 
     `check` reads the witnesses a block at a time, in edge order.  A block
-    of B witnesses is validated into one (n x B) array, a row per vertex,
-    of the table's dtype (values in [0, d)), and every edge's tuple under
-    every witness is numbered with one row gather per position of the
-    instance's index, by the pair's `_TupleTables.table`: an (m x B) array
-    of P below n_base, then Q \\ P, then len(tuples) outside Q.  `block`,
-    B, is at most 2**16 / max(m, n) witnesses and at least one, so no
-    temporary array of a block exceeds 2**16 elements unless one witness
+    of B witnesses is validated into one uint16 (n x B) array, a row per
+    vertex (values in [0, d)), and the kind of every edge's tuple under
+    every witness (0 in P, 1 in Q \\ P, 2 outside Q) is read into an
+    (m x B) array: its code sum(t[p] * d**p) is summed from one row gather
+    per position of the instance's index and looked up in the pair's
+    `_TupleTables.kind`.  A pair with no kind table (d**r > 2**16) has the
+    block's tuples coded together with the pair's by `_codes` instead.
+    `block`, B, is at most 2**16 / max(m, n) witnesses and at least one, so
+    no temporary array of a block exceeds 2**16 elements unless one witness
     does (m > 2**16 edges).
 
     A block of a box product such as R1S1 or R2S2 is first checked by
     counts (`_ProductSplit`): two histograms of each witness's tuples, on
-    U and on V, weighed by a "not in P" matrix made from the pair's tuple
-    list, at O(n + |U| + |V| + d**r) a witness instead of O(m r); only a
-    block the counts reject is numbered as above, so the failure is the
-    same.
+    U and on V, weighed by a "not in P" matrix made from the pair's kind
+    table, at O(n + |U| + |V| + d**r) a witness instead of O(m r); only a
+    block the counts reject has its kinds read as above, so the failure is
+    the same.
     """
 
     def __init__(self, h, pq):
@@ -933,7 +852,7 @@ class WitnessKernel:
 
     def _check(self, block):
         """block(lo, hi) returns the witnesses of edges lo..hi-1 before the
-        first malformed one, as an (n x k) array of the table's dtype, and
+        first malformed one, as a uint16 (n x k) array, and
         the MalformedWitness of witness k (None if there is none)."""
         for lo in range(0, self.m, self.block):
             vals, malformed = block(lo, min(lo + self.block, self.m))
@@ -948,22 +867,43 @@ class WitnessKernel:
         None."""
         if self._split is not None and self._split.passes(vals, start):
             return None
-        numbers = self.tab.table.lookup(vals, self.cols)
-        n_base, outside = self.tab.n_base, len(self.tab.tuples)
-        ok = numbers < n_base
+        kinds = self._kinds(vals)
+        ok = kinds == 0
         k = np.arange(vals.shape[1])
-        x = numbers[start + k, k]
-        ok[start + k, k] = (n_base <= x) & (x < outside)
+        ok[start + k, k] = kinds[start + k, k] == 1
         if ok.all():
             return None
         k = int(ok.all(axis=0).argmin())
         failure = WitnessFailure(start + k, None, int(ok[:, k].argmin()))
-        out = np.flatnonzero(numbers[:, k] == outside)
+        out = np.flatnonzero(kinds[:, k] == 2)
         if not len(out):
             return failure
         j = int(out[0])
         return failure._replace(
             outside=(j, tuple(vals[self.cols[:, j], k].tolist())))
+
+    def _kinds(self, vals):
+        """The kinds of the tuples (vals[cols[0, e], b], ...,
+        vals[cols[r-1, e], b]), as an (m x B) array indexed [e, b].  The
+        gather of each position copies whole rows of B values; the kind
+        table's take widens the codes to intp internally, the largest
+        temporary array of a block."""
+        tab, (r, m), cols = self.tab, self.cols.shape, self.cols
+        if tab.kind is None:  # code the pair's tuples and the block's at once
+            n = tab.rows.shape[1]
+            code, top = _codes((np.concatenate([tab.rows[p], vals[cols[p]].ravel()])
+                                for p in range(r)), [(0, self.d)] * r,
+                               n + m * vals.shape[1])
+            kind = np.full(top, 2, dtype=np.uint8)
+            kind[code[:tab.n_base]] = 0
+            kind[code[tab.n_base:n]] = 1
+            return kind[code[n:]].reshape(m, vals.shape[1])
+        code = np.take(vals, cols[0], axis=0)
+        for p in range(1, r):
+            col = np.take(vals * self.d ** p, cols[p], axis=0)
+            np.add(code, col, out=code)
+            del col  # one block-sized array less during the kind table's take
+        return np.take(tab.kind, code)
 
     def _values(self, psis):
         """`_in_range` for witness dicts: the witnesses before the first
@@ -994,12 +934,12 @@ class WitnessKernel:
 
     def _in_range(self, rows):
         """Value rows, one per witness: the rows before the first with a
-        value outside [0, d), as the (n x k) array of the table's dtype, and
+        value outside [0, d), as a uint16 (n x k) array, and
         that row's MalformedWitness (None if every value is in range)."""
         k = len(rows)
         if rows.size and (rows.min() < 0 or rows.max() >= self.d):
             k = int(((rows < 0) | (rows >= self.d)).any(axis=1).argmax())
-        vals = np.ascontiguousarray(rows[:k].T, dtype=self.tab.table.dtype)
+        vals = np.ascontiguousarray(rows[:k].T, dtype=np.uint16)
         if k == len(rows):
             return vals, None
         return vals, self._malformed(dict(zip(self.vertices, rows[k].tolist())))
@@ -1202,7 +1142,8 @@ def _bounds(h, index):
 def _codes(rows, bounds, m):
     """Mixed-radix codes of the m columns of rows, whose row p holds values
     in [start, start + size) for (start, size) = bounds[p]; equal exactly
-    for equal columns.  Returns the codes and top, which bounds them."""
+    for equal columns.  Returns the codes and top, which bounds them.  rows
+    is read once, in order, so a generator keeps only one row alive."""
     code, top = np.zeros(m, dtype=np.int64), 1
     for row, (start, size) in zip(rows, bounds):
         if top * size >= 1 << 62:  # renumbered densely before it overflows

@@ -856,8 +856,11 @@ def test_paper_verify_only_strips_spaces(capsys):
      "nrd find-substructure: --max-results applies only without --family"),
     (["find-substructure", "C6*|C6", "C6*|C6", "--family", "1;2",
       "--time-budget", "-5"],
-     "nrd find-substructure: --time-budget applies only without --family")],
-    ids=["balance-k-max", "sizes", "max-results", "time-budget"])
+     "nrd find-substructure: --time-budget applies only without --family"),
+    (["--search-budget", "1", "find-substructure", "C6*|C6", "C6*|C6",
+      "--family", "1;2"],
+     "nrd find-substructure: --search-budget applies only without --family")],
+    ids=["balance-k-max", "sizes", "max-results", "time-budget", "search-budget"])
 def test_flag_the_command_would_ignore_exits_2(capsys, argv, err):
     assert usage_error(capsys, *argv) == err
 

@@ -18,7 +18,7 @@ from nrdkit.generators import (ShrinkingInstance, box_product_instance,
                                build_R1S1_instance, build_R2S2_instance)
 from nrdkit.hypergraph import (BudgetExceeded, Hypergraph, InstanceError,
                                InstanceIndex, NrdCertificate, NrdFailure,
-                               PartiteHypergraph, RadixTable, WitnessKernel,
+                               PartiteHypergraph, WitnessKernel,
                                WitnessFailure, WitnessSearch, as_conditional,
                                instance_index, nrd_exact, nrd_exact_exhaustive,
                                projection_label, projection_map,
@@ -1032,56 +1032,6 @@ def test_check_given_arity_mismatch():
         verify_nrd(h, or_k(3), mode="check-given", certificate=cert)
 
 
-def test_radix_table_lookup():
-    # the tuples over [0, 10)^2 whose codes x0 + 10 x1 are 5, 0 and 77, at
-    # positions 0, 1 and 2; a tuple not listed reads 3
-    table = RadixTable([(5, 0), (0, 0), (7, 7)], 10, 2)
-    assert len(table.strides) == 1
-    query = [(0, 0), (1, 0), (5, 0), (6, 7), (7, 7), (8, 7), (9, 9)]
-    assert table[query].tolist() == [1, 3, 0, 3, 2, 3, 3]
-    assert table[[(7, 7)]].tolist() == [2]
-    assert RadixTable([], 10, 2)[[(0, 0), (9, 9)]].tolist() == [0, 0]
-    assert RadixTable([], 3, 12)[[(0,) * 12, (2,) * 12]].tolist() == [0, 0]
-    # d = 256, r = 2: one level of exactly 2**16 entries.  With one tuple
-    # left out, the list's length 2**16 - 1 still fits uint16; with every
-    # tuple listed it does not
-    every = list(product(range(256), repeat=2))
-    random.Random(256).shuffle(every)
-    table = RadixTable(every[1:], 256, 2)
-    assert table.dtype == np.uint16 and [t.size for t in table.tables] == [1 << 16]
-    assert table[every].tolist() == [(1 << 16) - 1, *range((1 << 16) - 1)]
-    table = RadixTable(every, 256, 2)
-    assert table.dtype == np.intp
-    assert table[every].tolist() == list(range(1 << 16))
-
-
-@pytest.mark.parametrize("d, r, n", [(3, 12, 6), (3, 12, 400), (2, 40, 30),
-                                     (5, 7, 50), (300, 3, 20), (256, 2, 2000),
-                                     (256, 3, 300)])
-def test_radix_table_multi_stride_matches_dict(d, r, n):
-    rng = random.Random(d * 1000 + r * 10 + n)
-    given = {tuple(rng.randrange(d) for _ in range(r)): None for _ in range(n)}
-    given = {t: k for k, t in enumerate(given)}  # each tuple's position
-    table = RadixTable(list(given), d, r)
-    assert (len(table.strides) > 1) == (d ** r > 1 << 16)
-    assert sum(k for _, k in table.strides) == r
-    assert all(t.size <= max(1 << 16, (len(given) + 1) * d) for t in table.tables)
-    # a level of more than 2**16 entries (here only d = 256, r = 3: 300
-    # live prefixes x 256) needs intp, and every other table fits uint16
-    wide = max(t.size for t in table.tables) > 1 << 16
-    assert wide == ((d, r) == (256, 3))
-    assert table.dtype == (np.intp if wide else np.uint16)
-    query = list(given)
-    for t in list(given):   # share a prefix with a given tuple, then differ
-        for p in (0, r // 2, r - 1):
-            u = list(t)
-            u[p] = (u[p] + 1) % d
-            query.append(tuple(u))
-    query += [tuple(rng.randrange(d) for _ in range(r)) for _ in range(200)]
-    query += [(0,) * r, (d - 1,) * r]
-    assert table[query].tolist() == [given.get(t, len(given)) for t in query]
-
-
 def test_kernel_checks_tuples_beyond_64_bit_codes():
     # 3**40 > 2**62: the tuple codes of the old table did not fit
     d, r = 3, 40
@@ -1126,13 +1076,13 @@ def reference_failure(h, pq, psis):
     return None
 
 
-@pytest.mark.parametrize("r", [2, 3])
-def test_kernel_at_the_table_dtype_boundary(r):
-    # d = 256: for r = 2 the table is one level of exactly 2**16 uint16
-    # entries; for r = 3 the 2-prefixes of over 300 listed tuples make a
-    # second level of more than 2**16 entries, which needs intp
-    d, m = 256, 20
-    rng = random.Random(256 + r)
+@pytest.mark.parametrize("d, r", [(256, 2), (256, 3), (3, 12), (5, 7), (2, 40)])
+def test_kernel_at_the_table_dtype_boundary(d, r):
+    # d**r = 2**16 for d = 256, r = 2: the largest pair with a kind table,
+    # whose tuples are looked up in it; every other shape has d**r > 2**16,
+    # and its block's tuples are coded together with the pair's by _codes
+    m = 20
+    rng = random.Random(d + r)
     vs = [f"v{i}" for i in range(m + r - 1)]
     edges = [tuple(vs[i:i + r]) for i in range(m)]
     psis = [{v: rng.randrange(d) for v in vs} for _ in edges]
@@ -1143,11 +1093,10 @@ def test_kernel_at_the_table_dtype_boundary(r):
     pq = ConditionalPredicate(Predicate(d, r, base), Predicate(d, r, base | outside))
     h = Hypergraph(tuple(vs), tuple(edges))
     kernel = WitnessKernel(h, pq)
-    table = kernel.tab.table
-    if r == 2:
-        assert table.dtype == np.uint16 and [t.size for t in table.tables] == [1 << 16]
+    if d ** r <= 1 << 16:
+        assert kernel.tab.kind.dtype == np.uint8 and kernel.tab.kind.size == d ** r
     else:
-        assert table.dtype == np.intp and max(t.size for t in table.tables) > 1 << 16
+        assert kernel.tab.kind is None
     assert kernel.check(psis.__getitem__) is None
     failed = 0
     for _ in range(40):
