@@ -24,7 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .predicates import ConditionalPredicate, IndexFamily, Predicate
+from .predicates import (ConditionalPredicate, IndexFamily, Predicate,
+                         box_product)
 
 
 class InstanceError(ValueError):
@@ -286,26 +287,33 @@ def _value_order(pq):
 class _TupleTables:
     """What the witness search and check kernel need of one predicate pair.
 
-    The tuples T are those of P followed by those of Q \\ P.  For each
-    (position p, value x), `keep[p][x]` lists the tuples with t[p] == x and
-    `kill[p][x]` the others.  Built on first read: `rows`, T as an (r x |T|)
-    array, and `kind`, which gives each code sum(t[p] * d**p) the kind of
-    its tuple t, 0 in P, 1 in Q \\ P and 2 outside Q, as d**r uint8 entries;
-    None when d**r > 2**16.
+    The tuples T are those of P followed by those of Q \\ P.  Built on
+    first read, for the witness search: for each (position p, value x),
+    `keep[p][x]` lists the tuples with t[p] == x and `kill[p][x]` the
+    others.  Built on first read, for the check kernel: `rows`, T as an
+    (r x |T|) array, and `kind`, which gives each code sum(t[p] * d**p) the
+    kind of its tuple t, 0 in P, 1 in Q \\ P and 2 outside Q, as d**r uint8
+    entries; None when d**r > 2**16.
     """
 
     def __init__(self, pq: ConditionalPredicate):
         self.r, self.d = pq.arity, pq.domain_size
         self.tuples = tuple(pq.base.tuples) + pq.outside()
         self.n_base = len(pq.base.tuples)
-        self.keep = tuple(
-            tuple(tuple(i for i, t in enumerate(self.tuples) if t[p] == x)
-                  for x in range(self.d)) for p in range(self.r))
-        self.kill = tuple(
-            tuple(tuple(i for i, t in enumerate(self.tuples) if t[p] != x)
-                  for x in range(self.d)) for p in range(self.r))
         self.values = tuple(_value_order(pq))
         self.default_value = pq.base.tuples[0][0] if pq.base.tuples else 0
+
+    @functools.cached_property
+    def keep(self):
+        return tuple(
+            tuple(tuple(i for i, t in enumerate(self.tuples) if t[p] == x)
+                  for x in range(self.d)) for p in range(self.r))
+
+    @functools.cached_property
+    def kill(self):
+        return tuple(
+            tuple(tuple(i for i, t in enumerate(self.tuples) if t[p] != x)
+                  for x in range(self.d)) for p in range(self.r))
 
     @functools.cached_property
     def rows(self):
@@ -350,10 +358,10 @@ class WitnessSearch:
     tuple is rejected before anything is written, so it needs no restore.
 
     Vertices are decided in a fixed order, the excluded edge's first, then
-    by decreasing degree and by label; values in `_value_order`.  Pruning is
-    sound, so the witness returned is the first solution in that
-    lexicographic order.  Vertices on no edge take the first value of the
-    first tuple of P.
+    by decreasing degree and by label; values in `value_order`, the pair's
+    `_value_order` unless the caller sets another.  Pruning is sound, so the
+    witness returned is the first solution in that lexicographic order.
+    Vertices on no edge take the first value of the first tuple of P.
 
     `trials` counts value trials at decision points, rejected values
     included (forced values are not counted); a search raises
@@ -382,6 +390,7 @@ class WitnessSearch:
             self._flip(e, 1 << i, 1)
         self.occ = [None] * self.n
         self._refresh(range(self.n))
+        self.value_order = tab.values
         self.budget = budget
         self.trials = 0
 
@@ -520,7 +529,7 @@ class WitnessSearch:
                 depth += 1
             if depth == len(order):
                 return True
-            levels.append((depth, order[depth], iter(self.tab.values),
+            levels.append((depth, order[depth], iter(self.value_order),
                            (self.alive[:], self.unassigned[:]), len(self.trail)))
             while not self._decide(levels[-1]):  # back to the level above
                 levels.pop()
@@ -568,6 +577,8 @@ def verify_nrd(h, pq, mode="find-witnesses", certificate=None,
     and in forked children that never outlive the call, with the outcome
     of one process.  The budget decides in edge order and caps each
     process's trials too, so the work in all can reach w times the budget.
+    Without a budget, a box product for a box product pair is searched by
+    its two factors instead (`_find_by_factors`), with the same outcome.
     check-given: re-verify a supplied certificate with `WitnessKernel.check`.
     Returns an NrdCertificate on success, NrdFailure on the first bad edge.
     """
@@ -586,7 +597,72 @@ def verify_nrd(h, pq, mode="find-witnesses", certificate=None,
         raise InstanceError(f"unknown mode {mode!r}")
     if h.edges and h.arity != pq.arity:
         raise InstanceError("instance arity does not match predicate arity")
+    if max_assignments is None:
+        found = _find_by_factors(h, pq)
+        if found is not None:
+            return found
     return _find_witnesses(h, pq, max_assignments, _workers(len(h.edges)))
+
+
+def _factor_pairs(pq, r1):
+    """The pairs P1 | Q1 and P2 | Q2, of arities r1 and r - r1, whose box
+    product is pq, or None: Q must be Q1 x Q2 for its two projections, P1
+    is {a in Q1 : a + b in P for every b in Q2}, P2 likewise, and their
+    `box_product` must be pq exactly."""
+    d, q = pq.domain_size, pq.ambient.tuples
+    q1, q2 = sorted({t[:r1] for t in q}), sorted({t[r1:] for t in q})
+    if len(q) != len(q1) * len(q2):  # this also bounds the loops below by |Q|
+        return None
+    p1 = [a for a in q1 if all(a + b in pq.base for b in q2)]
+    p2 = [b for b in q2 if all(a + b in pq.base for a in q1)]
+    pairs = (ConditionalPredicate(Predicate(d, r1, p1), Predicate(d, r1, q1)),
+             ConditionalPredicate(Predicate(d, pq.arity - r1, p2),
+                                  Predicate(d, pq.arity - r1, q2)))
+    return pairs if box_product(*pairs) == pq else None
+
+
+def _find_by_factors(h, pq):
+    """find-witnesses without a budget from one search of each factor of a
+    box product; None unless h's edges are U x V at a split r1 (`_splits`)
+    with disjoint vertices on either side, and pq is a box product at r1
+    (`_factor_pairs`).
+
+    psi is a witness for (e, f) exactly when its A-half (the vertices at
+    positions < r1) is one for e under P1 | Q1 and its B-half one for f
+    under P2 | Q2, as a tuple is in Q \\ P only if both halves are outside
+    their P: the solutions of (e, f) are S_A x S_B.  Restricted to A, the
+    product's decision order is the factor's own (the excluded edge, then
+    degree, deg_A |V| in the product, and label), so a search of A's
+    distinct edges with the product's labels and value order finds min S_A,
+    and the product's first solution is (min S_A, min S_B).  So each
+    witness, with the product's default value on vertices on no edge, and
+    the first failing edge are the whole search's.
+    """
+    index, labels = instance_index(h, pq.arity), h.vertices()
+    for r1, (unum, ufirst), (vnum, vfirst) in _splits(h, index):
+        halves = index.cols[:r1, ufirst], index.cols[r1:, vfirst]
+        on = np.zeros((2, index.n), dtype=bool)
+        on[0, halves[0]] = on[1, halves[1]] = True
+        pairs = None if (on[0] & on[1]).any() else _factor_pairs(pq, r1)
+        if pairs is None:
+            continue
+        tab, rows = _tuple_tables(pq), []
+        for cols, pair in zip(halves, pairs):
+            search = WitnessSearch(InstanceIndex(index.n, cols), pair, labels)
+            search.value_order = tab.values
+            rows.append([search.values(i) for i in range(cols.shape[1])])
+        none = [np.array([w is None for w in found], dtype=bool) for found in rows]
+        bad = none[0][unum] | none[1][vnum]
+        if bad.any():
+            return NrdFailure(h.edges[int(bad.argmax())])
+        wa, wb = (np.array(found, dtype=np.intp).reshape(-1, index.n)
+                  for found in rows)
+        wa[:, ~on[0]] = 0
+        wb[:, ~on[1]] = 0
+        wa[:, ~(on[0] | on[1])] = tab.default_value
+        return NrdCertificate({e: dict(zip(labels, (wa[u] + wb[v]).tolist()))
+                               for e, u, v in zip(h.edges, unum, vnum)})
+    return None
 
 
 # Fewest edges a process of a split find-witnesses searches, so that R1S1
@@ -741,6 +817,22 @@ class WitnessFailure(NamedTuple):
         return NrdFailure(edges[self.edge], reason)
 
 
+def _splits(h, index):
+    """Each split of h's edges as U x V, in order of r1 = 1 .. r-1: U and V
+    are the distinct projections of the edges onto their first r1
+    positions and onto the rest, and every (u, v) pair is an edge.  Yields
+    r1 and the `_first_use` numberings of the edges' projections onto U and
+    onto V."""
+    bounds, m = _bounds(h, index), index.m
+    for r1 in range(1, index.cols.shape[0]):
+        u = _first_use(*_codes(index.cols[:r1], bounds[:r1], m))
+        v = _first_use(*_codes(index.cols[r1:], bounds[r1:], m))
+        # the edges are distinct, so there are |U| |V| of them only if
+        # every (u, v) pair is one
+        if len(u[1]) * len(v[1]) == m:
+            yield r1, u, v
+
+
 class _ProductSplit:
     """An instance whose edge set is U x V, checked by counts.
 
@@ -770,14 +862,8 @@ class _ProductSplit:
         (r, m), d = index.cols.shape, tab.d
         if tab.kind is None or d ** r >= m:
             return None
-        bounds = _bounds(h, index)
-        for r1 in range(1, r):
-            ufirst = _first_use(*_codes(index.cols[:r1], bounds[:r1], m))[1]
-            vfirst = _first_use(*_codes(index.cols[r1:], bounds[r1:], m))[1]
-            # the edges are distinct, so there are |U| |V| of them only if
-            # every (u, v) pair is one
-            if (len(ufirst) * len(vfirst) == m
-                    and len(ufirst) + len(vfirst) + d ** r < m):
+        for r1, (_, ufirst), (_, vfirst) in _splits(h, index):
+            if len(ufirst) + len(vfirst) + d ** r < m:
                 return cls(tab, index.cols, r1, ufirst, vfirst)
         return None
 

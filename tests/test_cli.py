@@ -122,6 +122,21 @@ def test_find_witnesses_output_is_pinned(tmp_path, capsys):
         "10f107e84e1e1eaf08657a2520f5dead8fd5d151b9aa1e0525afd53f29b07d77")
 
 
+def test_find_witnesses_by_factors_output_is_pinned(tmp_path, capsys,
+                                                    monkeypatch):
+    # R2S2 q=3 is searched by its two factors, never as a whole, and its
+    # output is the whole search's, pinned as in CI
+    def whole(*args):
+        raise AssertionError("the whole-product search ran")
+    monkeypatch.setattr(hypergraph, "_find_witnesses", whole)
+    code, out = run(capsys, "--json", "verify-nrd", "--instance",
+                    _instance_file(tmp_path, build_R2S2_instance(3)),
+                    "--predicate", "R2S2", "--emit-witnesses")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0deaeb38efeec32c7d43148c635912d83445d66549f22479d7d3729838a7609d")
+
+
 def test_find_witnesses_tie_break_is_pinned(tmp_path, capsys):
     # every vertex has degree 2, so ties are broken by label, and "v10"
     # comes before "v2" although v2 is listed (and numbered) first; with

@@ -2,11 +2,12 @@ import hashlib
 import json
 import math
 import random
+from itertools import product
 
 import numpy as np
 import pytest
 
-from nrdkit import catalog
+from nrdkit import catalog, hypergraph
 from nrdkit.catalog import C6_COND, EQ, ONE_TWO_COND, or_k
 from nrdkit.generators import (GeneratorError, ShrinkingInstance,
                                box_product_instance, build_R1S1_instance,
@@ -16,7 +17,7 @@ from nrdkit.hypergraph import (Hypergraph, InstanceError, NrdCertificate,
                                NrdFailure, PartiteHypergraph, WitnessKernel,
                                as_conditional, instance_index, nrd_exact,
                                shrinking_report, verify_nrd)
-from nrdkit.predicates import box_product
+from nrdkit.predicates import ConditionalPredicate, Predicate, box_product
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 13, 17])
@@ -385,3 +386,167 @@ def test_box_product_instance_rejects_a_shared_vertex(partite):
         b = Hypergraph(("x",), (("x",),))
     with pytest.raises(InstanceError, match="'x'"):
         box_product_instance((a, dict), (b, dict))
+
+
+# --- find-witnesses by factors -----------------------------------------
+
+# Tries 2 before 1, where its box product with C6*|C6 tries 1 first: a
+# lone edge's witness is 22 in its own order and 11 in the product's, and
+# the product's vertices on no edge take 1.
+FREE = ConditionalPredicate(Predicate(3, 2, [(2, 1)]),
+                            Predicate(3, 2, [(1, 1), (2, 1), (2, 2)]))
+
+
+def _in_order(res):
+    """A find-witnesses result with each witness's keys in order, so that
+    == compares them too."""
+    if isinstance(res, NrdFailure):
+        return res
+    return [(e, list(psi.items())) for e, psi in res.witnesses.items()]
+
+
+def _plus_edge(h, rng):
+    """h with one more edge, drawn from its parts (from its vertices, if
+    plain), or h itself when it has every possible edge."""
+    partite = isinstance(h, PartiteHypergraph)
+    space = product(*h.parts) if partite else product(h.vertices(), repeat=h.arity)
+    have = set(h.edges)
+    extra = [e for e in space if e not in have]
+    if not extra:
+        return h
+    edges = h.edges + (rng.choice(extra),)
+    return (PartiteHypergraph(h.parts, edges) if partite
+            else Hypergraph(h.vertex_set, edges))
+
+
+def _product_of(ha, hb, rng, shuffle, lone):
+    """The box product of ha and hb, its edges shuffled, or with a vertex
+    on no edge between the factors' vertices."""
+    h = box_product_instance((ha, None), (hb, None))[0]
+    edges = list(h.edges)
+    if shuffle:
+        rng.shuffle(edges)
+    if isinstance(h, PartiteHypergraph):
+        parts = [list(p) for p in h.parts]
+        parts[ha.arity][:0] = ["B.lone"] * lone
+        return PartiteHypergraph(parts, edges)
+    vs = h.vertices()
+    vs[len(ha.vertices()):len(ha.vertices())] = ["B.lone"] * lone
+    return Hypergraph(vs, edges)
+
+
+def test_find_by_factors_is_the_whole_search():
+    # box products of exact-NRD factors, some with their edges shuffled, a
+    # vertex on no edge or a redundant factor (one edge more than its
+    # maximum, where there is room): the factor route gives the whole
+    # search's witnesses, dict for dict in key order, or its failing edge
+    # and reason
+    pairs = {2: [as_conditional(EQ), as_conditional(or_k(2))],
+             3: [C6_COND, ONE_TWO_COND, FREE]}
+    rng = random.Random(34)
+    failures = 0
+    for k in range(32):
+        d = rng.choice((2, 3))
+        pa, pb = rng.choice(pairs[d]), rng.choice(pairs[d])
+        sides = []
+        for pq, prefix in ((pa, "A."), (pb, "B.")):
+            n = rng.randint(2, 4)
+            parts = ((n,) if pq.arity == 1 else (1, n - 1)) \
+                if rng.random() < 0.5 else None
+            sides.append(_relabel(nrd_exact(pq, n, part_sizes=parts)[1], prefix))
+        if k % 4 == 3:
+            sides[k % 8 // 4] = _plus_edge(sides[k % 8 // 4], rng)
+        h = _product_of(*sides, rng, shuffle=k % 2 == 1, lone=k % 3 == 0)
+        pq = box_product(pa, pb)
+        got = hypergraph._find_by_factors(h, pq)
+        assert got is not None
+        want = hypergraph._find_witnesses(h, pq, None, 1)
+        assert _in_order(got) == _in_order(want)
+        failures += isinstance(want, NrdFailure)
+    assert failures >= 3
+
+
+def test_find_by_factors_tries_values_in_the_products_order():
+    # the join of the factors' own find-witnesses is not the whole search's
+    # here, so a factor searched in its own pair's value order would differ;
+    # and a vertex on no edge takes the product's default value, 1
+    pa, pb = FREE, C6_COND
+    pq = box_product(pa, pb)
+    assert hypergraph._value_order(pa) == [2, 1, 0]
+    assert hypergraph._value_order(pq) == [1, 0, 2]
+    sides = _factor(pa, 2, (1, 1), "A."), _factor(pb, 4, (2, 2), "B.")
+    h, joined = box_product_instance(*sides)
+    own = [(e, list(zip(h.vertices(), joined(i).tolist())))
+           for i, e in enumerate(h.edges)]
+    want = _in_order(hypergraph._find_witnesses(h, pq, None, 1))
+    assert own != want
+    assert _in_order(hypergraph._find_by_factors(h, pq)) == want
+    h = _product_of(sides[0][0], sides[1][0], None, shuffle=False, lone=True)
+    want = _in_order(hypergraph._find_witnesses(h, pq, None, 1))
+    assert dict(want[0][1])["B.lone"] == 1
+    assert _in_order(hypergraph._find_by_factors(h, pq)) == want
+
+
+@pytest.mark.parametrize("build", [build_R1S1_instance, build_R2S2_instance],
+                         ids=["R1S1", "R2S2"])
+def test_box_products_are_searched_by_factors(build, monkeypatch):
+    inst = build(3)
+    h, pq = inst.hypergraph, inst.predicate
+
+    def whole(*args):
+        raise AssertionError("the whole-product search ran")
+    monkeypatch.setattr(hypergraph, "_find_witnesses", whole)
+    cert = verify_nrd(h, pq)
+    assert isinstance(cert, NrdCertificate)
+    assert verify_nrd(h, pq, "check-given", cert) == cert
+
+
+def test_a_budgeted_find_takes_the_whole_search(monkeypatch):
+    # the budget counts the whole search's trials, so it keeps that search
+    inst = build_R1S1_instance(2)
+    h, pq = inst.hypergraph, inst.predicate
+    want = verify_nrd(h, pq)
+
+    def factors(*args):
+        raise AssertionError("the factor route ran")
+    monkeypatch.setattr(hypergraph, "_find_by_factors", factors)
+    assert verify_nrd(h, pq, max_assignments=10 ** 9) == want
+
+
+def test_find_by_factors_declines_halves_that_share_a_vertex():
+    # OR2 is the box product of 1|01 with itself, and both instances'
+    # edges are U x V at r1 = 1, but only the first has disjoint halves
+    or2 = as_conditional(or_k(2))
+    assert hypergraph._factor_pairs(or2, 1) is not None
+    disjoint = Hypergraph("abcd", [(x, y) for x in "ab" for y in "cd"])
+    shared = Hypergraph("abc", [(x, y) for x in "ab" for y in "bc"])
+    assert hypergraph._find_by_factors(disjoint, or2) is not None
+    assert hypergraph._find_by_factors(shared, or2) is None
+
+
+def test_find_by_factors_declines_a_pair_that_is_not_a_box_product():
+    # a tuple t of P1 x P2 taken out of R2S2's P and Q leaves Q smaller
+    # than Q1 x Q2; taken out of P alone, it leaves P smaller than the box
+    # product of P1 | Q1 and P2 | Q2 for the P1 and P2 that it implies
+    h, pq = build_R2S2_instance(2).hypergraph, catalog.R2S2
+    assert hypergraph._factor_pairs(pq, 2) == (C6_COND, C6_COND)
+    assert hypergraph._find_by_factors(h, pq) is not None
+    t = {(0, 1, 0, 1)}
+    base = Predicate(3, 4, set(pq.base.tuples) - t)
+    for pair in (
+            ConditionalPredicate(base, Predicate(3, 4, set(pq.ambient.tuples) - t)),
+            ConditionalPredicate(base, pq.ambient)):
+        assert hypergraph._factor_pairs(pair, 2) is None
+        assert hypergraph._find_by_factors(h, pair) is None
+
+
+def test_check_given_builds_no_search_tables():
+    # the check kernel reads the kind table; keep and kill, |T| d r tuples
+    # of tuple numbers each, are built only for a witness search
+    inst = build_R1S1_instance(2)
+    hypergraph._tuple_tables.cache_clear()
+    cert = inst.certificate()
+    assert verify_nrd(inst.hypergraph, inst.predicate, "check-given", cert) == cert
+    tab = hypergraph._tuple_tables(inst.predicate)
+    assert "kind" in tab.__dict__
+    assert "keep" not in tab.__dict__ and "kill" not in tab.__dict__
